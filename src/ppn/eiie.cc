@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "market/dataset.h"
-#include "ppn/policy_network.h"
 
 namespace ppn::core {
 
@@ -19,54 +18,25 @@ Conv2dGeometry Valid1x3() {
 }  // namespace
 
 EiieNetwork::EiieNetwork(const PolicyConfig& config, Rng* init_rng)
-    : config_(config), hidden_channels_(config.block2_channels) {
+    : PolicyModule(config), hidden_channels_(config.block2_channels) {
   PPN_CHECK_GE(config.window, 4);
   conv1_ = std::make_unique<nn::Conv2dLayer>(
       market::kNumPriceFields, config.block1_channels, Valid1x3(), init_rng);
   conv2_ = std::make_unique<nn::Conv2dLayer>(
       config.block1_channels, hidden_channels_,
       nn::TimeCollapseConvGeometry(config.window - 2), init_rng);
-  // +1 feature column for the previous action. Bias-free: a shared logit
-  // bias cancels in the softmax.
-  decision_ = std::make_unique<nn::Linear>(hidden_channels_ + 1, 1, init_rng,
-                                           /*use_bias=*/false);
   RegisterSubmodule("conv1", conv1_.get());
   RegisterSubmodule("conv2", conv2_.get());
-  RegisterSubmodule("decision", decision_.get());
+  BuildDecisionHead(hidden_channels_, init_rng);
 }
 
-ag::Var EiieNetwork::Forward(const ag::Var& windows,
-                             const ag::Var& prev_actions) {
-  const int64_t batch = windows->value().dim(0);
-  const int64_t m = config_.num_assets;
-  PPN_CHECK_EQ(windows->value().dim(1), m);
-  PPN_CHECK_EQ(windows->value().dim(2), config_.window);
-
-  // Same input centering as the PPN variants (see PolicyConfig).
-  ag::Var centered =
-      ag::MulScalar(ag::AddScalar(windows, -1.0f), config_.input_scale);
+ag::Var EiieNetwork::ExtractFeatures(const ag::Var& centered) const {
+  const int64_t batch = centered->value().dim(0);
   ag::Var conv_input = ag::Permute4(centered, {0, 3, 1, 2});  // [B,4,m,k].
   ag::Var h = ag::Relu(conv1_->Forward(conv_input));         // [B,C1,m,k-2].
   h = ag::Relu(conv2_->Forward(h));                          // [B,C2,m,1].
-  ag::Var per_asset = ag::Reshape(ag::Permute4(h, {0, 2, 3, 1}),
-                                  {batch, m, hidden_channels_});
-  ag::Var prev_column = ag::Reshape(prev_actions, {batch, m, 1});
-  ag::Var features = ag::ConcatVars({per_asset, prev_column}, 2);
-  ag::Var cash_row = ag::Constant(
-      Tensor::Full({batch, 1, hidden_channels_ + 1}, config_.cash_bias));
-  ag::Var full = ag::ConcatVars({cash_row, features}, 1);
-  ag::Var flat = ag::Reshape(full, {batch * (m + 1), hidden_channels_ + 1});
-  ag::Var logits = ag::Reshape(decision_->Forward(flat), {batch, m + 1});
-  return ag::SoftmaxRows(logits);
-}
-
-std::unique_ptr<PolicyModule> MakePolicy(const PolicyConfig& config,
-                                         Rng* init_rng, Rng* dropout_rng) {
-  if (config.variant == PolicyVariant::kEiie) {
-    return std::make_unique<EiieNetwork>(config, init_rng);
-  }
-  // Defined in policy_network.cc; included via policy_module.h factory.
-  return std::make_unique<PolicyNetwork>(config, init_rng, dropout_rng);
+  return ag::Reshape(ag::Permute4(h, {0, 2, 3, 1}),
+                     {batch, config().num_assets, hidden_channels_});
 }
 
 }  // namespace ppn::core

@@ -4,14 +4,14 @@
 #include <memory>
 
 #include "nn/conv.h"
-#include "nn/linear.h"
 #include "ppn/policy_module.h"
 
 /// \file
 /// EIIE baseline (Jiang, Xu & Liang 2017): the "ensemble of identical
 /// independent evaluators" CNN the paper compares against. Per-asset
-/// convolutions only (no cross-asset mixing), previous action appended
-/// before the final 1×1 voting convolution, softmax with a cash bias.
+/// convolutions only (no cross-asset mixing) feeding the decision head
+/// every `PolicyModule` shares: previous action appended before the final
+/// 1×1 voting convolution, softmax with a cash bias.
 
 namespace ppn::core {
 
@@ -21,17 +21,13 @@ class EiieNetwork : public PolicyModule {
  public:
   EiieNetwork(const PolicyConfig& config, Rng* init_rng);
 
-  ag::Var Forward(const ag::Var& windows,
-                  const ag::Var& prev_actions) override;
-
-  const PolicyConfig& config() const override { return config_; }
-
  private:
-  PolicyConfig config_;
+  /// conv[1×3] → ReLU → conv[1×(k-2)] → ReLU: [B, m, k, 4] -> [B, m, C2].
+  ag::Var ExtractFeatures(const ag::Var& centered) const override;
+
   int64_t hidden_channels_;
   std::unique_ptr<nn::Conv2dLayer> conv1_;
   std::unique_ptr<nn::Conv2dLayer> conv2_;
-  std::unique_ptr<nn::Linear> decision_;
 };
 
 }  // namespace ppn::core

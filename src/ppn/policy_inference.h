@@ -1,6 +1,8 @@
 #ifndef PPN_PPN_POLICY_INFERENCE_H_
 #define PPN_PPN_POLICY_INFERENCE_H_
 
+#include <vector>
+
 #include "ppn/policy_module.h"
 #include "tensor/tensor.h"
 
@@ -29,13 +31,22 @@ class PolicyInference {
   /// the module may have been switched back to training in between.
   void EnsureEvalMode() const;
 
-  /// One decision per batch row. `windows` is [B, m, k, 4] (normalized
-  /// price windows, see `market::NormalizedWindow`); `prev_actions` is
-  /// [B, m] holding each user's previous RISK weights (cash slot omitted,
-  /// the PVM convention). Returns [B, m+1] portfolio rows on the simplex
-  /// with cash at column 0. Every policy kernel is row-independent with a
-  /// fixed accumulation order, so the output rows are bit-identical to B
-  /// separate single-row calls.
+  /// One decision per batch row over shared windows. `windows` is
+  /// [D, m, k, 4]: D normalized price windows (see
+  /// `market::NormalizedWindow`). `window_of_row` has one entry per batch
+  /// row, naming the window that row decides on. `prev_actions` is [B, m]
+  /// holding each row's previous RISK weights (cash slot omitted, the PVM
+  /// convention). The policy's `Features` run once per window and the
+  /// decision head once per row. Returns [B, m+1] portfolio rows on the
+  /// simplex with cash at column 0. Every policy kernel is row-independent
+  /// with a fixed accumulation order, so each output row is bit-identical
+  /// to a single-row call on its own window and previous action.
+  Tensor DecideBatch(const Tensor& windows,
+                     const std::vector<int64_t>& window_of_row,
+                     const Tensor& prev_actions) const;
+
+  /// One decision per batch row, row b deciding on window b: the
+  /// identity-index case of the call above, with `windows` [B, m, k, 4].
   Tensor DecideBatch(const Tensor& windows, const Tensor& prev_actions) const;
 
  private:

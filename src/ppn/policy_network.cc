@@ -6,7 +6,7 @@ namespace ppn::core {
 
 PolicyNetwork::PolicyNetwork(const PolicyConfig& config, Rng* init_rng,
                              Rng* dropout_rng)
-    : config_(config) {
+    : PolicyModule(config) {
   PPN_CHECK(config.variant != PolicyVariant::kEiie)
       << "use EiieNetwork for the EIIE topology";
   const bool correlational = UsesAssetCorrelation(config.variant);
@@ -48,72 +48,38 @@ PolicyNetwork::PolicyNetwork(const PolicyConfig& config, Rng* init_rng,
     case PolicyVariant::kEiie:
       break;  // Unreachable (checked above).
   }
-  // +1 for the recursive previous-action column. The decision layer is
-  // bias-free: a shared scalar bias on every logit cancels in the softmax.
-  feature_size_ = stream_features + 1;
-  decision_ = std::make_unique<nn::Linear>(feature_size_, 1, init_rng,
-                                           /*use_bias=*/false);
-  RegisterSubmodule("decision", decision_.get());
+  BuildDecisionHead(stream_features, init_rng);
 }
 
-ag::Var PolicyNetwork::ExtractFeatures(const ag::Var& windows) const {
-  switch (config_.variant) {
+ag::Var PolicyNetwork::ExtractFeatures(const ag::Var& centered) const {
+  switch (config().variant) {
     case PolicyVariant::kPpn:
     case PolicyVariant::kPpnI: {
-      ag::Var sequential = sequential_net_->Forward(windows);
-      ag::Var correlation = correlation_net_->Forward(windows);
+      ag::Var sequential = sequential_net_->Forward(centered);
+      ag::Var correlation = correlation_net_->Forward(centered);
       return ag::ConcatVars({sequential, correlation}, 2);
     }
     case PolicyVariant::kPpnLstm:
-      return sequential_net_->Forward(windows);
+      return sequential_net_->Forward(centered);
     case PolicyVariant::kPpnTcb:
     case PolicyVariant::kPpnTccb:
-      return correlation_net_->Forward(windows);
+      return correlation_net_->Forward(centered);
     case PolicyVariant::kPpnTcbLstm:
     case PolicyVariant::kPpnTccbLstm: {
-      const int64_t batch = windows->value().dim(0);
-      ag::Var sequence = correlation_net_->ForwardSequence(windows);
+      const int64_t batch = centered->value().dim(0);
+      ag::Var sequence = correlation_net_->ForwardSequence(centered);
       ag::Var folded = ag::Reshape(
-          sequence, {batch * config_.num_assets, config_.window,
+          sequence, {batch * config().num_assets, config().window,
                      correlation_net_->sequence_channels()});
       ag::Var last_hidden = cascade_lstm_->ForwardLastHidden(folded);
       return ag::Reshape(last_hidden,
-                         {batch, config_.num_assets, config_.lstm_hidden});
+                         {batch, config().num_assets, config().lstm_hidden});
     }
     case PolicyVariant::kEiie:
       break;
   }
   PPN_CHECK(false) << "unhandled variant";
   return nullptr;
-}
-
-ag::Var PolicyNetwork::Forward(const ag::Var& windows,
-                               const ag::Var& prev_actions) {
-  PPN_CHECK_EQ(windows->value().ndim(), 4);
-  const int64_t batch = windows->value().dim(0);
-  const int64_t m = config_.num_assets;
-  PPN_CHECK_EQ(windows->value().dim(1), m);
-  PPN_CHECK_EQ(prev_actions->value().ndim(), 2);
-  PPN_CHECK_EQ(prev_actions->value().dim(0), batch);
-  PPN_CHECK_EQ(prev_actions->value().dim(1), m);
-
-  // Center and rescale the normalized-price input (see PolicyConfig).
-  ag::Var centered =
-      ag::MulScalar(ag::AddScalar(windows, -1.0f), config_.input_scale);
-  ag::Var features = ExtractFeatures(centered);  // [B, m, F-1].
-  // Recursive mechanism: concatenate a_{t-1} as one more feature column.
-  ag::Var prev_column = ag::Reshape(prev_actions, {batch, m, 1});
-  ag::Var with_prev = ag::ConcatVars({features, prev_column}, 2);
-  // Cash row: a fixed-bias feature row appended as asset 0' (the paper's
-  // "concatenate the cash bias into all feature maps").
-  ag::Var cash_row = ag::Constant(
-      Tensor::Full({batch, 1, feature_size_}, config_.cash_bias));
-  ag::Var full = ag::ConcatVars({cash_row, with_prev}, 1);  // [B, m+1, F].
-  // Decision 1×1 conv == shared linear vote per asset row.
-  ag::Var flat = ag::Reshape(full, {batch * (m + 1), feature_size_});
-  ag::Var scores = decision_->Forward(flat);  // [B*(m+1), 1].
-  ag::Var logits = ag::Reshape(scores, {batch, m + 1});
-  return ag::SoftmaxRows(logits);
 }
 
 }  // namespace ppn::core

@@ -3,15 +3,13 @@
 
 #include <memory>
 
-#include "nn/linear.h"
 #include "ppn/feature_nets.h"
 #include "ppn/policy_module.h"
 
 /// \file
 /// The portfolio policy network (paper Section 4): one or two feature
-/// streams feeding the decision-making module, which concatenates the
-/// recursive previous action, appends a fixed cash-bias row, and votes with
-/// a 1×1 convolution followed by a softmax over the m+1 assets.
+/// streams feeding the decision-making module, the decision head every
+/// `PolicyModule` shares (see policy_module.h).
 
 namespace ppn::core {
 
@@ -20,24 +18,14 @@ class PolicyNetwork : public PolicyModule {
  public:
   PolicyNetwork(const PolicyConfig& config, Rng* init_rng, Rng* dropout_rng);
 
-  ag::Var Forward(const ag::Var& windows,
-                  const ag::Var& prev_actions) override;
-
-  const PolicyConfig& config() const override { return config_; }
-
  private:
-  /// Extracted per-asset features [B, m, F] for the active variant.
-  ag::Var ExtractFeatures(const ag::Var& windows) const;
-
-  PolicyConfig config_;
-  int64_t feature_size_ = 0;  ///< F: columns entering the decision conv.
+  /// Per-asset features [B, m, F] of the active variant's streams.
+  ag::Var ExtractFeatures(const ag::Var& centered) const override;
 
   std::unique_ptr<SequentialInfoNet> sequential_net_;
   std::unique_ptr<CorrelationInfoNet> correlation_net_;
   /// LSTM applied on top of conv features (cascaded variants only).
   std::unique_ptr<nn::Lstm> cascade_lstm_;
-  /// The decision 1×1 convolution, realized as a Linear over feature rows.
-  std::unique_ptr<nn::Linear> decision_;
 };
 
 }  // namespace ppn::core

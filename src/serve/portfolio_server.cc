@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <unordered_map>
 #include <utility>
 
 #include "common/check.h"
@@ -40,16 +41,29 @@ int64_t PortfolioServer::AddUser(int64_t start_period) {
   return static_cast<int64_t>(users_.size()) - 1;
 }
 
+namespace {
+
+/// Validates a submitted user id at the intake boundary.
+bool KnownUser(int64_t user_id, int64_t num_users) {
+  if (user_id >= 0 && user_id < num_users) return true;
+  if (obs::Enabled()) {
+    static thread_local obs::Counter& rejected =
+        obs::GetCounter("serve.rejected.unknown_user");
+    rejected.Add(1.0);
+  }
+  return false;
+}
+
+}  // namespace
+
 bool PortfolioServer::SubmitTick(int64_t user_id) {
-  PPN_CHECK_GE(user_id, 0);
-  PPN_CHECK_LT(user_id, num_users());
-  return queue_.Push({user_id, std::chrono::steady_clock::now()});
+  return KnownUser(user_id, num_users()) &&
+         queue_.Push({user_id, std::chrono::steady_clock::now()});
 }
 
 bool PortfolioServer::TrySubmitTick(int64_t user_id) {
-  PPN_CHECK_GE(user_id, 0);
-  PPN_CHECK_LT(user_id, num_users());
-  return queue_.TryPush({user_id, std::chrono::steady_clock::now()});
+  return KnownUser(user_id, num_users()) &&
+         queue_.TryPush({user_id, std::chrono::steady_clock::now()});
 }
 
 void PortfolioServer::ApplyDecision(UserState* user, int64_t period,
@@ -92,7 +106,8 @@ void PortfolioServer::ApplyDecision(UserState* user, int64_t period,
   ++user->decisions;
 }
 
-int64_t PortfolioServer::ProcessBatch() {
+bool PortfolioServer::TakeBatch(bool block,
+                                std::vector<TickRequest>* batch) {
   // Deferred same-user duplicates from the previous round go first; the
   // queue tops the batch up. Holdover is bounded by max_batch - 1, so the
   // combined batch never exceeds max_batch.
@@ -100,56 +115,77 @@ int64_t PortfolioServer::ProcessBatch() {
   holdover_.clear();
   const int64_t room =
       config_.max_batch - static_cast<int64_t>(drained.size());
-  if (drained.empty()) {
-    if (queue_.PopBatch(&drained, config_.max_batch) == 0) return 0;
+  if (drained.empty() && block) {
+    if (queue_.PopBatch(&drained, config_.max_batch) == 0) return false;
   } else if (room > 0) {
     queue_.TryPopBatch(&drained, room);
   }
+  if (drained.empty()) return false;
 
-  // One request per user per forward pass: a user's ticks are strictly
+  // One request per user per batch: a user's ticks are strictly
   // sequential (decision t feeds decision t+1 through the PVM row), so
-  // duplicates defer to the next round.
-  std::vector<TickRequest> batch;
-  batch.reserve(drained.size());
+  // duplicates defer to the next round. A user at the end of the feed has
+  // no period left to decide; its requests are dropped here.
+  batch->clear();
+  int64_t past_end = 0;
   std::vector<char> in_batch(users_.size(), 0);
   for (const TickRequest& request : drained) {
-    if (in_batch[request.user_id] != 0) {
+    if (users_[request.user_id].next_period >= panel_->num_periods()) {
+      ++past_end;
+    } else if (in_batch[request.user_id] != 0) {
       holdover_.push_back(request);
     } else {
       in_batch[request.user_id] = 1;
-      batch.push_back(request);
+      batch->push_back(request);
     }
   }
-  PPN_CHECK(!batch.empty());
+  if (past_end > 0 && obs::Enabled()) {
+    static thread_local obs::Counter& rejected =
+        obs::GetCounter("serve.rejected.past_end");
+    rejected.Add(static_cast<double>(past_end));
+  }
+  return true;
+}
 
+int64_t PortfolioServer::ServeBatch(const std::vector<TickRequest>& batch) {
   const int64_t b = static_cast<int64_t>(batch.size());
+  if (b == 0) return 0;
   const int64_t m = inference_.config().num_assets;
   const int64_t k = inference_.config().window;
 
-  // Gather: one [B, m, k, 4] window tensor + one [B, m] PVM tensor.
-  Tensor windows =
-      Tensor::Uninitialized({b, m, k, market::kNumPriceFields});
+  // Group rows by decision period: one window per distinct period, each
+  // row pointing at its period's window and carrying its own PVM row.
+  std::vector<int64_t> periods;
+  std::vector<int64_t> window_of_row(static_cast<size_t>(b));
+  std::unordered_map<int64_t, int64_t> window_of_period;
   Tensor prev_actions = Tensor::Uninitialized({b, m});
-  const int64_t window_numel = m * k * market::kNumPriceFields;
   for (int64_t i = 0; i < b; ++i) {
     const UserState& user = users_[batch[i].user_id];
-    const int64_t t = user.next_period;
-    PPN_CHECK_LT(t, panel_->num_periods())
-        << "user " << batch[i].user_id << " ticked past the end of the feed";
-    const Tensor window = market::NormalizedWindow(*panel_, t - 1, k);
-    std::memcpy(windows.MutableData() + i * window_numel, window.Data(),
-                static_cast<size_t>(window_numel) * sizeof(float));
+    const auto [slot, added] = window_of_period.emplace(
+        user.next_period, static_cast<int64_t>(periods.size()));
+    if (added) periods.push_back(user.next_period);
+    window_of_row[i] = slot->second;
     for (int64_t a = 0; a < m; ++a) {
       prev_actions.MutableData()[i * m + a] =
           static_cast<float>(user.pvm_row[a + 1]);
     }
   }
+  const int64_t d = static_cast<int64_t>(periods.size());
+  Tensor windows =
+      Tensor::Uninitialized({d, m, k, market::kNumPriceFields});
+  const int64_t window_numel = m * k * market::kNumPriceFields;
+  for (int64_t w = 0; w < d; ++w) {
+    const Tensor window = market::NormalizedWindow(*panel_, periods[w] - 1, k);
+    std::memcpy(windows.MutableData() + w * window_numel, window.Data(),
+                static_cast<size_t>(window_numel) * sizeof(float));
+  }
 
-  // One forward pass for the whole batch, grad-free.
+  // Features once per distinct period, the decision head once per row,
+  // grad-free.
   Tensor out;
   {
     obs::ScopedTimer forward_timer("serve.forward.seconds");
-    out = inference_.DecideBatch(windows, prev_actions);
+    out = inference_.DecideBatch(windows, window_of_row, prev_actions);
   }
 
   // Scatter + ψ accounting, optionally fanned across the worker pool.
@@ -175,11 +211,14 @@ int64_t PortfolioServer::ProcessBatch() {
   if (obs::Enabled()) {
     static thread_local obs::Counter& decisions =
         obs::GetCounter("serve.decisions");
+    static thread_local obs::Counter& feature_rows =
+        obs::GetCounter("serve.features.rows");
     static thread_local obs::Histogram& batch_size =
         obs::GetHistogram("serve.batch.size");
     static thread_local obs::Histogram& latency =
         obs::GetHistogram("serve.decide.latency.seconds");
     decisions.Add(static_cast<double>(b));
+    feature_rows.Add(static_cast<double>(d));
     batch_size.Observe(static_cast<double>(b));
     for (size_t i = latencies_.size() - static_cast<size_t>(b);
          i < latencies_.size(); ++i) {
@@ -189,11 +228,19 @@ int64_t PortfolioServer::ProcessBatch() {
   return b;
 }
 
+int64_t PortfolioServer::ProcessBatch() {
+  std::vector<TickRequest> batch;
+  while (TakeBatch(/*block=*/true, &batch)) {
+    const int64_t served = ServeBatch(batch);
+    if (served > 0) return served;
+  }
+  return 0;
+}
+
 int64_t PortfolioServer::DrainPending() {
   int64_t total = 0;
-  while (!holdover_.empty() || queue_.size() > 0) {
-    total += ProcessBatch();
-  }
+  std::vector<TickRequest> batch;
+  while (TakeBatch(/*block=*/false, &batch)) total += ServeBatch(batch);
   return total;
 }
 

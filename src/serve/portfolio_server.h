@@ -14,19 +14,22 @@
 /// \file
 /// The policy-serving engine: advances many independent user portfolios
 /// through one trained policy network. Per tick the server drains admitted
-/// requests from the bounded intake queue, gathers each user's normalized
-/// price window into ONE batched tensor, runs a single grad-free forward
-/// pass for the whole batch (one matmul/conv per layer, amortizing kernel
-/// and cache costs across users), scatters the weight rows back, and
-/// applies the ψ transaction-cost accounting per user — exactly the
-/// backtester's arithmetic, so a served user's wealth trajectory is
-/// bit-identical to backtesting that user alone.
+/// requests from the bounded intake queue and groups them by the period
+/// each user decides next. It builds one normalized price window and runs
+/// the policy's market features once per distinct period, then runs the
+/// shared decision head once over all rows, each row pairing its period's
+/// features with the user's own PVM row. Finally it scatters the weight
+/// rows back and applies the ψ transaction-cost accounting per user —
+/// exactly the backtester's arithmetic. The previous action enters only at
+/// the head, and every kernel is row-independent with a fixed accumulation
+/// order, so a served user's wealth trajectory is bit-identical to
+/// backtesting that user alone, however many users share its period.
 
 namespace ppn::serve {
 
 /// Serving knobs.
 struct ServerConfig {
-  /// Upper bound on users per forward pass.
+  /// Upper bound on users per batch.
   int64_t max_batch = 256;
   /// Intake queue bound (admission control / backpressure, see
   /// `RequestQueue`).
@@ -70,24 +73,31 @@ class PortfolioServer {
   int64_t AddUser(int64_t start_period);
 
   /// Enqueues one tick advance for `user_id`, blocking while the intake
-  /// queue is full (backpressure). False only when intake is closed.
+  /// queue is full (backpressure). False when intake is closed, or when
+  /// `user_id` is not a registered user (counted in
+  /// `serve.rejected.unknown_user`).
   bool SubmitTick(int64_t user_id);
 
   /// Non-blocking variant: false when the queue is full or closed
-  /// (admission control — the caller sheds the request).
+  /// (admission control — the caller sheds the request), or when
+  /// `user_id` is unknown (as for `SubmitTick`).
   bool TrySubmitTick(int64_t user_id);
 
   /// One serving round: drains up to `max_batch` admitted requests
-  /// (blocking until at least one arrives or intake is closed), runs the
-  /// batched forward, applies the cost model per user, records metrics.
-  /// Duplicate requests for the same user within a round are deferred to
-  /// the next round — a user's ticks are strictly sequential. Returns the
-  /// number of decisions made; 0 means intake closed and fully drained.
+  /// (blocking until at least one arrives or intake is closed), computes
+  /// features once per distinct period and the decision head once per
+  /// row, applies the cost model per user, records metrics. Duplicate
+  /// requests for the same user within a round are deferred to the next
+  /// round — a user's ticks are strictly sequential. A request whose user
+  /// has reached the end of the feed is dropped, leaving the user as it
+  /// was, and counted in `serve.rejected.past_end`; a round of only such
+  /// requests moves on to the next one. Returns the number of decisions
+  /// made; 0 means intake closed and fully drained.
   int64_t ProcessBatch();
 
-  /// Runs `ProcessBatch` until the queue and holdover are empty. Returns
-  /// total decisions made. (Non-blocking: intended for a driver thread
-  /// that has already submitted the work.)
+  /// Serves rounds as `ProcessBatch` does until the queue and holdover
+  /// are empty. Returns total decisions made. (Non-blocking: intended for
+  /// a thread that has already submitted the work.)
   int64_t DrainPending();
 
   /// Closes intake: later submissions fail, blocked submitters wake.
@@ -105,6 +115,15 @@ class PortfolioServer {
   const std::vector<double>& latency_seconds() const { return latencies_; }
 
  private:
+  /// Moves the next round's requests into `batch`: holdover first, then
+  /// the queue (a blocking pop only if `block` and there is no holdover).
+  /// Defers same-user duplicates and drops past-the-end requests. False
+  /// when nothing was drained (closed and drained if `block`).
+  bool TakeBatch(bool block, std::vector<TickRequest>* batch);
+
+  /// Decides and applies one round of distinct users; returns its size.
+  int64_t ServeBatch(const std::vector<TickRequest>& batch);
+
   /// Applies one scattered decision row to one user (ψ accounting).
   void ApplyDecision(UserState* user, int64_t period,
                      const float* action_row);

@@ -1,9 +1,11 @@
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "common/math_utils.h"
 #include "ppn/eiie.h"
+#include "ppn/policy_inference.h"
 #include "ppn/policy_network.h"
 
 namespace ppn::core {
@@ -124,6 +126,53 @@ TEST_P(PolicyVariantTest, PreviousActionInfluencesDecision) {
   ag::Var out_a = policy->Forward(ag::Constant(windows), ag::Constant(prev_a));
   ag::Var out_b = policy->Forward(ag::Constant(windows), ag::Constant(prev_b));
   EXPECT_FALSE(out_a->value().AllClose(out_b->value(), 1e-7f));
+}
+
+TEST_P(PolicyVariantTest, IndexedDecideMatchesExpandedBatchBitwise) {
+  // Serving computes features once per distinct window and broadcasts them
+  // to every row deciding on it; each row must come out exactly as if its
+  // window had been fed on its own row.
+  const PolicyConfig config = SmallConfig(GetParam());
+  const int64_t m = config.num_assets;
+  Rng init(1);
+  Rng dropout(2);
+  auto policy = MakePolicy(config, &init, &dropout);
+  const PolicyInference inference(policy.get());
+  const Tensor windows = RandomWindows(3, config);
+  const std::vector<int64_t> window_of_row = {2, 0, 0, 1, 2, 2, 0};
+  const int64_t batch = static_cast<int64_t>(window_of_row.size());
+  const int64_t window_numel = windows.numel() / windows.dim(0);
+  Tensor expanded({batch, m, config.window, market::kNumPriceFields});
+  for (int64_t row = 0; row < batch; ++row) {
+    std::memcpy(expanded.MutableData() + row * window_numel,
+                windows.Data() + window_of_row[row] * window_numel,
+                static_cast<size_t>(window_numel) * sizeof(float));
+  }
+  // A different previous portfolio on every row, rows sharing a window
+  // included.
+  Rng prev_rng(3);
+  Tensor prev({batch, m});
+  for (int64_t row = 0; row < batch; ++row) {
+    std::vector<double> weights(m);
+    double total = 0.0;
+    for (double& w : weights) total += (w = prev_rng.Uniform());
+    for (int64_t a = 0; a < m; ++a) {
+      prev.MutableData()[row * m + a] =
+          static_cast<float>(weights[a] / (total + 0.5));
+    }
+  }
+
+  const Tensor indexed = inference.DecideBatch(windows, window_of_row, prev);
+  const Tensor reference = inference.DecideBatch(expanded, prev);
+  ASSERT_EQ(indexed.shape(), reference.shape());
+  EXPECT_EQ(std::memcmp(indexed.Data(), reference.Data(),
+                        static_cast<size_t>(indexed.numel()) * sizeof(float)),
+            0);
+  // Rows sharing a window but not a previous action must still differ.
+  EXPECT_NE(std::memcmp(indexed.Data() + 1 * (m + 1),
+                        indexed.Data() + 2 * (m + 1),
+                        static_cast<size_t>(m + 1) * sizeof(float)),
+            0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllVariants, PolicyVariantTest,

@@ -1,8 +1,10 @@
 // PortfolioServer contract: the batched grad-free forward is bit-identical
 // to per-user sequential serving at any batch size and any worker count
-// (pool on or off), a single served user reproduces the backtester's
-// wealth trajectory exactly, the bounded intake queue sheds/defers
-// correctly, and serving metrics reach the obs layer.
+// (pool on or off), users sharing a period share its features but not its
+// decision, a single served user reproduces the backtester's wealth
+// trajectory exactly, the bounded intake queue sheds/defers correctly, bad
+// ticks are rejected without touching other users, and serving metrics
+// reach the obs layer.
 
 #include "serve/portfolio_server.h"
 
@@ -85,6 +87,22 @@ std::vector<UserResult> RunServer(const market::OhlcPanel& panel,
   return results;
 }
 
+UserResult ResultOf(const UserState& user) {
+  return {user.wealth, user.weights, user.pvm_row, user.decisions};
+}
+
+/// Backtest wealth of `policy` from `start` up to (excluding) `end`.
+double BacktestWealth(const market::OhlcPanel& panel,
+                      core::PolicyModule* policy, int64_t start,
+                      int64_t end) {
+  core::PolicyStrategy strategy(policy, "PPN");
+  backtest::BacktestConfig config;
+  config.start_period = start;
+  config.end_period = end;
+  config.costs = backtest::CostModel::Uniform(0.0025);
+  return backtest::RunBacktest(&strategy, panel, config).wealth_curve.back();
+}
+
 void ExpectBitIdentical(const std::vector<UserResult>& a,
                         const std::vector<UserResult>& b,
                         const std::string& label) {
@@ -115,6 +133,172 @@ TEST(PortfolioServerTest, BatchSizeNeverChangesResults) {
     ExpectBitIdentical(batched, other,
                        "max_batch=" + std::to_string(max_batch));
   }
+}
+
+/// One user from period 20; between rounds, two more join at the period
+/// the first has reached, so batches hold one period with different PVM
+/// rows. Returns the final states and each user's start period.
+std::vector<UserResult> RunJoiningUsers(const market::OhlcPanel& panel,
+                                        core::PolicyModule* policy,
+                                        int64_t max_batch,
+                                        std::vector<int64_t>* starts) {
+  PortfolioServer server(&panel, policy, SmallServerConfig(max_batch));
+  starts->assign(1, 20);
+  server.AddUser(starts->back());
+  for (int64_t round = 0; round < 30; ++round) {
+    if (round == 6 || round == 12) {
+      starts->push_back(server.user(0).next_period);
+      server.AddUser(starts->back());
+    }
+    for (int64_t u = 0; u < server.num_users(); ++u) {
+      EXPECT_TRUE(server.SubmitTick(u));
+    }
+    server.DrainPending();
+    if (round == 6 || round == 12) {
+      // Same period, different PVM rows: the newcomer's decision differs.
+      const UserState& newcomer = server.user(server.num_users() - 1);
+      EXPECT_EQ(newcomer.next_period, server.user(0).next_period);
+      EXPECT_NE(newcomer.pvm_row, server.user(0).pvm_row);
+    }
+  }
+  std::vector<UserResult> results;
+  for (int64_t u = 0; u < server.num_users(); ++u) {
+    results.push_back(ResultOf(server.user(u)));
+  }
+  return results;
+}
+
+TEST(PortfolioServerTest, UsersSharingAPeriodKeepTheirOwnDecisions) {
+  const market::OhlcPanel panel = TestPanel();
+  auto policy = MakeTestPolicy();
+  std::vector<int64_t> starts;
+  const std::vector<UserResult> shared =
+      RunJoiningUsers(panel, policy.get(), /*max_batch=*/8, &starts);
+  ASSERT_EQ(shared.size(), 3u);
+
+  std::vector<int64_t> solo_starts;
+  const std::vector<UserResult> solo =
+      RunJoiningUsers(panel, policy.get(), /*max_batch=*/1, &solo_starts);
+  EXPECT_EQ(starts, solo_starts);
+  ExpectBitIdentical(shared, solo, "max_batch=1");
+  for (size_t u = 0; u < shared.size(); ++u) {
+    const double replayed = BacktestWealth(
+        panel, policy.get(), starts[u], starts[u] + shared[u].decisions);
+    EXPECT_EQ(shared[u].wealth, replayed) << "user " << u;
+  }
+}
+
+TEST(PortfolioServerTest, UnknownUserIsRejectedAtSubmit) {
+#ifndef PPN_OBS_DISABLED
+  obs::ScopedObsEnable obs_on;
+  obs::ResetAll();
+#endif
+  const market::OhlcPanel panel = TestPanel();
+  auto policy = MakeTestPolicy();
+  const auto run = [&](bool bad_requests) {
+    PortfolioServer server(&panel, policy.get(), SmallServerConfig(8));
+    for (int64_t u = 0; u < 3; ++u) server.AddUser(20 + u);
+    for (int round = 0; round < 10; ++round) {
+      EXPECT_TRUE(server.SubmitTick(0));
+      if (bad_requests) {
+        EXPECT_FALSE(server.SubmitTick(-1));
+        EXPECT_FALSE(server.SubmitTick(3));
+        EXPECT_FALSE(server.TrySubmitTick(1000));
+      }
+      EXPECT_TRUE(server.SubmitTick(1));
+      EXPECT_TRUE(server.TrySubmitTick(2));
+      EXPECT_EQ(server.DrainPending(), 3);
+    }
+    std::vector<UserResult> results;
+    for (int64_t u = 0; u < server.num_users(); ++u) {
+      results.push_back(ResultOf(server.user(u)));
+    }
+    return results;
+  };
+  const std::vector<UserResult> clean = run(false);
+  const std::vector<UserResult> with_bad = run(true);
+  ExpectBitIdentical(clean, with_bad, "unknown users submitted");
+#ifndef PPN_OBS_DISABLED
+  EXPECT_EQ(obs::TakeSnapshot().counters.at("serve.rejected.unknown_user"),
+            30.0);
+#endif
+}
+
+TEST(PortfolioServerTest, TickPastTheEndOfTheFeedIsDropped) {
+#ifndef PPN_OBS_DISABLED
+  obs::ScopedObsEnable obs_on;
+  obs::ResetAll();
+#endif
+  const market::OhlcPanel panel = TestPanel();  // Periods 0..159.
+  auto policy = MakeTestPolicy();
+  // Users 0 and 1 share a period and have ten periods left; user 2 ticks
+  // every round from an earlier start. In the bad run user 0 ticks on,
+  // twice a round, past the end of the feed.
+  const auto run = [&](bool ticks_past_end, int64_t max_batch) {
+    PortfolioServer server(&panel, policy.get(),
+                           SmallServerConfig(max_batch));
+    server.AddUser(150);
+    server.AddUser(150);
+    server.AddUser(140);
+    for (int round = 0; round < 14; ++round) {
+      if (round < 10) {
+        EXPECT_TRUE(server.SubmitTick(0));
+        EXPECT_TRUE(server.SubmitTick(1));
+      } else if (ticks_past_end) {
+        EXPECT_TRUE(server.SubmitTick(0));
+        EXPECT_TRUE(server.SubmitTick(0));
+      }
+      EXPECT_TRUE(server.SubmitTick(2));
+      server.DrainPending();
+    }
+    std::vector<UserResult> results;
+    for (int64_t u = 0; u < server.num_users(); ++u) {
+      results.push_back(ResultOf(server.user(u)));
+    }
+    EXPECT_EQ(server.user(0).next_period, panel.num_periods());
+    return results;
+  };
+  const std::vector<UserResult> clean = run(false, 8);
+  for (const int64_t max_batch : {int64_t{8}, int64_t{1}}) {
+    ExpectBitIdentical(clean, run(true, max_batch),
+                       "past-end ticks, max_batch=" +
+                           std::to_string(max_batch));
+  }
+  EXPECT_EQ(clean[0].decisions, 10);
+  EXPECT_EQ(clean[2].decisions, 14);
+#ifndef PPN_OBS_DISABLED
+  // Two bad runs × four rounds × two ticks.
+  EXPECT_EQ(obs::TakeSnapshot().counters.at("serve.rejected.past_end"),
+            16.0);
+#endif
+}
+
+TEST(PortfolioServerTest, RoundOfOnlyRejectedTicksMovesOn) {
+  const market::OhlcPanel panel = TestPanel();
+  auto policy = MakeTestPolicy();
+  PortfolioServer server(&panel, policy.get(), SmallServerConfig(1));
+  const int64_t done = server.AddUser(panel.num_periods() - 1);
+  const int64_t live = server.AddUser(20);
+  ASSERT_TRUE(server.SubmitTick(done));
+  ASSERT_EQ(server.ProcessBatch(), 1);  // Its last period.
+  const UserResult before = ResultOf(server.user(done));
+
+  // A one-row round of a past-end tick does not end ProcessBatch: it goes
+  // on to the next round and serves the live user.
+  ASSERT_TRUE(server.SubmitTick(done));
+  ASSERT_TRUE(server.SubmitTick(live));
+  EXPECT_EQ(server.ProcessBatch(), 1);
+  EXPECT_EQ(server.user(live).decisions, 1);
+  ExpectBitIdentical({before}, {ResultOf(server.user(done))}, "past end");
+
+  // Only rejected work left: drains to nothing without blocking, and a
+  // closed intake still ends ProcessBatch with 0.
+  ASSERT_TRUE(server.SubmitTick(done));
+  EXPECT_EQ(server.DrainPending(), 0);
+  ASSERT_TRUE(server.SubmitTick(done));
+  server.CloseIntake();
+  EXPECT_EQ(server.ProcessBatch(), 0);
+  EXPECT_EQ(server.decisions(), 2);
 }
 
 TEST(PortfolioServerTest, PoolDisabledMatchesPoolEnabled) {
@@ -230,18 +414,24 @@ TEST(PortfolioServerTest, MetricsReachTheObsLayer) {
   PortfolioServer server(&panel, policy.get(), SmallServerConfig(8));
   const int64_t u0 = server.AddUser(20);
   const int64_t u1 = server.AddUser(21);
+  const int64_t u2 = server.AddUser(20);  // Shares u0's periods.
   for (int tick = 0; tick < 5; ++tick) {
     ASSERT_TRUE(server.SubmitTick(u0));
     ASSERT_TRUE(server.SubmitTick(u1));
+    ASSERT_TRUE(server.SubmitTick(u2));
     server.DrainPending();
   }
   const obs::Snapshot snapshot = obs::TakeSnapshot();
   ASSERT_NE(snapshot.counters.find("serve.decisions"),
             snapshot.counters.end());
-  EXPECT_EQ(snapshot.counters.at("serve.decisions"), 10.0);
+  EXPECT_EQ(snapshot.counters.at("serve.decisions"), 15.0);
+  // One feature row per distinct period per batch: two of three rows.
+  ASSERT_NE(snapshot.counters.find("serve.features.rows"),
+            snapshot.counters.end());
+  EXPECT_EQ(snapshot.counters.at("serve.features.rows"), 10.0);
   ASSERT_NE(snapshot.histograms.find("serve.decide.latency.seconds"),
             snapshot.histograms.end());
-  EXPECT_EQ(snapshot.histograms.at("serve.decide.latency.seconds").count, 10);
+  EXPECT_EQ(snapshot.histograms.at("serve.decide.latency.seconds").count, 15);
   ASSERT_NE(snapshot.histograms.find("serve.batch.size"),
             snapshot.histograms.end());
   // The batched forward must not touch the tape.

@@ -920,12 +920,13 @@ std::string RenderTopFrame(const std::string& target) {
   namespace fs = std::filesystem;
   std::string out;
   const std::vector<std::string> streams = CollectStatsStreams(target);
-  TablePrinter table({"process", "up(s)", "dec/s", "p99(ms)", "cells",
-                      "nonconv%", "hlth_fail"});
+  TablePrinter table({"process", "up(s)", "dec/s", "feat/dec", "p99(ms)",
+                      "cells", "nonconv%", "hlth_fail"});
   for (const std::string& path : streams) {
     obs::StatsStream stream;
     if (!obs::ReadStatsStream(path, &stream)) continue;
     double decisions_per_s = 0.0;
+    double features_per_decision = 0.0;
     double p99_ms = 0.0;
     double cells = 0.0;
     double solver_calls = 0.0;
@@ -951,6 +952,11 @@ std::string RenderTopFrame(const std::string& target) {
         auto it = last.counters.find("serve.decisions");
         if (it != last.counters.end()) {
           decisions_per_s = it->second / (last.window_ms / 1e3);
+          // Feature rows are computed once per distinct period per batch.
+          auto rows = last.counters.find("serve.features.rows");
+          if (rows != last.counters.end() && it->second > 0.0) {
+            features_per_decision = rows->second / it->second;
+          }
         }
       }
       for (const char* hist :
@@ -965,8 +971,8 @@ std::string RenderTopFrame(const std::string& target) {
     const double nonconv_pct =
         solver_calls > 0.0 ? 100.0 * solver_nonconv / solver_calls : 0.0;
     table.AddRow(stream.process.empty() ? path : stream.process,
-                 {up_s, decisions_per_s, p99_ms, cells, nonconv_pct,
-                  health_fail},
+                 {up_s, decisions_per_s, features_per_decision, p99_ms,
+                  cells, nonconv_pct, health_fail},
                  2);
   }
   if (streams.empty()) {
