@@ -5,7 +5,8 @@
 # PPN_RESULTS_JSON directory. Each bench additionally runs with
 # PPN_PROFILE_JSON set, so a merged observability profile
 # ("<bench>.profile.json": kernel counters, per-cell wall times, solver
-# iteration stats, reward traces) is archived next to the results JSON.
+# iteration stats) is archived next to the results JSON. The per-step
+# reward breakdown is not in the profile; set PPN_RUNLOG_DIR to record it.
 # PPN_WORKERS controls experiment parallelism (default: hardware thread
 # count; 0 forces the serial inline path).
 #

@@ -29,7 +29,8 @@ const VarInfo kRegistry[] = {
     {"PPN_TRACE_MIN_US", "double", "0",
      "Drop trace spans shorter than this many microseconds"},
     {"PPN_RUNLOG_DIR", "path", "unset",
-     "Directory for streaming per-step run logs (one JSONL per run)"},
+     "Directory for per-step run logs: one JSONL per trained sweep cell, "
+     "or train-seed<seed>.runlog.jsonl from `ppn_cli train`"},
     {"PPN_STATS_JSONL", "path", "unset",
      "Stream periodic ppn.stats.v1 registry samples to this JSONL path "
      "(fabric workers get per-worker redirected streams)"},

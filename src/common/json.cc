@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.h"
@@ -384,6 +386,74 @@ class Parser {
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   PPN_CHECK(out != nullptr);
   return Parser(text).Parse(out, error);
+}
+
+std::string JsonString(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out.push_back('"');
+  for (const char c : text) {
+    if (c == '"' || c == '\\') {
+      out.push_back('\\');
+      out.push_back(c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buffer[8];
+      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buffer;
+    } else {
+      out.push_back(c);
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
+std::string JsonNumber(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buffer[32];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+void AppendJsonValue(std::string* out, const JsonValue& value) {
+  switch (value.type()) {
+    case JsonValue::Type::kNull:
+      *out += "null";
+      break;
+    case JsonValue::Type::kBool:
+      *out += value.AsBool() ? "true" : "false";
+      break;
+    case JsonValue::Type::kNumber:
+      *out += JsonNumber(value.AsNumber());
+      break;
+    case JsonValue::Type::kString:
+      *out += JsonString(value.AsString());
+      break;
+    case JsonValue::Type::kArray: {
+      *out += "[";
+      bool sep = false;
+      for (const JsonValue& item : value.AsArray()) {
+        if (sep) *out += ", ";
+        sep = true;
+        AppendJsonValue(out, item);
+      }
+      *out += "]";
+      break;
+    }
+    case JsonValue::Type::kObject: {
+      *out += "{";
+      bool sep = false;
+      for (const auto& [key, member] : value.AsObject()) {
+        if (sep) *out += ", ";
+        sep = true;
+        *out += JsonString(key) + ": ";
+        AppendJsonValue(out, member);
+      }
+      *out += "}";
+      break;
+    }
+  }
 }
 
 }  // namespace ppn

@@ -7,12 +7,20 @@
 #include <vector>
 
 /// \file
-/// Minimal JSON reader for the telemetry tooling: `ppn_cli report` parses
-/// RunLog JSONL lines and Chrome trace-event files that this repo itself
-/// writes, and the test suite uses it to validate exporter output. It is a
-/// strict recursive-descent parser over the full JSON grammar (objects,
-/// arrays, strings with escapes, numbers, booleans, null) — not a
-/// streaming parser; inputs here are at most a few MB.
+/// Minimal JSON reader and writer for the telemetry tooling and results
+/// files. The reader: `ppn_cli report` parses RunLog JSONL lines and
+/// Chrome trace-event files that this repo itself writes, and the test
+/// suite uses it to validate exporter output. It is a strict
+/// recursive-descent parser over the full JSON grammar (objects, arrays,
+/// strings with escapes, numbers, booleans, null) — not a streaming
+/// parser; inputs here are at most a few MB.
+///
+/// The writer: every JSON file the repo emits (profiles, traces, run logs,
+/// stats streams, sweep results) formats its strings with `JsonString` and
+/// its double values with `JsonNumber`, so there is one escaper and one
+/// double format, and everything written parses back through `ParseJson`.
+/// Chrome-trace `ts`/`dur` fields are the one exception: microseconds at a
+/// fixed three decimals, the trace format's own convention.
 
 namespace ppn {
 
@@ -71,6 +79,21 @@ class JsonValue {
 /// describes the first offending byte and its offset.
 bool ParseJson(std::string_view text, JsonValue* out,
                std::string* error = nullptr);
+
+/// `text` as a quoted JSON string literal: `"` and `\` get a backslash,
+/// every byte below 0x20 becomes `\u00xx`, and all other bytes (UTF-8
+/// included) pass through unchanged.
+std::string JsonString(std::string_view text);
+
+/// `value` printed with %.17g, which round-trips every finite double
+/// bit-exactly through `ParseJson`; `null` for infinities and NaN, which
+/// JSON cannot represent.
+std::string JsonNumber(double value);
+
+/// Appends `value` as JSON: strings via `JsonString`, numbers via
+/// `JsonNumber`, members and items in document order separated by ", "
+/// (keys followed by ": ").
+void AppendJsonValue(std::string* out, const JsonValue& value);
 
 }  // namespace ppn
 

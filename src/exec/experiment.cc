@@ -14,6 +14,7 @@
 #include "ckpt/state_io.h"
 #include "common/atomic_file.h"
 #include "common/check.h"
+#include "common/json.h"
 #include "exec/thread_pool.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -46,24 +47,6 @@ uint64_t Finalize(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Shortest-exact decimal rendering is not needed here; %.17g is enough
-/// for any double to round-trip bit-exactly through strtod.
-std::string FormatDoubleExact(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
 }
 
 /// Validates the sweep axes shared by every consumer of a spec.
@@ -430,27 +413,27 @@ TablePrinter MakeMetricsTable(
 bool WriteResultsJson(const std::string& path,
                       const std::vector<CellResult>& rows) {
   // Atomic (temp-then-rename, like every other persistence path) and
-  // %.17g so every double round-trips bit-exactly: downstream equality
-  // checks — the fabric's N-process-vs-1 comparison in particular —
-  // compare these files, not in-memory rows.
+  // JsonNumber (%.17g) so every double round-trips bit-exactly:
+  // downstream equality checks — the fabric's N-process-vs-1 comparison
+  // in particular — compare these files, not in-memory rows.
   AtomicFileWriter file(path);
   if (!file.ok()) return false;
   std::ofstream& out = file.stream();
   out << "[\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     const CellResult& row = rows[i];
-    out << "  {\"strategy\": \"" << JsonEscape(row.key.strategy)
-        << "\", \"dataset\": \"" << JsonEscape(row.key.dataset)
-        << "\", \"cost_rate\": " << FormatDoubleExact(row.key.cost_rate)
+    out << "  {\"strategy\": " << JsonString(row.key.strategy)
+        << ", \"dataset\": " << JsonString(row.key.dataset)
+        << ", \"cost_rate\": " << JsonNumber(row.key.cost_rate)
         << ", \"seed\": " << row.key.seed
         << ", \"derived_seed\": " << row.derived_seed
-        << ", \"apv\": " << FormatDoubleExact(row.metrics.apv)
-        << ", \"sr_pct\": " << FormatDoubleExact(row.metrics.sr_pct)
-        << ", \"std_pct\": " << FormatDoubleExact(row.metrics.std_pct)
-        << ", \"mdd_pct\": " << FormatDoubleExact(row.metrics.mdd_pct)
-        << ", \"cr\": " << FormatDoubleExact(row.metrics.cr)
-        << ", \"turnover\": " << FormatDoubleExact(row.metrics.turnover)
-        << ", \"wall_seconds\": " << FormatDoubleExact(row.wall_seconds)
+        << ", \"apv\": " << JsonNumber(row.metrics.apv)
+        << ", \"sr_pct\": " << JsonNumber(row.metrics.sr_pct)
+        << ", \"std_pct\": " << JsonNumber(row.metrics.std_pct)
+        << ", \"mdd_pct\": " << JsonNumber(row.metrics.mdd_pct)
+        << ", \"cr\": " << JsonNumber(row.metrics.cr)
+        << ", \"turnover\": " << JsonNumber(row.metrics.turnover)
+        << ", \"wall_seconds\": " << JsonNumber(row.wall_seconds)
         << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "]\n";

@@ -339,8 +339,8 @@ pid_t SpawnWorker(const FabricOptions& options, const std::string& fabric_dir,
 /// Folds one worker profile JSON into the coordinator's obs registry:
 /// counters add, gauges take the max — the same merge semantics the
 /// per-thread shards use in-process, lifted across processes. Histogram
-/// and trace detail stays in the per-worker files (log2 buckets cannot
-/// be re-observed exactly). False when the profile cannot be read or
+/// detail stays in the per-worker files (log2 buckets cannot be
+/// re-observed exactly). False when the profile cannot be read or
 /// parsed — the caller counts it (`exec.fabric.profile_merge_failed`)
 /// and surfaces it in the sweep summary; a silently dropped profile
 /// understates the merged counters with no trace in the results.

@@ -2,63 +2,23 @@
 
 #ifndef PPN_OBS_DISABLED
 
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
+#include "common/json.h"
 #include "obs/stats.h"
 
 namespace ppn::obs {
 
 namespace {
 
-/// Queue bound: ~100KB of buffered records. Deep enough that the writer
-/// thread absorbs disk hiccups, shallow enough that a stalled disk
-/// back-pressures the producer instead of ballooning memory.
-constexpr size_t kQueueCapacity = 1024;
-
-/// %.17g round-trips every finite double exactly (JSON has no infinities;
-/// they never occur in these records, but degrade to null defensively).
-void AppendDouble(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
-  *out += buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string FormatHeader(const RunLogMeta& meta) {
   std::string line = "{\"schema\": \"ppn.runlog.v1\"";
-  line += ", \"run\": \"" + JsonEscape(meta.run_id) + "\"";
-  line += ", \"strategy\": \"" + JsonEscape(meta.strategy) + "\"";
-  line += ", \"dataset\": \"" + JsonEscape(meta.dataset) + "\"";
-  line += ", \"gamma\": ";
-  AppendDouble(&line, meta.gamma);
-  line += ", \"lambda\": ";
-  AppendDouble(&line, meta.lambda);
-  line += ", \"cost_rate\": ";
-  AppendDouble(&line, meta.cost_rate);
+  line += ", \"run\": " + JsonString(meta.run_id);
+  line += ", \"strategy\": " + JsonString(meta.strategy);
+  line += ", \"dataset\": " + JsonString(meta.dataset);
+  line += ", \"gamma\": " + JsonNumber(meta.gamma);
+  line += ", \"lambda\": " + JsonNumber(meta.lambda);
+  line += ", \"cost_rate\": " + JsonNumber(meta.cost_rate);
   line += ", \"seed\": " + std::to_string(meta.seed);
   line += ", \"steps\": " + std::to_string(meta.steps);
   line += "}\n";
@@ -80,8 +40,7 @@ std::string FormatRecord(const RunLogRecord& record) {
   for (const auto& [name, value] : fields) {
     line += ", \"";
     line += name;
-    line += "\": ";
-    AppendDouble(&line, value);
+    line += "\": " + JsonNumber(value);
   }
   line += "}\n";
   return line;
@@ -105,58 +64,21 @@ RunLog::RunLog(std::string path, const RunLogMeta& meta)
   file->stream() << FormatHeader(meta);
   if (!file->ok()) return;
   file_ = std::move(file);
-  writer_ = std::thread([this] { WriterLoop(); });
 }
 
 RunLog::~RunLog() { Close(); }
 
 void RunLog::Append(const RunLogRecord& record) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  not_full_.wait(lock, [this] {
-    return queue_.size() < kQueueCapacity || closing_;
-  });
-  if (closing_) return;  // Appends after Close are discarded.
-  queue_.push_back(record);
-  lock.unlock();
-  not_empty_.notify_one();
+  if (file_ == nullptr) return;  // Appends after Close are discarded.
+  file_->stream() << FormatRecord(record);
+  if (!file_->ok()) ok_ = false;
 }
 
 bool RunLog::Close() {
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (closed_) return ok_;
-    closed_ = true;
-    closing_ = true;
-  }
-  not_empty_.notify_all();
-  not_full_.notify_all();
-  if (writer_.joinable()) writer_.join();
-  if (file_ != nullptr) {
-    ok_ = ok_ && file_->Commit();
-    file_.reset();
-  } else {
-    ok_ = false;
-  }
+  if (file_ == nullptr) return ok_;
+  ok_ = ok_ && file_->Commit();
+  file_.reset();
   return ok_;
-}
-
-void RunLog::WriterLoop() {
-  for (;;) {
-    RunLogRecord record;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_empty_.wait(lock, [this] { return !queue_.empty() || closing_; });
-      if (queue_.empty()) return;  // closing_ with a drained queue.
-      record = queue_.front();
-      queue_.pop_front();
-    }
-    not_full_.notify_one();
-    file_->stream() << FormatRecord(record);
-    if (!file_->ok()) {
-      std::unique_lock<std::mutex> lock(mutex_);
-      ok_ = false;
-    }
-  }
 }
 
 }  // namespace ppn::obs

@@ -1,13 +1,9 @@
 #ifndef PPN_OBS_RUN_LOG_H_
 #define PPN_OBS_RUN_LOG_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/atomic_file.h"
 
@@ -16,19 +12,17 @@
 /// training step's scalars — the cost-sensitive reward total and its
 /// λ-variance / γ-turnover components, gradient norm, PVM staleness,
 /// cost-solver iterations, step wall time — as one JSONL line per step,
-/// one file per experiment cell. This replaces the capped 4-field
-/// `TraceRing` as the substrate for training-dynamics analysis (Table 6
-/// turnover trajectories, Table 7 variance suppression): nothing is
-/// downsampled and nothing wraps.
+/// one file per experiment cell or `ppn_cli train` run. It is the only
+/// record of the reward breakdown behind the training-dynamics analyses
+/// (Table 6 turnover trajectories, Table 7 variance suppression): nothing
+/// is downsampled and nothing wraps.
 ///
-/// Architecture: `Append` pushes onto a bounded in-memory queue and a
-/// background writer thread formats and streams the records, so the
-/// training loop never blocks on disk — until the queue fills, at which
-/// point `Append` BLOCKS (backpressure) rather than dropping: a gap in a
-/// dynamics curve is worse than a slow step. The file is written through
-/// `common/atomic_file.h`, so a crash mid-run leaves no partial file at
-/// the target path; `Close()` (or destruction) drains, commits, and
-/// renames.
+/// Architecture: `Append` formats the record on the caller's thread into
+/// the buffered stream of a `common/atomic_file.h` writer. Trainers append
+/// one short line per training step, too little traffic to need a writer
+/// thread, and no record is ever dropped. A crash mid-run leaves no
+/// partial file at the target path; `Close()` (or destruction) flushes,
+/// commits, and renames.
 ///
 /// File format (schema-versioned): first line is a header object
 ///   {"schema": "ppn.runlog.v1", "run": "<id>", ...metadata...}
@@ -36,9 +30,9 @@
 ///   {"step": 0, "reward_total": ..., "reward_log_return": ...,
 ///    "reward_variance": ..., "reward_turnover": ..., "grad_norm": ...,
 ///    "pvm_staleness": ..., "solver_iterations": ..., "step_seconds": ...}
-/// Doubles are printed with %.17g, so the file round-trips bit-exactly:
-/// `ppn_cli report` reproduces the trainer's returned metrics EXACTLY,
-/// not approximately.
+/// Doubles are printed by `JsonNumber` (%.17g), so the file round-trips
+/// bit-exactly: `ppn_cli report` reproduces the trainer's returned
+/// metrics EXACTLY, not approximately.
 ///
 /// Gating follows the rest of `src/obs`: `Open` returns null when
 /// `obs::Enabled()` is false (training code holds a null-tolerant
@@ -86,19 +80,18 @@ class RunLog {
   static std::unique_ptr<RunLog> Open(const std::string& path,
                                       const RunLogMeta& meta);
 
-  /// Drains and commits if `Close` was not called.
+  /// Commits if `Close` was not called.
   ~RunLog();
 
   RunLog(const RunLog&) = delete;
   RunLog& operator=(const RunLog&) = delete;
 
-  /// Enqueues one step record. Blocks when the queue is full
-  /// (backpressure — records are never dropped). Thread-compatible: one
-  /// producer per RunLog, which is how trainers use it.
+  /// Writes one step record. Discarded after `Close`. Thread-compatible:
+  /// one producer per RunLog, which is how trainers use it.
   void Append(const RunLogRecord& record);
 
-  /// Drains the queue, joins the writer, commits the file (atomic
-  /// rename). Returns false if any write failed. Idempotent.
+  /// Commits the file (flush, fsync, atomic rename). Returns false if any
+  /// write failed. Idempotent.
   bool Close();
 
   /// Final target path.
@@ -107,19 +100,9 @@ class RunLog {
  private:
   RunLog(std::string path, const RunLogMeta& meta);
 
-  void WriterLoop();
-
   std::string path_;
-  std::unique_ptr<AtomicFileWriter> file_;
-
-  std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
-  std::deque<RunLogRecord> queue_;
-  bool closing_ = false;
-  bool closed_ = false;
+  std::unique_ptr<AtomicFileWriter> file_;  ///< Null once closed.
   bool ok_ = true;
-  std::thread writer_;
 };
 
 #else  // PPN_OBS_DISABLED: the logger compiles to nothing.

@@ -6,11 +6,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
-#include <deque>
 #include <fstream>
 #include <mutex>
 #include <thread>
@@ -22,39 +20,6 @@
 #include "common/json.h"
 
 namespace ppn::obs {
-
-namespace {
-
-void AppendDouble(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
-  *out += buffer;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Stream readers — always compiled (only need common/json).
@@ -160,7 +125,7 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
     std::getline(in, line);  // Header, already parsed.
     std::string process = parsed.process.empty() ? input : parsed.process;
     processes.push_back(process);
-    std::string prefix = "{\"process\": \"" + JsonEscape(process) + "\"";
+    std::string prefix = "{\"process\": " + JsonString(process);
     while (std::getline(in, line)) {
       size_t open = line.find('{');
       if (open == std::string::npos) continue;
@@ -168,8 +133,8 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
       if (!ParseJson(line, &value) || !value.is_object()) continue;
       double t_ms = value.NumberOr("t_ms", 0.0);
       double t_unix_ms = static_cast<double>(parsed.start_unix_ms) + t_ms;
-      std::string text = prefix + ", \"t_unix_ms\": ";
-      AppendDouble(&text, t_unix_ms);
+      std::string text =
+          prefix + ", \"t_unix_ms\": " + JsonNumber(t_unix_ms);
       std::string rest = line.substr(open + 1);
       size_t body = rest.find_first_not_of(" \t");
       if (body == std::string::npos || rest[body] == '}') {
@@ -196,7 +161,7 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
   std::string header = "{\"schema\": \"ppn.stats.merged.v1\", \"streams\": [";
   for (size_t i = 0; i < processes.size(); ++i) {
     if (i > 0) header += ", ";
-    header += "\"" + JsonEscape(processes[i]) + "\"";
+    header += JsonString(processes[i]);
   }
   header += "]}\n";
   writer.stream() << header;
@@ -216,8 +181,6 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
 #ifndef PPN_OBS_DISABLED
 
 namespace {
-
-constexpr size_t kQueueCapacity = 1024;
 
 /// Lower bound of histogram bucket `index` (inclusive); bucket 0 also
 /// absorbs clamped non-positive values, so its floor is 0.
@@ -292,8 +255,7 @@ void AppendHistogram(std::string* out, const HistogramSnapshot& hist) {
   for (const auto& [name, value] : stats) {
     *out += ", \"";
     *out += name;
-    *out += "\": ";
-    AppendDouble(out, value);
+    *out += "\": " + JsonNumber(value);
   }
   *out += "}";
 }
@@ -301,18 +263,15 @@ void AppendHistogram(std::string* out, const HistogramSnapshot& hist) {
 std::string FormatSample(const Snapshot& window, double t_ms,
                          double window_ms,
                          const std::vector<HealthEval>& evals) {
-  std::string line = "{\"t_ms\": ";
-  AppendDouble(&line, t_ms);
-  line += ", \"window_ms\": ";
-  AppendDouble(&line, window_ms);
+  std::string line = "{\"t_ms\": " + JsonNumber(t_ms) +
+                     ", \"window_ms\": " + JsonNumber(window_ms);
   if (!window.counters.empty()) {
     line += ", \"counters\": {";
     bool sep = false;
     for (const auto& [name, value] : window.counters) {
       if (sep) line += ", ";
       sep = true;
-      line += "\"" + JsonEscape(name) + "\": ";
-      AppendDouble(&line, value);
+      line += JsonString(name) + ": " + JsonNumber(value);
     }
     line += "}";
   }
@@ -322,8 +281,7 @@ std::string FormatSample(const Snapshot& window, double t_ms,
     for (const auto& [name, value] : window.gauges) {
       if (sep) line += ", ";
       sep = true;
-      line += "\"" + JsonEscape(name) + "\": ";
-      AppendDouble(&line, value);
+      line += JsonString(name) + ": " + JsonNumber(value);
     }
     line += "}";
   }
@@ -333,7 +291,7 @@ std::string FormatSample(const Snapshot& window, double t_ms,
     for (const auto& [name, hist] : window.histograms) {
       if (sep) line += ", ";
       sep = true;
-      line += "\"" + JsonEscape(name) + "\": ";
+      line += JsonString(name) + ": ";
       AppendHistogram(&line, hist);
     }
     line += "}";
@@ -349,11 +307,9 @@ std::string FormatSample(const Snapshot& window, double t_ms,
       if (!eval.evaluated) continue;
       if (sep) line += ", ";
       sep = true;
-      line += "{\"rule\": \"" + JsonEscape(eval.rule->raw) + "\", \"ok\": ";
+      line += "{\"rule\": " + JsonString(eval.rule->raw) + ", \"ok\": ";
       line += eval.ok ? "true" : "false";
-      line += ", \"value\": ";
-      AppendDouble(&line, eval.value);
-      line += "}";
+      line += ", \"value\": " + JsonNumber(eval.value) + "}";
     }
     line += "]";
   }
@@ -400,23 +356,10 @@ struct StatsSampler::Impl {
   std::chrono::steady_clock::time_point start;
 
   std::mutex mutex;
-  std::condition_variable not_full;
-  std::condition_variable not_empty;
   std::condition_variable wake;
-  std::deque<std::string> queue;
   bool stop_sampling = false;  ///< Sampling thread: emit final line, exit.
-  bool writer_closing = false;  ///< Writer thread: drain queue, exit.
   bool stopped = false;
   std::thread sampling_thread;
-  std::thread writer_thread;
-
-  void Enqueue(std::string line) {
-    std::unique_lock<std::mutex> lock(mutex);
-    not_full.wait(lock, [this] { return queue.size() < kQueueCapacity; });
-    queue.push_back(std::move(line));
-    lock.unlock();
-    not_empty.notify_one();
-  }
 
   void SampleOnce(std::chrono::steady_clock::time_point now) {
     Snapshot cur = TakeSnapshot();
@@ -430,14 +373,17 @@ struct StatsSampler::Impl {
         std::chrono::duration<double, std::milli>(now - start).count();
     double window_ms = t_ms - last_t_ms;
     last_t_ms = t_ms;
-    Enqueue(FormatSample(window, t_ms, window_ms, evals));
+    WriteLine(FormatSample(window, t_ms, window_ms, evals));
     prev = std::move(cur);
   }
 
   void SamplingLoop() {
     auto deadline = start;
     for (;;) {
-      deadline += std::chrono::milliseconds(sample_ms);
+      // A write that stalls past the next tick skips the missed ticks
+      // instead of bursting to catch up: the next window covers the stall.
+      deadline = std::max(deadline + std::chrono::milliseconds(sample_ms),
+                          std::chrono::steady_clock::now());
       {
         std::unique_lock<std::mutex> lock(mutex);
         wake.wait_until(lock, deadline, [this] { return stop_sampling; });
@@ -447,22 +393,6 @@ struct StatsSampler::Impl {
     }
     // Final (usually partial) window: short runs still get >= 1 sample.
     SampleOnce(std::chrono::steady_clock::now());
-  }
-
-  void WriterLoop() {
-    for (;;) {
-      std::string line;
-      {
-        std::unique_lock<std::mutex> lock(mutex);
-        not_empty.wait(lock,
-                       [this] { return !queue.empty() || writer_closing; });
-        if (queue.empty()) return;
-        line = std::move(queue.front());
-        queue.pop_front();
-      }
-      not_full.notify_one();
-      WriteLine(line);
-    }
   }
 
   /// One full-line write(2) per sample: a tailer never sees interleaved
@@ -505,8 +435,8 @@ std::unique_ptr<StatsSampler> StatsSampler::Start(
     return nullptr;
   }
   std::string process = ProcessFromPath(options.path, options.process);
-  std::string header = "{\"schema\": \"ppn.stats.v1\", \"process\": \"" +
-                       JsonEscape(process) + "\", \"sample_ms\": " +
+  std::string header = "{\"schema\": \"ppn.stats.v1\", \"process\": " +
+                       JsonString(process) + ", \"sample_ms\": " +
                        std::to_string(impl->sample_ms) +
                        ", \"start_unix_ms\": " + std::to_string(NowUnixMs()) +
                        "}\n";
@@ -514,7 +444,6 @@ std::unique_ptr<StatsSampler> StatsSampler::Start(
   impl->prev = TakeSnapshot();
   impl->WriteLine(header);
   Impl* raw = impl.get();
-  impl->writer_thread = std::thread([raw] { raw->WriterLoop(); });
   impl->sampling_thread = std::thread([raw] { raw->SamplingLoop(); });
   // unique_ptr via `new`: the constructor is private.
   return std::unique_ptr<StatsSampler>(new StatsSampler(std::move(impl)));
@@ -529,15 +458,9 @@ bool StatsSampler::Stop() {
     impl.stop_sampling = true;
   }
   impl.wake.notify_all();
-  // The sampling thread emits its final window before exiting, so the
-  // writer must only be closed after it joins.
+  // The sampling thread writes its final window before exiting, so the fd
+  // closes only after it joins.
   if (impl.sampling_thread.joinable()) impl.sampling_thread.join();
-  {
-    std::unique_lock<std::mutex> lock(impl.mutex);
-    impl.writer_closing = true;
-  }
-  impl.not_empty.notify_all();
-  if (impl.writer_thread.joinable()) impl.writer_thread.join();
   if (impl.fd >= 0) {
     ::close(impl.fd);
     impl.fd = -1;

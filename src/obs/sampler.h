@@ -44,15 +44,15 @@
 ///     evaluated against the WINDOW view (so a latency rule reads the
 ///     rolling percentile). Violations also tally into the monitor
 ///     consumed by the end-of-run summary.
-///   - Doubles print as `%.17g`, so a parse→reprint round trip through
-///     `common/json` is bit-exact.
+///   - Doubles print through `JsonNumber` (%.17g), so a parse→reprint
+///     round trip through `common/json` is bit-exact.
 ///
-/// Each line is committed with a single `write(2)` on an append-only fd,
-/// so concurrent tailers never observe a torn line (except a benign
-/// trailing partial while a write is in flight). Formatting happens on
-/// the sampling thread; a bounded queue + dedicated writer thread (the
-/// `RunLog` backpressure design) keeps a stalled disk from delaying
-/// sampling until the queue fills.
+/// The sampling thread formats each line and commits it itself with a
+/// single `write(2)` on an append-only fd, so concurrent tailers never
+/// observe a torn line (except a benign trailing partial while a write is
+/// in flight). One line per window is little traffic, and because
+/// counters are deltas of cumulative snapshots, a write that stalls past a
+/// tick only makes the next window longer — nothing is lost.
 ///
 /// The sampler only OBSERVES: it never feeds values back into
 /// computation, so result paths stay bit-identical with sampling on or
@@ -77,8 +77,8 @@ class StatsSampler {
   static std::unique_ptr<StatsSampler> Start(const SamplerOptions& options);
 
   /// Stops with a final window sample (so even sub-window runs emit at
-  /// least one line), drains the queue, and closes the stream. Returns
-  /// false if any write failed. Idempotent; the destructor calls it.
+  /// least one line) and closes the stream. Returns false if any write
+  /// failed. Idempotent; the destructor calls it.
   bool Stop();
 
   ~StatsSampler();

@@ -11,6 +11,7 @@
 
 #include "common/atomic_file.h"
 #include "common/env.h"
+#include "common/json.h"
 
 namespace ppn::obs {
 
@@ -221,25 +222,6 @@ int64_t TraceDroppedEvents() {
 
 namespace {
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendUs(std::ostringstream* out, double value) {
   if (!std::isfinite(value)) value = 0.0;
   char buffer[64];
@@ -256,14 +238,14 @@ std::string TraceToJson() {
     std::unique_lock<std::mutex> lock(registry.mutex);
     buffers = registry.buffers;
   }
-  // Stable file structure: buffers in tid order, events in append
-  // (= timestamp) order within each.
+  // Stable file structure: buffers in tid order, events in append order
+  // within each. A span appends when it ENDS, so an enclosing span follows
+  // the spans it contains and `ts` is not monotone within a thread.
   std::sort(buffers.begin(), buffers.end(),
             [](const TraceBuffer* a, const TraceBuffer* b) {
               return a->tid < b->tid;
             });
   std::ostringstream out;
-  out.precision(17);
   out << "{\n\"traceEvents\": [";
   bool first = true;
   int64_t dropped = 0;
@@ -274,7 +256,7 @@ std::string TraceToJson() {
       const TraceEvent& event = buffer->events[static_cast<size_t>(i)];
       out << (first ? "\n" : ",\n");
       first = false;
-      out << "{\"name\": \"" << JsonEscape(event.name) << "\", ";
+      out << "{\"name\": " << JsonString(event.name) << ", ";
       switch (event.phase) {
         case TraceEvent::Phase::kComplete:
           out << "\"ph\": \"X\", \"ts\": ";
@@ -300,15 +282,9 @@ std::string TraceToJson() {
           event.num_args > 0) {
         out << ", \"args\": {";
         for (int a = 0; a < event.num_args; ++a) {
-          out << (a == 0 ? "" : ", ") << "\""
-              << JsonEscape(event.args[static_cast<size_t>(a)].first)
-              << "\": ";
-          const double value = event.args[static_cast<size_t>(a)].second;
-          if (std::isfinite(value)) {
-            out << value;
-          } else {
-            out << "null";
-          }
+          const auto& [key, value] = event.args[static_cast<size_t>(a)];
+          out << (a == 0 ? "" : ", ") << JsonString(key) << ": "
+              << JsonNumber(value);
         }
         out << "}";
       }

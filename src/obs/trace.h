@@ -156,8 +156,9 @@ void EndFlow(uint64_t id, const char* name);
 int64_t TraceDroppedEvents();
 
 /// Renders every thread's events as Chrome trace-event JSON (an object
-/// with a "traceEvents" array, sorted by thread id then timestamp so the
-/// file structure is stable).
+/// with a "traceEvents" array). Threads appear in tid order and each
+/// thread's events in completion order: a span is recorded when it ends,
+/// so it follows the spans nested inside it and `ts` is not sorted.
 std::string TraceToJson();
 
 /// Writes `TraceToJson()` to `path` atomically; false if the file cannot

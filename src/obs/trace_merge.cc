@@ -19,81 +19,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out.push_back('\\');
-      out.push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buffer;
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 void AppendUs(std::string* out, double value) {
   if (!std::isfinite(value)) value = 0.0;
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.3f", value);
   *out += buffer;
-}
-
-void AppendNumber(std::string* out, double value) {
-  char buffer[40];
-  if (std::isfinite(value)) {
-    std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  } else {
-    std::snprintf(buffer, sizeof(buffer), "null");
-  }
-  *out += buffer;
-}
-
-/// Serializes a parsed args subtree back to JSON (numbers as %.17g).
-void AppendJsonValue(std::string* out, const JsonValue& value) {
-  switch (value.type()) {
-    case JsonValue::Type::kNull:
-      *out += "null";
-      break;
-    case JsonValue::Type::kBool:
-      *out += value.AsBool() ? "true" : "false";
-      break;
-    case JsonValue::Type::kNumber:
-      AppendNumber(out, value.AsNumber());
-      break;
-    case JsonValue::Type::kString:
-      *out += "\"" + JsonEscape(value.AsString()) + "\"";
-      break;
-    case JsonValue::Type::kArray: {
-      *out += "[";
-      bool sep = false;
-      for (const JsonValue& item : value.AsArray()) {
-        if (sep) *out += ", ";
-        sep = true;
-        AppendJsonValue(out, item);
-      }
-      *out += "]";
-      break;
-    }
-    case JsonValue::Type::kObject: {
-      *out += "{";
-      bool sep = false;
-      for (const auto& [key, member] : value.AsObject()) {
-        if (sep) *out += ", ";
-        sep = true;
-        *out += "\"" + JsonEscape(key) + "\": ";
-        AppendJsonValue(out, member);
-      }
-      *out += "}";
-      break;
-    }
-  }
 }
 
 /// One event of the merged timeline, already pid-stamped and time-shifted.
@@ -114,14 +44,10 @@ struct MergedEvent {
 };
 
 void AppendEventJson(std::string* out, const MergedEvent& event) {
-  *out += "{\"name\": \"" + JsonEscape(event.name) + "\"";
-  if (!event.cat.empty()) {
-    *out += ", \"cat\": \"" + JsonEscape(event.cat) + "\"";
-  }
-  *out += ", \"ph\": \"" + JsonEscape(event.ph) + "\"";
-  if (!event.bp.empty()) {
-    *out += ", \"bp\": \"" + JsonEscape(event.bp) + "\"";
-  }
+  *out += "{\"name\": " + JsonString(event.name);
+  if (!event.cat.empty()) *out += ", \"cat\": " + JsonString(event.cat);
+  *out += ", \"ph\": " + JsonString(event.ph);
+  if (!event.bp.empty()) *out += ", \"bp\": " + JsonString(event.bp);
   if (event.has_id) {
     // Chrome's trace format allows string ids; hex strings keep 64-bit
     // remapped ids exact in readers that parse JSON numbers as doubles.

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "obs/stats.h"
 
 namespace ppn::exec {
@@ -311,6 +312,26 @@ TEST(WriteResultsJsonTest, DoublesRoundTripBitExactly) {
   EXPECT_EQ(extract("apv"), 1.0 + 1e-15);
   EXPECT_EQ(extract("sr_pct"), 0.1);
   EXPECT_EQ(extract("turnover"), 3.0e-300);
+  std::remove(path.c_str());
+}
+
+TEST(WriteResultsJsonTest, ControlCharactersInNamesStayValidJson) {
+  // Replay datasets are named by an outside CSV path or --replay-name, so
+  // a name may carry any byte; the file must still parse and keep it.
+  CellResult result;
+  result.key = CellKey{"UBAH", "bars\tQ1\n.csv", 0.0025, 1};
+  const std::string path =
+      testing::TempDir() + "/exec_experiment_results_control.json";
+  ASSERT_TRUE(WriteResultsJson(path, {result}));
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  JsonValue root;
+  std::string error;
+  ASSERT_TRUE(ParseJson(buffer.str(), &root, &error)) << error;
+  ASSERT_TRUE(root.is_array());
+  ASSERT_EQ(root.AsArray().size(), 1u);
+  EXPECT_EQ(root.AsArray()[0].StringOr("dataset", ""), "bars\tQ1\n.csv");
   std::remove(path.c_str());
 }
 

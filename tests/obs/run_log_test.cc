@@ -1,13 +1,18 @@
 // RunLog + report integration: the streaming per-step telemetry must
 // capture exactly what the trainer computed (bit-exact after the JSONL
 // round trip), must never perturb training, and must hold the sweep
-// layer's worker-count determinism contract with telemetry enabled.
+// layer's worker-count determinism contract with telemetry enabled. The
+// CLI case runs the real `ppn_cli` (PPN_CLI_BIN, injected by CMake).
 
 #include "obs/run_log.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -58,6 +63,13 @@ core::TrainerConfig SmallTrainerConfig() {
   config.steps = 10;
   config.seed = 5;
   return config;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 std::string FreshPath(const std::string& name) {
@@ -194,6 +206,17 @@ TEST(RunLogTest, TrainerStreamsOneExactRecordPerStep) {
     EXPECT_GT(record.solver_iterations, 0.0);
     EXPECT_GT(record.step_seconds, 0.0);
     EXPECT_GE(record.pvm_staleness, 0.0);
+    // The breakdown reconstructs the total:
+    //   total = mean_log_return − λ·variance − γ·mean_turnover.
+    // The graph combines the terms in float32, so reconstructing in double
+    // only matches to single precision.
+    const core::RewardConfig& reward = SmallTrainerConfig().reward;
+    const double reconstructed = record.reward_log_return -
+                                 reward.lambda * record.reward_variance -
+                                 reward.gamma * record.reward_turnover;
+    EXPECT_NEAR(reconstructed, rewards[step],
+                1e-5 * std::max(1.0, std::fabs(rewards[step])))
+        << "step " << step;
   }
   // Staleness grows once training revisits periods written steps earlier.
   EXPECT_GT(parsed.records.back().pvm_staleness, 0.0);
@@ -207,6 +230,36 @@ TEST(RunLogTest, TrainerStreamsOneExactRecordPerStep) {
   const std::string report = RenderReport({summary}, {});
   EXPECT_NE(report.find(expected), std::string::npos)
       << "report does not carry the exact final reward: " << report;
+  std::remove(path.c_str());
+}
+
+TEST(RunLogTest, AppendAfterCloseIsDiscarded) {
+  ScopedObsEnable enable;
+  SKIP_IF_COMPILED_OUT();
+  const std::string path = FreshPath("runlog_after_close.runlog.jsonl");
+  RunLogMeta meta;
+  meta.run_id = "after-close";
+  auto log = RunLog::Open(path, meta);
+  ASSERT_NE(log, nullptr);
+  RunLogRecord record;
+  log->Append(record);
+  ASSERT_TRUE(log->Close());
+  const std::string committed = ReadFile(path);
+
+  // The writer is released at Close; a late Append must not reach it,
+  // and the destructor's Close must leave the committed file alone.
+  record.step = 1;
+  log->Append(record);
+  EXPECT_TRUE(log->Close());
+  log.reset();
+  EXPECT_EQ(ReadFile(path), committed);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  ParsedRunLog parsed;
+  std::string error;
+  ASSERT_TRUE(ReadRunLog(path, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.records.size(), 1u);
+  EXPECT_EQ(parsed.records[0].step, 0);
   std::remove(path.c_str());
 }
 
@@ -301,6 +354,41 @@ TEST(RunLogTest, SweepStreamsOneLogPerNeuralCellAndStaysDeterministic) {
 
   std::filesystem::remove_all(dir_inline);
   std::filesystem::remove_all(dir_pooled);
+}
+
+TEST(RunLogTest, TrainCommandWritesOneLogUnderRunlogDir) {
+  SKIP_IF_COMPILED_OUT();
+  const std::string dir = FreshPath("runlog_cli");
+  const std::string runlog_dir = dir + "/logs";  // Created by the CLI.
+  std::filesystem::create_directories(dir);
+  const std::string cli_log = dir + "/cli.log";
+  ASSERT_EQ(std::system(("PPN_SCALE=smoke PPN_RUNLOG_DIR=" + runlog_dir +
+                         " " PPN_CLI_BIN " train --steps 6 --weights " + dir +
+                         "/train.weights > " + cli_log + " 2>&1")
+                            .c_str()),
+            0)
+      << ReadFile(cli_log);
+
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(runlog_dir)) {
+    files.push_back(entry.path().filename().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(files[0], "train-seed1.runlog.jsonl");
+  ParsedRunLog parsed;
+  std::string error;
+  ASSERT_TRUE(ReadRunLog(runlog_dir + "/" + files[0], &parsed, &error))
+      << error;
+  EXPECT_EQ(parsed.meta.steps, 6);
+  ASSERT_EQ(parsed.records.size(), 6u);
+  EXPECT_EQ(parsed.records.back().step, 5);
+
+  EXPECT_EQ(std::system((PPN_CLI_BIN " report --dir " + runlog_dir + " >> " +
+                         cli_log + " 2>&1")
+                            .c_str()),
+            0)
+      << ReadFile(cli_log);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RunLogTest, ReportSummarizesTraceFiles) {

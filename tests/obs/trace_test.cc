@@ -1,6 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -156,8 +158,21 @@ TEST_F(ObsTraceTest, ThreadPoolStitchesFlowsAcrossWorkers) {
   ScopedTraceEnable enable;
   {
     exec::ThreadPool pool(2);
+    // Each task waits until two tasks have started, so both workers run
+    // one however the OS schedules them; without the wait, one worker can
+    // drain all 16 before the other wakes. The wait is bounded, so a pool
+    // that ran everything on one thread fails the tid check below instead
+    // of hanging.
+    std::atomic<int> started{0};
     for (int i = 0; i < 16; ++i) {
-      pool.Submit([] {
+      pool.Submit([&started] {
+        started.fetch_add(1);
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (started.load() < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
         volatile double sink = 0.0;
         for (int j = 0; j < 20000; ++j) sink = sink + j;
       });

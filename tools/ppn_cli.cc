@@ -56,9 +56,11 @@
 //
 // Telemetry: `sweep --telemetry-dir <dir>` enables obs and streams one
 // per-step JSONL run log per trained cell into <dir> (schema
-// ppn.runlog.v1, see obs/run_log.h); `report --dir <dir>` summarizes the
-// logs (final-step reward decomposition, turnover trajectory, step
-// timing), and `report --trace <file>` lists the slowest spans of a
+// ppn.runlog.v1, see obs/run_log.h); PPN_RUNLOG_DIR=<dir> does the same
+// for `sweep` and makes `train` write <dir>/train-seed<seed>.runlog.jsonl;
+// `report --dir <dir>` summarizes the logs (final-step reward
+// decomposition, turnover trajectory, step timing), and
+// `report --trace <file>` lists the slowest spans of a
 // Chrome trace captured via PPN_TRACE_JSON=<file> (open the file itself
 // in ui.perfetto.dev for the timeline).
 //
@@ -100,6 +102,7 @@
 #include "market/stress.h"
 #include "obs/health.h"
 #include "obs/report.h"
+#include "obs/run_log.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -264,6 +267,33 @@ int CmdTrain(const Flags& flags) {
     }
   }
 
+  // PPN_RUNLOG_DIR (which also turns obs on) records every step's reward
+  // breakdown, as it does for each trained sweep cell.
+  std::unique_ptr<obs::RunLog> run_log;
+  const std::string runlog_dir = env::StringOr("PPN_RUNLOG_DIR", "");
+  if (!runlog_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(runlog_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create run-log dir %s: %s\n",
+                   runlog_dir.c_str(), ec.message().c_str());
+      return 1;
+    }
+    obs::RunLogMeta meta;
+    meta.run_id = "train-seed" + std::to_string(trainer_config.seed);
+    meta.strategy = core::VariantName(policy_config.variant);
+    meta.dataset = dataset.name;
+    meta.gamma = trainer_config.reward.gamma;
+    meta.lambda = trainer_config.reward.lambda;
+    meta.cost_rate = trainer_config.reward.cost_rate;
+    meta.seed = static_cast<int64_t>(trainer_config.seed);
+    meta.steps = trainer_config.steps;
+    run_log = obs::RunLog::Open(runlog_dir + "/" + meta.run_id +
+                                    ".runlog.jsonl",
+                                meta);
+    if (run_log != nullptr) trainer.AttachRunLog(run_log.get());
+  }
+
   double tail;
   if (checkpointer != nullptr) {
     while (trainer.steps_done() < trainer_config.steps) {
@@ -287,6 +317,10 @@ int CmdTrain(const Flags& flags) {
     tail = trainer.Train();
   }
   std::printf("tail mean reward: %.6f\n", tail);
+  if (run_log != nullptr && !run_log->Close()) {
+    std::fprintf(stderr, "warning: failed writing run log '%s'\n",
+                 run_log->path().c_str());
+  }
   const std::string weights = FlagOr(flags, "weights", "policy.weights");
   if (!policy->SaveParameters(weights)) {
     std::fprintf(stderr, "failed writing weights '%s'\n", weights.c_str());
