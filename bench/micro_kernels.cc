@@ -99,6 +99,20 @@ void BM_LstmForward(benchmark::State& state) {
 }
 BENCHMARK(BM_LstmForward);
 
+// The training shape: batch 32 x 11 assets = 352 sequences of k = 30.
+void BM_LstmForwardBackward(benchmark::State& state) {
+  Rng rng(1);
+  nn::Lstm lstm(4, 16, &rng);
+  Tensor sequence = RandomNormal({352, 30, 4}, 0.0f, 0.1f, &rng);
+  for (auto _ : state) {
+    lstm.ZeroGrad();
+    ag::Var out = lstm.ForwardLastHidden(ag::Constant(sequence));
+    ag::Backward(ag::SumAll(out));
+    benchmark::DoNotOptimize(out->value().Data());
+  }
+}
+BENCHMARK(BM_LstmForwardBackward);
+
 void BM_SoftmaxRows(benchmark::State& state) {
   Rng rng(1);
   Tensor logits = RandomNormal({128, 45}, 0.0f, 1.0f, &rng);
@@ -109,8 +123,7 @@ void BM_SoftmaxRows(benchmark::State& state) {
 }
 BENCHMARK(BM_SoftmaxRows);
 
-// Elementwise: the fused (statically dispatched) kernels against the
-// type-erased std::function path they replaced on the hot autograd ops.
+// Elementwise kernels of the dispatched table.
 
 void BM_ElementwiseMul(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -124,28 +137,27 @@ void BM_ElementwiseMul(benchmark::State& state) {
 }
 BENCHMARK(BM_ElementwiseMul)->Arg(1024)->Arg(65536);
 
-void BM_MapTypeErased(benchmark::State& state) {
-  const int64_t n = state.range(0);
+// The LSTM gate activations at the serving gate shape: batch 64 x 11
+// assets = 704 rows, hidden 16.
+void BM_TanhFwd(benchmark::State& state) {
   Rng rng(1);
-  Tensor a = RandomNormal({n}, 0.0f, 1.0f, &rng);
-  std::function<float(float)> fn = [](float x) { return x * 1.5f + 2.0f; };
+  Tensor a = RandomNormal({704, 16}, 0.0f, 2.0f, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Map(a, fn));
+    benchmark::DoNotOptimize(EltwiseUnary(vec::UnaryOp::kTanhFwd, a));
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * a.numel());
 }
-BENCHMARK(BM_MapTypeErased)->Arg(65536);
+BENCHMARK(BM_TanhFwd);
 
-void BM_MapFused(benchmark::State& state) {
-  const int64_t n = state.range(0);
+void BM_SigmoidFwd(benchmark::State& state) {
   Rng rng(1);
-  Tensor a = RandomNormal({n}, 0.0f, 1.0f, &rng);
+  Tensor a = RandomNormal({704, 16}, 0.0f, 2.0f, &rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MapFused(a, [](float x) { return x * 1.5f + 2.0f; }));
+    benchmark::DoNotOptimize(EltwiseUnary(vec::UnaryOp::kSigmoidFwd, a));
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * a.numel());
 }
-BENCHMARK(BM_MapFused)->Arg(65536);
+BENCHMARK(BM_SigmoidFwd);
 
 // Allocator: one alloc+free cycle per iteration, distinguishing the
 // zero-filled constructor, the uninitialized fast path, and the pool

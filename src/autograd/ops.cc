@@ -1,11 +1,13 @@
 #include "autograd/ops.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/parallel.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
+#include "tensor/dispatch.h"
 
 namespace ppn::ag {
 
@@ -96,17 +98,15 @@ Var MulScalar(const Var& a, float s) {
 
 Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
 
-// Activation forwards with an enumerated kernel (Relu/Abs/Clamp) and all
-// the fused backward passes route through EltwiseUnary/EltwiseBinary, so
-// they pick up the dispatched SIMD tables (tensor/dispatch.h). Each
-// enumerated kernel replicates the seed's per-element expression tree
-// exactly (see vec/kernels_impl.h), so results are bit-identical to the
-// former MapFused/ZipMapFused lambdas on every path. Transcendental
-// forwards (exp/log/tanh/sigmoid/sqrt) stay on scalar MapFused: libm has
-// no vector form with guaranteed identical bits.
+// Every activation forward and fused backward routes through
+// EltwiseUnary/EltwiseBinary and so picks up the dispatched SIMD tables
+// (tensor/dispatch.h). Exp/Log/Tanh/Sigmoid are the kernel table's own
+// polynomial bodies (vec/kernels_impl.h), not libm: the same bits on every
+// path, within 1-2.5 ULP of the true value (DESIGN.md §2.8). Sqrt is
+// the correctly rounded square root, the same bits as std::sqrt.
 
 Var Exp(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) { return std::exp(x); });
+  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kExpFwd, a->value());
   return MakeOp(std::move(out), {a}, [](Node* self) {
     // d exp(x) = exp(x) dx, and self->value() is exp(x).
     MaybeAccumulate(self->parents[0], ppn::Mul(self->grad(), self->value()));
@@ -114,7 +114,7 @@ Var Exp(const Var& a) {
 }
 
 Var Log(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) { return std::log(x); });
+  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kLogFwd, a->value());
   return MakeOp(std::move(out), {a}, [](Node* self) {
     MaybeAccumulate(self->parents[0],
                     ppn::Div(self->grad(), self->parents[0]->value()));
@@ -122,7 +122,7 @@ Var Log(const Var& a) {
 }
 
 Var Tanh(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) { return std::tanh(x); });
+  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kTanhFwd, a->value());
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx =
         ppn::EltwiseBinary(vec::BinaryOp::kTanhBwd, self->grad(), self->value());
@@ -131,10 +131,7 @@ Var Tanh(const Var& a) {
 }
 
 Var Sigmoid(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) {
-    return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                     : std::exp(x) / (1.0f + std::exp(x));
-  });
+  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kSigmoidFwd, a->value());
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSigmoidBwd, self->grad(),
                                    self->value());
@@ -161,7 +158,7 @@ Var Abs(const Var& a) {
 }
 
 Var Sqrt(const Var& a) {
-  Tensor out = ppn::MapFused(a->value(), [](float x) { return std::sqrt(x); });
+  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kSqrtFwd, a->value());
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSqrtBwd, self->grad(),
                                    self->value());
@@ -386,6 +383,132 @@ Var Dropout(const Var& a, float p, bool training, Rng* rng) {
   return MakeOp(std::move(out), {a}, [mask](Node* self) {
     MaybeAccumulate(self->parents[0], ppn::Mul(self->grad(), mask));
   });
+}
+
+namespace {
+
+// [d0, d1, d2] -> [d1, d0, d2]: moves whole rows of d2 floats.
+Tensor SwapLeadingAxes(const Tensor& a) {
+  PPN_CHECK_EQ(a.ndim(), 3);
+  const int64_t d0 = a.dim(0);
+  const int64_t d1 = a.dim(1);
+  const int64_t d2 = a.dim(2);
+  Tensor out = Tensor::Uninitialized({d1, d0, d2});
+  const float* pa = a.Data();
+  float* po = out.MutableData();
+  for (int64_t i0 = 0; i0 < d0; ++i0) {
+    for (int64_t i1 = 0; i1 < d1; ++i1) {
+      std::memcpy(po + (i1 * d0 + i0) * d2, pa + (i0 * d1 + i1) * d2,
+                  static_cast<size_t>(d2) * sizeof(float));
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
+                 const Var& bias) {
+  PPN_CHECK_EQ(x->value().ndim(), 3);
+  const int64_t n = x->value().dim(0);
+  const int64_t steps = x->value().dim(1);
+  const int64_t in = x->value().dim(2);
+  PPN_CHECK_GT(steps, 0);
+  PPN_CHECK_EQ(w_hh->value().ndim(), 2);
+  const int64_t hidden = w_hh->value().dim(0);
+  const int64_t width = 4 * hidden;
+  PPN_CHECK(w_ih->shape() == std::vector<int64_t>({in, width}))
+      << "LstmSequence: w_ih " << ShapeToString(w_ih->shape());
+  PPN_CHECK(w_hh->shape() == std::vector<int64_t>({hidden, width}))
+      << "LstmSequence: w_hh " << ShapeToString(w_hh->shape());
+  PPN_CHECK(bias->shape() == std::vector<int64_t>({width}))
+      << "LstmSequence: bias " << ShapeToString(bias->shape());
+
+  // Recording keeps [T, N, ·] buffers for the backward; otherwise one
+  // slot of each is reused and c, h run in place.
+  const bool record =
+      GradEnabled() && AnyRequiresGrad({x, w_ih, w_hh, bias});
+  const int64_t kept = record ? steps : 1;
+  const int64_t nh = n * hidden;
+  const Tensor x_tm = SwapLeadingAxes(x->value());  // [T, N, I]
+  Tensor gates = Tensor::Uninitialized({kept, n, width});
+  Tensor cells = Tensor::Uninitialized({kept, n, hidden});
+  Tensor tanh_cells = Tensor::Uninitialized({kept, n, hidden});
+  // Slot t holds h_{t-1}, the rows dW_hh sums over; slot 0 is h_0 = 0.
+  Tensor h_prev(std::vector<int64_t>{kept, n, hidden});
+  const Tensor c0(std::vector<int64_t>{n, hidden});
+  Tensor h_last = Tensor::Uninitialized({n, hidden});
+  Tensor xw = Tensor::Uninitialized({n, width});
+  Tensor hw = Tensor::Uninitialized({n, width});
+
+  const vec::KernelTable& kernels = dispatch::Kernels();
+  const bool parallel_ok = InnerParallelEnabled();
+  for (int64_t t = 0; t < steps; ++t) {
+    const int64_t slot = record ? t : 0;
+    const float* c_prev =
+        t == 0 ? c0.Data() : cells.Data() + (record ? t - 1 : 0) * nh;
+    float* h_next = t + 1 < steps
+                        ? h_prev.MutableData() + (record ? t + 1 : 0) * nh
+                        : h_last.MutableData();
+    ppn::MatMulInto(x_tm.Data() + t * n * in, w_ih->value().Data(),
+                    xw.MutableData(), n, width, in);
+    ppn::MatMulInto(h_prev.Data() + slot * nh, w_hh->value().Data(),
+                    hw.MutableData(), n, width, hidden);
+    kernels.lstm_cell(xw.Data(), hw.Data(), bias->value().Data(), c_prev,
+                      gates.MutableData() + slot * n * width,
+                      cells.MutableData() + slot * nh,
+                      tanh_cells.MutableData() + slot * nh, h_next, n, hidden,
+                      parallel_ok);
+  }
+  if (!record) return Constant(std::move(h_last));
+
+  return MakeOp(
+      std::move(h_last), {x, w_ih, w_hh, bias},
+      [x_tm, gates, cells, tanh_cells, h_prev, c0, n, steps, in,
+       hidden](Node* self) {
+        const Var& x = self->parents[0];
+        const Var& w_ih = self->parents[1];
+        const Var& w_hh = self->parents[2];
+        const Var& bias = self->parents[3];
+        const int64_t width = 4 * hidden;
+        const int64_t nh = n * hidden;
+        // Backpropagation through time: one cell backward per step, and
+        // dh_{t-1} = dz_t · w_hh^T between steps. Every step's dz is kept
+        // so each weight gradient is ONE GEMM over all T·N rows.
+        Tensor dz = Tensor::Uninitialized({steps * n, width});
+        Tensor dh = self->grad().Clone();
+        Tensor dc(std::vector<int64_t>{n, hidden});
+        const Tensor w_hh_t = ppn::Transpose2D(w_hh->value());  // [4H, H]
+        const vec::KernelTable& kernels = dispatch::Kernels();
+        const bool parallel_ok = InnerParallelEnabled();
+        for (int64_t t = steps - 1; t >= 0; --t) {
+          const float* c_prev =
+              t == 0 ? c0.Data() : cells.Data() + (t - 1) * nh;
+          float* dz_t = dz.MutableData() + t * n * width;
+          kernels.lstm_cell_bwd(gates.Data() + t * n * width, c_prev,
+                                tanh_cells.Data() + t * nh, dh.Data(),
+                                dc.MutableData(), dz_t, n, hidden,
+                                parallel_ok);
+          if (t > 0) {
+            ppn::MatMulInto(dz_t, w_hh_t.Data(), dh.MutableData(), n, hidden,
+                            width);
+          }
+        }
+        MaybeAccumulate(bias, ppn::SumRows(dz));
+        if (w_ih->requires_grad()) {
+          w_ih->AccumulateGrad(
+              ppn::MatMulTransA(x_tm.Reshaped({steps * n, in}), dz));
+        }
+        if (w_hh->requires_grad()) {
+          w_hh->AccumulateGrad(
+              ppn::MatMulTransA(h_prev.Reshaped({steps * n, hidden}), dz));
+        }
+        if (x->requires_grad()) {
+          const Tensor dx_tm = ppn::MatMulTransB(dz, w_ih->value());
+          x->AccumulateGrad(
+              SwapLeadingAxes(dx_tm.Reshaped({steps, n, in})));
+        }
+      });
 }
 
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,

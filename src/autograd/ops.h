@@ -85,6 +85,18 @@ Var Permute4(const Var& a, const std::array<int, 4>& axes);
 /// `training` is false. Requires 0 <= p < 1.
 Var Dropout(const Var& a, float p, bool training, Rng* rng);
 
+/// Single-layer LSTM over a whole sequence, as ONE tape node: x
+/// [N, T, I], w_ih [I, 4H], w_hh [H, 4H], bias [4H], gate order
+/// (i, f, g, o), zero initial state; returns the last hidden state h_T
+/// [N, H]. The forward equals the per-step composition of ops in this
+/// file (z = (x_t·w_ih + h·w_hh) + bias, sigmoid/tanh gates,
+/// c = f·c + i·g, h = o·tanh(c)) bit for bit. When the node records, it
+/// keeps every step's gates and cell state for a hand-written BPTT
+/// backward; otherwise (InferenceMode, or nothing requires grad) it keeps
+/// only the running c and h.
+Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
+                 const Var& bias);
+
 /// 2-D convolution, stride 1: input [N, C_in, H, W], weight
 /// [C_out, C_in, kh, kw], optional bias [C_out] (pass nullptr to skip),
 /// geometry describing dilation and asymmetric zero padding.

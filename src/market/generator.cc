@@ -48,16 +48,21 @@ OhlcPanel SyntheticMarketGenerator::Generate(
   }
 
   // --- Simulate close log-prices. ------------------------------------
-  // returns[t][a] is the log-return from t-1 to t (t >= 1).
-  std::vector<std::vector<double>> returns(n, std::vector<double>(m, 0.0));
-  std::vector<std::vector<double>> log_price(n, std::vector<double>(m, 0.0));
+  // Two flat period-major [n, m] arrays: returns[t * m + a] is the
+  // log-return of asset a from t-1 to t (t >= 1). One allocation each, so
+  // a long panel leaves no per-period heap chunks behind.
+  std::vector<double> returns(static_cast<size_t>(n * m), 0.0);
+  std::vector<double> log_price(static_cast<size_t>(n * m), 0.0);
+  const auto at = [m](int64_t t, int64_t a) {
+    return static_cast<size_t>(t * m + a);
+  };
   for (int64_t a = 0; a < m; ++a) {
-    log_price[0][a] = std::log(rng.Uniform(0.5, 5.0));
+    log_price[at(0, a)] = std::log(rng.Uniform(0.5, 5.0));
   }
   int regime = static_cast<int>(rng.UniformInt(
       static_cast<int64_t>(config_.regime_drifts.size())));
   std::vector<double> running_sum(m, 0.0);  // For the slow moving average.
-  for (int64_t a = 0; a < m; ++a) running_sum[a] = log_price[0][a];
+  for (int64_t a = 0; a < m; ++a) running_sum[a] = log_price[at(0, a)];
 
   for (int64_t t = 1; t < n; ++t) {
     if (rng.Bernoulli(config_.regime_switch_prob)) {
@@ -71,7 +76,7 @@ OhlcPanel SyntheticMarketGenerator::Generate(
                  factor * truth.factor_betas[a] +
                  rng.Normal(0.0, config_.idio_vol);
       // Sequential signal: own-return momentum.
-      r += config_.momentum * returns[t - 1][a];
+      r += config_.momentum * returns[at(t - 1, a)];
       // Slow mean reversion to the moving average of log price. The
       // rolling sum holds log prices [max(0, t - W) .. t-1], i.e. exactly
       // min(t, W) terms — divide by that count, not one more.
@@ -79,25 +84,25 @@ OhlcPanel SyntheticMarketGenerator::Generate(
           std::min<int64_t>(t, config_.reversion_window);
       const double moving_average =
           running_sum[a] / static_cast<double>(window);
-      r += config_.mean_reversion * (moving_average - log_price[t - 1][a]);
+      r += config_.mean_reversion * (moving_average - log_price[at(t - 1, a)]);
       // Cross-asset signal: echo the leader's lagged return.
       const int64_t leader = truth.leader[a];
       if (leader >= 0) {
         const int64_t lagged_t = t - truth.lag[a];
         if (lagged_t >= 1) {
-          r += config_.lead_lag_strength * returns[lagged_t][leader];
+          r += config_.lead_lag_strength * returns[at(lagged_t, leader)];
         }
       }
       // Occasional jump.
       if (rng.Bernoulli(config_.jump_prob)) {
         r += rng.Normal(0.0, config_.jump_scale);
       }
-      returns[t][a] = r;
-      log_price[t][a] = log_price[t - 1][a] + r;
+      returns[at(t, a)] = r;
+      log_price[at(t, a)] = log_price[at(t - 1, a)] + r;
       // Maintain a rolling sum over the last `reversion_window` periods.
-      running_sum[a] += log_price[t][a];
+      running_sum[a] += log_price[at(t, a)];
       if (t >= config_.reversion_window) {
-        running_sum[a] -= log_price[t - config_.reversion_window][a];
+        running_sum[a] -= log_price[at(t - config_.reversion_window, a)];
       }
     }
   }
@@ -106,9 +111,10 @@ OhlcPanel SyntheticMarketGenerator::Generate(
   OhlcPanel panel(n, m);
   for (int64_t a = 0; a < m; ++a) {
     for (int64_t t = truth.listing_period[a]; t < n; ++t) {
-      const double close = std::exp(log_price[t][a]);
+      const double close = std::exp(log_price[at(t, a)]);
       const double previous_close =
-          t > truth.listing_period[a] ? std::exp(log_price[t - 1][a]) : close;
+          t > truth.listing_period[a] ? std::exp(log_price[at(t - 1, a)])
+                                     : close;
       const double open =
           previous_close * std::exp(rng.Normal(0.0, config_.intrabar_noise));
       const double body_high = std::max(open, close);

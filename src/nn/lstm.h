@@ -8,7 +8,8 @@
 /// Long short-term memory layer (Hochreiter & Schmidhuber 1997). The
 /// sequential information net runs one shared-weight LSTM over each asset's
 /// price window and keeps the final hidden state, so the layer exposes a
-/// batched "sequence in, last hidden out" interface.
+/// batched "sequence in, last hidden out" interface, computed by the one
+/// fused autograd op `ag::LstmSequence` (one tape node per sequence).
 
 namespace ppn::nn {
 
@@ -25,17 +26,10 @@ class Lstm : public Module {
   /// returns the final hidden state [batch, hidden_size].
   ag::Var ForwardLastHidden(const ag::Var& sequence) const;
 
-  /// Runs the recurrence and returns all hidden states concatenated as
-  /// [batch, time, hidden_size].
-  ag::Var ForwardAllHidden(const ag::Var& sequence) const;
-
   int64_t input_size() const { return input_size_; }
   int64_t hidden_size() const { return hidden_size_; }
 
  private:
-  /// One step: returns new (h, c) given x_t [batch, input].
-  void Step(const ag::Var& x_t, ag::Var* h, ag::Var* c) const;
-
   int64_t input_size_;
   int64_t hidden_size_;
   ag::Var w_ih_;

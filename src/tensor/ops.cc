@@ -90,16 +90,6 @@ Tensor MulScalar(const Tensor& a, float s) {
   return EltwiseUnary(vec::UnaryOp::kMulScalar, a, s);
 }
 
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn) {
-  return MapFused(a, [&fn](float x) { return fn(x); });
-}
-
-Tensor ZipMap(const Tensor& a, const Tensor& b,
-              const std::function<float(float, float)>& fn) {
-  CheckSameShape(a, b, "ZipMap");
-  return ZipMapFused(a, b, [&fn](float x, float y) { return fn(x, y); });
-}
-
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   PPN_CHECK_EQ(a.ndim(), 2);
   PPN_CHECK_EQ(b.ndim(), 2);
@@ -108,6 +98,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   const int64_t n = b.dim(1);
   PPN_CHECK_EQ(k, b.dim(0)) << "MatMul inner dims " << ShapeToString(a.shape())
                             << " x " << ShapeToString(b.shape());
+  Tensor out = Tensor::Uninitialized({m, n});
+  MatMulInto(a.Data(), b.Data(), out.MutableData(), m, n, k);
+  return out;
+}
+
+void MatMulInto(const float* a, const float* b, float* out, int64_t m,
+                int64_t n, int64_t k) {
   RecordMatMul(m, n, k);
   // Matmuls run at very high frequency; only trace the ones big enough to
   // show up on a timeline.
@@ -115,10 +112,7 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   span.AddArg("m", static_cast<double>(m));
   span.AddArg("n", static_cast<double>(n));
   span.AddArg("k", static_cast<double>(k));
-  Tensor out = Tensor::Uninitialized({m, n});
-  dispatch::Kernels().matmul(a.Data(), k, b.Data(), n, out.MutableData(), m, n,
-                             k, InnerParallelEnabled());
-  return out;
+  dispatch::Kernels().matmul(a, k, b, n, out, m, n, k, InnerParallelEnabled());
 }
 
 Tensor MatMulTransA(const Tensor& a, const Tensor& b) {

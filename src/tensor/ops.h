@@ -1,7 +1,6 @@
 #ifndef PPN_TENSOR_OPS_H_
 #define PPN_TENSOR_OPS_H_
 
-#include <functional>
 #include <vector>
 
 #include "common/check.h"
@@ -43,8 +42,8 @@ Tensor AddScalar(const Tensor& a, float s);
 Tensor MulScalar(const Tensor& a, float s);
 
 /// Dispatched elementwise kernel over one input: out_i = op(a_i; p0, p1).
-/// See `vec::UnaryOp` for the op catalogue. Used by the autograd layer
-/// for activation forwards that have an enumerated kernel.
+/// See `vec::UnaryOp` for the op catalogue: every activation forward of
+/// the autograd layer, transcendentals included, is one of its entries.
 Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0 = 0.0f,
                     float p1 = 0.0f);
 
@@ -54,45 +53,14 @@ Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0 = 0.0f,
 Tensor EltwiseBinary(vec::BinaryOp op, const Tensor& a, const Tensor& b,
                      float p0 = 0.0f, float p1 = 0.0f);
 
-/// Applies `fn` elementwise with static dispatch: the functor inlines
-/// into the loop (no per-element `std::function` call). This is the hot
-/// path used by the autograd activations.
-template <typename Fn>
-Tensor MapFused(const Tensor& a, Fn fn) {
-  Tensor out = Tensor::Uninitialized(a.shape());
-  const float* pa = a.Data();
-  float* po = out.MutableData();
-  const int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i]);
-  return out;
-}
-
-/// Applies `fn(a_i, b_i)` elementwise with static dispatch (same shape).
-template <typename Fn>
-Tensor ZipMapFused(const Tensor& a, const Tensor& b, Fn fn) {
-  PPN_CHECK(SameShape(a, b))
-      << "ZipMapFused: shape mismatch " << ShapeToString(a.shape()) << " vs "
-      << ShapeToString(b.shape());
-  Tensor out = Tensor::Uninitialized(a.shape());
-  const float* pa = a.Data();
-  const float* pb = b.Data();
-  float* po = out.MutableData();
-  const int64_t n = a.numel();
-  for (int64_t i = 0; i < n; ++i) po[i] = fn(pa[i], pb[i]);
-  return out;
-}
-
-/// Applies `fn` elementwise. Type-erased fallback API: prefer `MapFused`
-/// on hot paths (a `std::function` call per element is ~10x slower).
-Tensor Map(const Tensor& a, const std::function<float(float)>& fn);
-
-/// Applies `fn(a_i, b_i)` elementwise (same shape). Type-erased fallback
-/// API: prefer `ZipMapFused` on hot paths.
-Tensor ZipMap(const Tensor& a, const Tensor& b,
-              const std::function<float(float, float)>& fn);
-
 /// Matrix product of a [m,k] and b [k,n] -> [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);
+
+/// `MatMul` over raw row-major buffers inside larger tensors: writes
+/// out [m,n] = a [m,k] · b [k,n] (every element; out must not alias a or
+/// b). Counted and dispatched like `MatMul`, with the same bits.
+void MatMulInto(const float* a, const float* b, float* out, int64_t m,
+                int64_t n, int64_t k);
 
 /// Matrix product a^T b of a [k,m] and b [k,n] -> [m,n].
 Tensor MatMulTransA(const Tensor& a, const Tensor& b);

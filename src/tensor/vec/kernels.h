@@ -9,10 +9,11 @@
 /// one table at startup (CPUID + PPN_SIMD) and `tensor/ops.cc` /
 /// `autograd/ops.cc` call through it. Elementwise kernels are enumerated
 /// (rather than templated on a functor) because the AVX2 bodies must
-/// live in the one TU compiled with -mavx2; the enum covers every hot
-/// elementwise op the autograd layer emits. Transcendental forwards
-/// (exp/log/tanh/sigmoid/sqrt) are NOT here: libm has no fixed-bits
-/// vector counterpart, so they stay on the scalar MapFused path.
+/// live in the one TU compiled with -mavx2; the enum covers every
+/// elementwise op the autograd layer emits. The transcendental forwards
+/// (exp/log/tanh/sigmoid) are polynomial bodies written once against the
+/// Vec concept (kernels_impl.h), so they too are bit-identical across
+/// tables; they do not call libm.
 
 namespace ppn::vec {
 
@@ -23,6 +24,11 @@ enum class UnaryOp : int {
   kReluFwd,    ///< x > 0 ? x : 0
   kAbsFwd,     ///< |x| (sign bit cleared; NaN payload preserved)
   kClampFwd,   ///< x < p0 ? p0 : (x > p1 ? p1 : x)
+  kSqrtFwd,    ///< sqrt(x), correctly rounded (same bits as std::sqrt)
+  kExpFwd,     ///< e^x             (max error 1 ULP)
+  kLogFwd,     ///< ln x            (max error 1 ULP)
+  kTanhFwd,    ///< tanh x          (max error 1.5 ULP)
+  kSigmoidFwd, ///< 1 / (1 + e^-x)  (max error 2.5 ULP)
 };
 
 /// Elementwise kernels of two inputs (plus up to two float parameters).
@@ -82,6 +88,25 @@ struct KernelTable {
                 float p1);
   void (*binary)(BinaryOp op, const float* a, const float* b, float* out,
                  int64_t n, float p0, float p1);
+  /// One LSTM time step over n rows of hidden size h, gate order
+  /// (i, f, g, o), with the per-step composition's expression tree:
+  ///   z = (xw + hw) + bias            xw, hw [n, 4h]; bias [4h]
+  ///   i, f, o = sigmoid(z.i, z.f, z.o); g = tanh(z.g)
+  ///   c = f * c_prev + i * g;  tanh_c = tanh(c);  h = o * tanh_c
+  /// Writes the activated gates [n, 4h] and c, tanh_c, h [n, h]. `c` may
+  /// alias `c_prev`; no other pointers may alias.
+  void (*lstm_cell)(const float* xw, const float* hw, const float* bias,
+                    const float* c_prev, float* gates, float* c,
+                    float* tanh_c, float* h, int64_t n, int64_t hidden,
+                    bool parallel_ok);
+  /// Backward of `lstm_cell` given its saved gates, c_prev and tanh_c and
+  /// the incoming dh [n, h]. `dc` [n, h] holds dL/dc_t on entry (the part
+  /// from step t+1) and dL/dc_{t-1} on return; `dz` [n, 4h] receives
+  /// dL/dz, the gradient of the gates' pre-activations.
+  void (*lstm_cell_bwd)(const float* gates, const float* c_prev,
+                        const float* tanh_c, const float* dh, float* dc,
+                        float* dz, int64_t n, int64_t hidden,
+                        bool parallel_ok);
 };
 
 /// The portable table (VecScalar). Always available.

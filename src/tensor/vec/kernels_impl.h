@@ -23,6 +23,8 @@
 ///    (a select stays a select, a multiply-by-mask stays a multiply).
 ///  - Tails run the same lane ops under a partial mask (vmaskmovps
 ///    semantics), never a different formula.
+///  - Transcendentals are polynomials in plain multiplies and adds (no
+///    libm, no FMA); their int32-lane steps mirror the ISA exactly.
 
 namespace ppn::vec::detail {
 
@@ -54,6 +56,130 @@ inline void ApplyBinary(Fn fn, const float* a, const float* b, float* out,
     fn(Vec::LoadPartial(a + i, rest), Vec::LoadPartial(b + i, rest))
         .StorePartial(out + i, rest);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Transcendentals: Cephes-style range reduction plus a minimax polynomial
+// (S. L. Moshier's single-precision expf/logf/tanhf coefficients). Each
+// body is one expression tree of separately rounded multiplies and adds,
+// so every Vec implementation computes the same bits. Special inputs
+// (NaN, ±Inf, ±0, negatives for log) are settled by selects at the end,
+// never by what the polynomial happens to make of them.
+// ---------------------------------------------------------------------------
+
+constexpr uint32_t kSignBit = 0x80000000u;
+
+// NaN lanes of x pass through unchanged, whatever the body computed.
+template <class Vec>
+inline Vec KeepNaN(Vec x, Vec result) {
+  return Vec::Blend(Vec::Unordered(x, x), x, result);
+}
+
+// 2^k for lanes holding integral floats k in [-126, 127]: k + 127 placed
+// in the exponent field.
+template <class Vec>
+inline Vec Pow2(Vec k) {
+  return Vec::template ShiftLeftInt32<23>(
+      Vec::AddInt32(Vec::ConvertToInt32(k), Vec::BroadcastBits(127)));
+}
+
+// e^x, max error 1 ULP on normal results. Results below FLT_MIN
+// underflow gradually (within 1 ULP of 2^-149), e^x > FLT_MAX is +Inf,
+// e^-Inf = +0.
+template <class Vec>
+inline Vec ExpBody(Vec x) {
+  // Past [-104, 89] e^x rounds to 0 or overflows; the clamped input
+  // still does, and n below stays in [-150, 128]. A NaN lane clamps to
+  // 89 (Min returns its second operand on NaN); KeepNaN restores it.
+  const Vec clamped = Vec::Max(Vec::Min(x, Vec::Broadcast(89.0f)),
+                               Vec::Broadcast(-104.0f));
+  // x = n ln2 + r, |r| <= ln2 / 2. ln2 is split so that n * hi is exact.
+  const Vec n = Vec::Round(clamped * Vec::Broadcast(1.44269504088896341f));
+  Vec r = clamped - n * Vec::Broadcast(0.693359375f);
+  r = r - n * Vec::Broadcast(-2.12194440e-4f);
+  const Vec z = r * r;
+  Vec p = Vec::Broadcast(1.9875691500e-4f);
+  p = p * r + Vec::Broadcast(1.3981999507e-3f);
+  p = p * r + Vec::Broadcast(8.3334519073e-3f);
+  p = p * r + Vec::Broadcast(4.1665795894e-2f);
+  p = p * r + Vec::Broadcast(1.6666665459e-1f);
+  p = p * r + Vec::Broadcast(5.0000001201e-1f);
+  const Vec y = (p * z + r) + Vec::Broadcast(1.0f);
+  // y * 2^n as (y * 2^(n-h)) * 2^h with h = round(n/2): both factors are
+  // normal floats for every n in range, the first product is exact, and
+  // the second rounds once — into a denormal when the result is tiny.
+  const Vec h = Vec::Round(n * Vec::Broadcast(0.5f));
+  return KeepNaN(x, (y * Pow2(n - h)) * Pow2(h));
+}
+
+// ln x, max error 1 ULP. ln(+Inf) = +Inf, ln(±0) = -Inf, ln(x < 0) = NaN.
+template <class Vec>
+inline Vec LogBody(Vec x) {
+  const Vec one = Vec::Broadcast(1.0f);
+  // Denormals are scaled by 2^23 first so the exponent field is exact.
+  const Vec denormal = Vec::Lt(x, Vec::Broadcast(1.17549435e-38f));
+  const Vec scaled = Vec::Blend(denormal, x * Vec::Broadcast(8388608.0f), x);
+  // frexp: x = m 2^e with m in [0.5, 1).
+  Vec e = Vec::ConvertFromInt32(Vec::template ShiftRightInt32<23>(scaled)) -
+          Vec::Blend(denormal, Vec::Broadcast(149.0f), Vec::Broadcast(126.0f));
+  Vec m = Vec::Or(Vec::And(scaled, Vec::BroadcastBits(0x007FFFFFu)),
+                  Vec::BroadcastBits(0x3F000000u));
+  // m < sqrt(1/2): use 2m - 1 and e - 1, else m - 1 (both exact).
+  const Vec below = Vec::Lt(m, Vec::Broadcast(0.707106781186547524f));
+  m = (m - one) + Vec::And(below, m);
+  e = e - Vec::And(below, one);
+  const Vec z = m * m;
+  Vec p = Vec::Broadcast(7.0376836292e-2f);
+  p = p * m + Vec::Broadcast(-1.1514610310e-1f);
+  p = p * m + Vec::Broadcast(1.1676998740e-1f);
+  p = p * m + Vec::Broadcast(-1.2420140846e-1f);
+  p = p * m + Vec::Broadcast(1.4249322787e-1f);
+  p = p * m + Vec::Broadcast(-1.6668057665e-1f);
+  p = p * m + Vec::Broadcast(2.0000714765e-1f);
+  p = p * m + Vec::Broadcast(-2.4999993993e-1f);
+  p = p * m + Vec::Broadcast(3.3333331174e-1f);
+  Vec y = p * m * z;
+  y = y + e * Vec::Broadcast(-2.12194440e-4f);
+  y = y + Vec::Broadcast(-0.5f) * z;
+  Vec result = (m + y) + e * Vec::Broadcast(0.693359375f);
+  result = Vec::Blend(Vec::Gt(x, Vec::Broadcast(3.40282347e38f)), x, result);
+  result = Vec::Blend(Vec::Gt(x, Vec::Zero()), result,
+                      Vec::BroadcastBits(0xFF800000u));  // -Inf
+  result = Vec::Blend(Vec::Lt(x, Vec::Zero()), Vec::BroadcastBits(0x7FC00000u),
+                      result);  // NaN
+  return KeepNaN(x, result);
+}
+
+// tanh x, max error 1.5 ULP; odd, so tanh(±0) = ±0 and tanh(±Inf) = ±1.
+template <class Vec>
+inline Vec TanhBody(Vec x) {
+  const Vec one = Vec::Broadcast(1.0f);
+  const Vec z = Vec::Abs(x);
+  // |x| >= 0.625: 1 - 2 / (e^2|x| + 1).
+  const Vec large = one - Vec::Broadcast(2.0f) / (ExpBody(z + z) + one);
+  // |x| < 0.625: |x| + |x|^3 P(x^2).
+  const Vec z2 = z * z;
+  Vec p = Vec::Broadcast(-5.70498872745e-3f);
+  p = p * z2 + Vec::Broadcast(2.06390887954e-2f);
+  p = p * z2 + Vec::Broadcast(-5.37397155531e-2f);
+  p = p * z2 + Vec::Broadcast(1.33314422036e-1f);
+  p = p * z2 + Vec::Broadcast(-3.33332819422e-1f);
+  const Vec small = p * z2 * z + z;
+  const Vec magnitude =
+      Vec::Blend(Vec::Lt(z, Vec::Broadcast(0.625f)), small, large);
+  // magnitude has a clear sign bit (also +0 for x = ±0): take x's.
+  return KeepNaN(x,
+                 Vec::Or(magnitude, Vec::And(x, Vec::BroadcastBits(kSignBit))));
+}
+
+// 1 / (1 + e^-x), max error 2.5 ULP: with e = e^-|x| <= 1 (never
+// overflows) it is 1 / (1 + e) for x >= 0 and e / (1 + e) for x < 0.
+template <class Vec>
+inline Vec SigmoidBody(Vec x) {
+  const Vec one = Vec::Broadcast(1.0f);
+  const Vec e = ExpBody(Vec::Or(x, Vec::BroadcastBits(kSignBit)));  // -|x|
+  const Vec numerator = Vec::Blend(Vec::Lt(x, Vec::Zero()), e, one);
+  return KeepNaN(x, numerator / (one + e));
 }
 
 template <class Vec>
@@ -95,6 +221,21 @@ void UnaryKernel(UnaryOp op, const float* a, float* out, int64_t n, float p0,
           a, out, n);
       return;
     }
+    case UnaryOp::kSqrtFwd:
+      ApplyUnary<Vec>([](Vec x) { return Vec::Sqrt(x); }, a, out, n);
+      return;
+    case UnaryOp::kExpFwd:
+      ApplyUnary<Vec>([](Vec x) { return ExpBody(x); }, a, out, n);
+      return;
+    case UnaryOp::kLogFwd:
+      ApplyUnary<Vec>([](Vec x) { return LogBody(x); }, a, out, n);
+      return;
+    case UnaryOp::kTanhFwd:
+      ApplyUnary<Vec>([](Vec x) { return TanhBody(x); }, a, out, n);
+      return;
+    case UnaryOp::kSigmoidFwd:
+      ApplyUnary<Vec>([](Vec x) { return SigmoidBody(x); }, a, out, n);
+      return;
   }
 }
 
@@ -401,6 +542,109 @@ void AddRowVector(const float* a, const float* b, float* out, int64_t m,
   }
 }
 
+// ---------------------------------------------------------------------------
+// LSTM cell. Rows are independent, so OpenMP over rows keeps every bit;
+// along a row, lanes are hidden units (full vectors, then one masked
+// tail), and each gate's block sits `hidden` floats after the previous.
+// ---------------------------------------------------------------------------
+
+// Full-vector or masked-tail access to `count` <= kWidth lanes.
+template <class Vec>
+inline Vec LoadLanes(const float* p, int64_t count) {
+  return count == Vec::kWidth ? Vec::LoadU(p) : Vec::LoadPartial(p, count);
+}
+
+template <class Vec>
+inline void StoreLanes(Vec v, float* p, int64_t count) {
+  if (count == Vec::kWidth) {
+    v.StoreU(p);
+  } else {
+    v.StorePartial(p, count);
+  }
+}
+
+// Row-parallel only when a step carries enough work to pay for the fork.
+constexpr int64_t kLstmParallelElements = 4096;
+
+template <class Vec>
+void LstmCell(const float* xw, const float* hw, const float* bias,
+              const float* c_prev, float* gates, float* c, float* tanh_c,
+              float* h, int64_t n, int64_t hidden, bool parallel_ok) {
+  const int64_t width = 4 * hidden;
+#ifdef _OPENMP
+#pragma omp parallel for \
+    if (parallel_ok && n * hidden >= kLstmParallelElements) schedule(static)
+#else
+  (void)parallel_ok;
+#endif
+  for (int64_t r = 0; r < n; ++r) {
+    for (int64_t j = 0; j < hidden; j += Vec::kWidth) {
+      const int64_t count =
+          hidden - j < Vec::kWidth ? hidden - j : int64_t{Vec::kWidth};
+      // Pre-activation of gate block `b`: (xw + hw) + bias.
+      const auto z = [&](int64_t b) {
+        const int64_t at = r * width + b * hidden + j;
+        const Vec sum =
+            LoadLanes<Vec>(xw + at, count) + LoadLanes<Vec>(hw + at, count);
+        return sum + LoadLanes<Vec>(bias + b * hidden + j, count);
+      };
+      const Vec i = SigmoidBody(z(0));
+      const Vec f = SigmoidBody(z(1));
+      const Vec g = TanhBody(z(2));
+      const Vec o = SigmoidBody(z(3));
+      const int64_t at = r * hidden + j;
+      const Vec cell = f * LoadLanes<Vec>(c_prev + at, count) + i * g;
+      const Vec tc = TanhBody(cell);
+      float* gate_row = gates + r * width + j;
+      StoreLanes(i, gate_row, count);
+      StoreLanes(f, gate_row + hidden, count);
+      StoreLanes(g, gate_row + 2 * hidden, count);
+      StoreLanes(o, gate_row + 3 * hidden, count);
+      StoreLanes(cell, c + at, count);
+      StoreLanes(tc, tanh_c + at, count);
+      StoreLanes(o * tc, h + at, count);
+    }
+  }
+}
+
+template <class Vec>
+void LstmCellBwd(const float* gates, const float* c_prev, const float* tanh_c,
+                 const float* dh, float* dc, float* dz, int64_t n,
+                 int64_t hidden, bool parallel_ok) {
+  const int64_t width = 4 * hidden;
+  const Vec one = Vec::Broadcast(1.0f);
+#ifdef _OPENMP
+#pragma omp parallel for \
+    if (parallel_ok && n * hidden >= kLstmParallelElements) schedule(static)
+#else
+  (void)parallel_ok;
+#endif
+  for (int64_t r = 0; r < n; ++r) {
+    for (int64_t j = 0; j < hidden; j += Vec::kWidth) {
+      const int64_t count =
+          hidden - j < Vec::kWidth ? hidden - j : int64_t{Vec::kWidth};
+      const float* gate_row = gates + r * width + j;
+      const Vec i = LoadLanes<Vec>(gate_row, count);
+      const Vec f = LoadLanes<Vec>(gate_row + hidden, count);
+      const Vec g = LoadLanes<Vec>(gate_row + 2 * hidden, count);
+      const Vec o = LoadLanes<Vec>(gate_row + 3 * hidden, count);
+      const int64_t at = r * hidden + j;
+      const Vec tc = LoadLanes<Vec>(tanh_c + at, count);
+      const Vec dh_row = LoadLanes<Vec>(dh + at, count);
+      // h = o * tanh(c): dc gains dh * o * (1 - tanh(c)^2).
+      const Vec dcell =
+          LoadLanes<Vec>(dc + at, count) + (dh_row * o) * (one - tc * tc);
+      float* dz_row = dz + r * width + j;
+      StoreLanes((dcell * g) * (i * (one - i)), dz_row, count);
+      StoreLanes((dcell * LoadLanes<Vec>(c_prev + at, count)) * (f * (one - f)),
+                 dz_row + hidden, count);
+      StoreLanes((dcell * i) * (one - g * g), dz_row + 2 * hidden, count);
+      StoreLanes((dh_row * tc) * (o * (one - o)), dz_row + 3 * hidden, count);
+      StoreLanes(dcell * f, dc + at, count);
+    }
+  }
+}
+
 template <class Vec>
 KernelTable MakeTable() {
   KernelTable table;
@@ -412,6 +656,8 @@ KernelTable MakeTable() {
   table.add_row_vector = &AddRowVector<Vec>;
   table.unary = &UnaryKernel<Vec>;
   table.binary = &BinaryKernel<Vec>;
+  table.lstm_cell = &LstmCell<Vec>;
+  table.lstm_cell_bwd = &LstmCellBwd<Vec>;
   return table;
 }
 

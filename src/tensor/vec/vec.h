@@ -4,8 +4,13 @@
 /// \file
 /// The `Vectorized<float>` concept: a fixed-width bundle of 8 float
 /// lanes with load/store (aligned, unaligned, and masked-partial),
-/// arithmetic, an explicitly FMA-free `MulAdd`, min/max, comparisons
-/// that produce lane masks, and sign-bit `Blend` selection.
+/// arithmetic, an explicitly FMA-free `MulAdd`, min/max, square root,
+/// round-to-nearest-even, comparisons that produce lane masks (ordered
+/// `Gt`/`Lt` and the NaN test `Unordered`), bitwise `And`/`Or`/`Abs`,
+/// sign-bit `Blend` selection, and the few int32-lane operations the
+/// transcendental kernels use to build and read exponents
+/// (`ConvertToInt32`/`ConvertFromInt32`, `AddInt32`, `ShiftLeftInt32`,
+/// `ShiftRightInt32`, `BroadcastBits`).
 ///
 /// Two implementations exist:
 ///   - `VecScalar` (vec_scalar.h): plain loops, compiled everywhere.

@@ -100,6 +100,53 @@ class VecAvx2 {
     return VecAvx2(_mm256_andnot_ps(sign_mask, a.raw_));
   }
 
+  static VecAvx2 Unordered(const VecAvx2& a, const VecAvx2& b) {
+    return VecAvx2(_mm256_cmp_ps(a.raw_, b.raw_, _CMP_UNORD_Q));
+  }
+
+  static VecAvx2 Or(const VecAvx2& a, const VecAvx2& b) {
+    return VecAvx2(_mm256_or_ps(a.raw_, b.raw_));
+  }
+
+  static VecAvx2 Sqrt(const VecAvx2& a) {
+    return VecAvx2(_mm256_sqrt_ps(a.raw_));
+  }
+
+  static VecAvx2 Round(const VecAvx2& a) {
+    return VecAvx2(
+        _mm256_round_ps(a.raw_, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));
+  }
+
+  static VecAvx2 ConvertToInt32(const VecAvx2& a) {
+    return VecAvx2(_mm256_castsi256_ps(_mm256_cvttps_epi32(a.raw_)));
+  }
+
+  static VecAvx2 ConvertFromInt32(const VecAvx2& a) {
+    return VecAvx2(_mm256_cvtepi32_ps(_mm256_castps_si256(a.raw_)));
+  }
+
+  static VecAvx2 AddInt32(const VecAvx2& a, const VecAvx2& b) {
+    return VecAvx2(_mm256_castsi256_ps(_mm256_add_epi32(
+        _mm256_castps_si256(a.raw_), _mm256_castps_si256(b.raw_))));
+  }
+
+  template <int kBits>
+  static VecAvx2 ShiftLeftInt32(const VecAvx2& a) {
+    return VecAvx2(_mm256_castsi256_ps(
+        _mm256_slli_epi32(_mm256_castps_si256(a.raw_), kBits)));
+  }
+
+  template <int kBits>
+  static VecAvx2 ShiftRightInt32(const VecAvx2& a) {
+    return VecAvx2(_mm256_castsi256_ps(
+        _mm256_srli_epi32(_mm256_castps_si256(a.raw_), kBits)));
+  }
+
+  static VecAvx2 BroadcastBits(uint32_t bits) {
+    return VecAvx2(
+        _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(bits))));
+  }
+
   static VecAvx2 Gather(const float* base, const int32_t* idx) {
     const __m256i vindex =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));

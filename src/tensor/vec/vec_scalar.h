@@ -2,6 +2,7 @@
 #define PPN_TENSOR_VEC_VEC_SCALAR_H_
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 
 /// \file
@@ -14,9 +15,13 @@
 ///  - `Blend` and the partial load/store select on the lane's TOP BIT
 ///    only (vblendvps / vmaskmovps semantics), not on zero/non-zero.
 ///  - Comparison masks are all-ones / all-zero lane bit patterns.
-///  - `Min`/`Max` return the SECOND operand when either lane is NaN
-///    (vminps/vmaxps semantics: `b < a ? b : a`), unlike std::min.
+///  - `Min`/`Max` return the SECOND operand when either lane is NaN and
+///    when comparing +0 with -0 (vminps/vmaxps semantics:
+///    `a < b ? a : b` and `a > b ? a : b`), unlike std::min.
 ///  - `LoadPartial` fills masked-out lanes with +0.0f.
+///  - `ConvertToInt32` truncates and gives INT32_MIN for NaN and
+///    out-of-range lanes (vcvttps2dq), so no lane ever hits C++'s
+///    undefined float->int conversion.
 ///
 /// Because every lane op is the same IEEE-754 single operation the AVX2
 /// lane performs, kernels written against this concept produce the same
@@ -97,20 +102,20 @@ class VecScalar {
     return acc + a * b;
   }
 
-  /// vminps: per lane `b < a ? b : a` (returns b when either is NaN).
+  /// vminps: per lane `a < b ? a : b` (returns b when either is NaN).
   static VecScalar Min(const VecScalar& a, const VecScalar& b) {
     VecScalar out;
     for (int i = 0; i < kWidth; ++i) {
-      out.lane_[i] = b.lane_[i] < a.lane_[i] ? b.lane_[i] : a.lane_[i];
+      out.lane_[i] = a.lane_[i] < b.lane_[i] ? a.lane_[i] : b.lane_[i];
     }
     return out;
   }
 
-  /// vmaxps: per lane `a < b ? b : a`.
+  /// vmaxps: per lane `a > b ? a : b` (returns b when either is NaN).
   static VecScalar Max(const VecScalar& a, const VecScalar& b) {
     VecScalar out;
     for (int i = 0; i < kWidth; ++i) {
-      out.lane_[i] = a.lane_[i] < b.lane_[i] ? b.lane_[i] : a.lane_[i];
+      out.lane_[i] = a.lane_[i] > b.lane_[i] ? a.lane_[i] : b.lane_[i];
     }
     return out;
   }
@@ -154,6 +159,109 @@ class VecScalar {
                                           0x7FFFFFFFu);
     }
     return out;
+  }
+
+  /// All-ones mask where a or b is NaN (unordered — vcmpps _CMP_UNORD_Q).
+  static VecScalar Unordered(const VecScalar& a, const VecScalar& b) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      const bool nan = a.lane_[i] != a.lane_[i] || b.lane_[i] != b.lane_[i];
+      out.lane_[i] = std::bit_cast<float>(nan ? 0xFFFFFFFFu : 0u);
+    }
+    return out;
+  }
+
+  /// Bitwise OR of lane patterns.
+  static VecScalar Or(const VecScalar& a, const VecScalar& b) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      out.lane_[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(a.lane_[i]) |
+                                          std::bit_cast<uint32_t>(b.lane_[i]));
+    }
+    return out;
+  }
+
+  /// Correctly-rounded square root (vsqrtps; std::sqrt gives the same
+  /// bits, including the default NaN for negative lanes).
+  static VecScalar Sqrt(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) out.lane_[i] = std::sqrt(a.lane_[i]);
+    return out;
+  }
+
+  /// Round to the nearest integer, ties to even (vroundps with
+  /// _MM_FROUND_TO_NEAREST_INT; std::nearbyint under the default
+  /// rounding mode).
+  static VecScalar Round(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) out.lane_[i] = std::nearbyint(a.lane_[i]);
+    return out;
+  }
+
+  // Integer lane operations. An "int32 lane" is the lane's 32-bit pattern
+  // read as a two's-complement integer; the Vec type does not change.
+
+  /// Float -> int32 lanes, truncating toward zero (vcvttps2dq): NaN and
+  /// out-of-range lanes give INT32_MIN (0x80000000).
+  static VecScalar ConvertToInt32(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      const float v = a.lane_[i];
+      const bool in_range = v >= -2147483648.0f && v < 2147483648.0f;
+      const uint32_t bits =
+          in_range ? static_cast<uint32_t>(static_cast<int32_t>(v))
+                   : 0x80000000u;
+      out.lane_[i] = std::bit_cast<float>(bits);
+    }
+    return out;
+  }
+
+  /// Int32 lanes -> float, rounding to nearest even (vcvtdq2ps).
+  static VecScalar ConvertFromInt32(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      out.lane_[i] =
+          static_cast<float>(std::bit_cast<int32_t>(a.lane_[i]));
+    }
+    return out;
+  }
+
+  /// Int32 lane add, wrapping (vpaddd).
+  static VecScalar AddInt32(const VecScalar& a, const VecScalar& b) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      out.lane_[i] = std::bit_cast<float>(std::bit_cast<uint32_t>(a.lane_[i]) +
+                                          std::bit_cast<uint32_t>(b.lane_[i]));
+    }
+    return out;
+  }
+
+  /// Int32 lane shift left by kBits (vpslld).
+  template <int kBits>
+  static VecScalar ShiftLeftInt32(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      out.lane_[i] =
+          std::bit_cast<float>(std::bit_cast<uint32_t>(a.lane_[i]) << kBits);
+    }
+    return out;
+  }
+
+  /// Int32 lane logical shift right by kBits (vpsrld).
+  template <int kBits>
+  static VecScalar ShiftRightInt32(const VecScalar& a) {
+    VecScalar out;
+    for (int i = 0; i < kWidth; ++i) {
+      out.lane_[i] =
+          std::bit_cast<float>(std::bit_cast<uint32_t>(a.lane_[i]) >> kBits);
+    }
+    return out;
+  }
+
+  /// Broadcast of a 32-bit lane pattern (an int32 constant or a float
+  /// given by its bits).
+  static VecScalar BroadcastBits(uint32_t bits) {
+    return Broadcast(std::bit_cast<float>(bits));
   }
 
   /// vgatherdps: lane i reads base[idx[i]]. All eight indices must be

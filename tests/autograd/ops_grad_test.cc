@@ -205,6 +205,19 @@ std::vector<GradCase> MakeCases() {
         Tensor({1}, {0.1f})});
   }
 
+  // The fused LSTM: gradients for x [N,T,I], w_ih, w_hh and bias through
+  // the hand-written BPTT (N=2, T=3, I=2, H=2).
+  add_case("LstmSequence", [](const std::vector<Var>& in) {
+    Var h = LstmSequence(in[0], in[1], in[2], in[3]);
+    return SumAll(Mul(h, Constant(Tensor({2, 2}, {1.0f, -2.0f, 0.5f, 3.0f}))));
+  }, {Tensor({2, 3, 2}, {0.5f, -1.0f, 0.3f, 0.8f, -0.6f, 0.2f,
+                         -0.4f, 0.9f, 1.1f, -0.2f, 0.1f, 0.7f}),
+      Tensor({2, 8}, {0.3f, -0.5f, 0.8f, 0.1f, -0.7f, 0.4f, 0.6f, -0.2f,
+                      -0.3f, 0.2f, 0.5f, -0.9f, 0.4f, -0.1f, 0.7f, 0.3f}),
+      Tensor({2, 8}, {0.6f, 0.1f, -0.4f, 0.3f, 0.2f, -0.8f, 0.5f, 0.9f,
+                      -0.2f, 0.7f, 0.3f, -0.5f, -0.6f, 0.4f, 0.1f, -0.3f}),
+      Tensor({8}, {0.1f, -0.2f, 1.0f, 1.0f, 0.3f, -0.1f, 0.2f, 0.05f})});
+
   return cases;
 }
 

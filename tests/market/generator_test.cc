@@ -1,6 +1,8 @@
 #include "market/generator.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -172,6 +174,54 @@ TEST(GeneratorTest, MeanReversionMatchesHandComputedPath) {
   // Spot-check the first reverting step by hand: MA_1 has exactly ONE term
   // (p_0 itself), so the reversion contribution is zero and r_1 = drift.
   EXPECT_NEAR(std::log(panel.Close(1, 0) / panel.Close(0, 0)), 0.01, 1e-12);
+}
+
+// FNV-1a (64-bit) over every price's bit pattern, period-major.
+uint64_t PanelDigest(const OhlcPanel& panel) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int64_t t = 0; t < panel.num_periods(); ++t) {
+    for (int64_t a = 0; a < panel.num_assets(); ++a) {
+      for (const PriceField field : {kOpen, kHigh, kLow, kClose}) {
+        const uint64_t bits =
+            std::bit_cast<uint64_t>(panel.Price(t, a, field));
+        for (int byte = 0; byte < 8; ++byte) {
+          hash ^= (bits >> (8 * byte)) & 0xFFu;
+          hash *= 0x100000001b3ULL;
+        }
+      }
+    }
+  }
+  return hash;
+}
+
+TEST(GeneratorTest, PanelDigestIsPinned) {
+  // The serving benchmark's market (11 assets, 65,566 periods, no late
+  // listings) for seeds 1-3, plus the default config with late listings.
+  // Pins the generator's output bit for bit across refactors of its
+  // internals. The digests also depend on the C library's double exp,
+  // log, sin and cos; they were computed with glibc on x86-64.
+  struct Case {
+    uint64_t seed;
+    int64_t periods;
+    double late_listing_fraction;
+    uint64_t digest;
+  };
+  const Case cases[] = {
+      {1, 65566, 0.0, 0x94370154efcaec14ULL},
+      {2, 65566, 0.0, 0x34a851d6854b2c63ULL},
+      {3, 65566, 0.0, 0xb1f2b42026db4654ULL},
+      {7, 3000, 0.2, 0x45a2b5171ac0db5aULL},
+  };
+  for (const Case& c : cases) {
+    SyntheticMarketConfig config;
+    config.num_assets = 11;
+    config.num_periods = c.periods;
+    config.seed = c.seed;
+    config.late_listing_fraction = c.late_listing_fraction;
+    const OhlcPanel panel = SyntheticMarketGenerator(config).Generate();
+    EXPECT_EQ(PanelDigest(panel), c.digest)
+        << "seed " << c.seed << " digest 0x" << std::hex << PanelDigest(panel);
+  }
 }
 
 TEST(GeneratorDeathTest, DegenerateSplitAborts) {

@@ -1,12 +1,24 @@
+#include <bit>
 #include <cmath>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <gtest/gtest.h>
 
+#include "market/generator.h"
 #include "nn/conv.h"
 #include "nn/init.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/module.h"
+#include "obs/stats.h"
+#include "ppn/policy_module.h"
+#include "ppn/trainer.h"
+#include "tensor/dispatch.h"
 
 namespace ppn::nn {
 namespace {
@@ -252,24 +264,6 @@ TEST(LstmTest, ForgetBiasInitializedToOne) {
   }
 }
 
-TEST(LstmTest, LastHiddenMatchesAllHiddenTail) {
-  Rng rng(9);
-  Lstm lstm(3, 4, &rng);
-  Tensor seq_data({2, 5, 3});
-  Rng data_rng(10);
-  for (int64_t i = 0; i < seq_data.numel(); ++i) {
-    seq_data.MutableData()[i] = static_cast<float>(data_rng.Normal());
-  }
-  ag::Var seq = ag::Constant(seq_data);
-  ag::Var last = lstm.ForwardLastHidden(seq);
-  ag::Var all = lstm.ForwardAllHidden(seq);
-  for (int64_t b = 0; b < 2; ++b) {
-    for (int64_t h = 0; h < 4; ++h) {
-      EXPECT_FLOAT_EQ(last->value().At({b, h}), all->value().At({b, 4, h}));
-    }
-  }
-}
-
 TEST(LstmTest, OrderSensitivity) {
   // An LSTM must distinguish sequence order (unlike a mean pool).
   Rng rng(11);
@@ -292,6 +286,250 @@ TEST(LstmTest, GradientFlowsThroughTime) {
   EXPECT_NE(input->grad()[0], 0.0f);
   for (const ag::Var& p : lstm.Parameters()) {
     EXPECT_TRUE(p->has_grad());
+  }
+}
+
+// ------------------------------------------------ fused LSTM op ----
+
+// The per-step composition that ag::LstmSequence replaces (the former
+// Lstm::Step loop): a dozen tape nodes per timestep.
+ag::Var ComposedLastHidden(const ag::Var& x, const ag::Var& w_ih,
+                           const ag::Var& w_hh, const ag::Var& bias) {
+  using namespace ag;  // NOLINT: local op vocabulary.
+  const int64_t batch = x->value().dim(0);
+  const int64_t time = x->value().dim(1);
+  const int64_t input = x->value().dim(2);
+  const int64_t hs = w_hh->value().dim(0);
+  Var h = Constant(Tensor({batch, hs}));
+  Var c = Constant(Tensor({batch, hs}));
+  for (int64_t t = 0; t < time; ++t) {
+    Var x_t = Reshape(NarrowVar(x, 1, t, 1), {batch, input});
+    Var z = AddRowVector(Add(MatMul(x_t, w_ih), MatMul(h, w_hh)), bias);
+    Var i_gate = Sigmoid(NarrowVar(z, 1, 0, hs));
+    Var f_gate = Sigmoid(NarrowVar(z, 1, hs, hs));
+    Var g_gate = Tanh(NarrowVar(z, 1, 2 * hs, hs));
+    Var o_gate = Sigmoid(NarrowVar(z, 1, 3 * hs, hs));
+    c = Add(Mul(f_gate, c), Mul(i_gate, g_gate));
+    h = Mul(o_gate, Tanh(c));
+  }
+  return h;
+}
+
+struct LstmArgs {
+  ag::Var x, w_ih, w_hh, bias;
+  std::vector<ag::Var> All() const { return {x, w_ih, w_hh, bias}; }
+};
+
+// Trainable x [n, t, in] and weights for hidden size `hidden`.
+LstmArgs MakeLstmArgs(int64_t n, int64_t t, int64_t in, int64_t hidden,
+                      uint64_t seed) {
+  Rng rng(seed);
+  LstmArgs args;
+  args.x = ag::Parameter(RandomNormal({n, t, in}, 0.0f, 1.0f, &rng));
+  args.w_ih = ag::Parameter(RandomNormal({in, 4 * hidden}, 0.0f, 0.5f, &rng));
+  args.w_hh =
+      ag::Parameter(RandomNormal({hidden, 4 * hidden}, 0.0f, 0.5f, &rng));
+  args.bias = ag::Parameter(RandomNormal({4 * hidden}, 0.0f, 0.5f, &rng));
+  return args;
+}
+
+ag::Var FusedLastHidden(const LstmArgs& args) {
+  return ag::LstmSequence(args.x, args.w_ih, args.w_hh, args.bias);
+}
+
+// Runs `forward` on fresh gradients, backpropagates a weighted sum of its
+// output, and returns {output, dx, dw_ih, dw_hh, dbias}.
+std::vector<Tensor> ForwardAndGradients(
+    const LstmArgs& args, ag::Var (*forward)(const ag::Var&, const ag::Var&,
+                                             const ag::Var&, const ag::Var&)) {
+  for (const ag::Var& v : args.All()) v->ZeroGrad();
+  const ag::Var h = forward(args.x, args.w_ih, args.w_hh, args.bias);
+  Tensor weights = Tensor::Uninitialized(h->shape());
+  for (int64_t i = 0; i < weights.numel(); ++i) {
+    weights.MutableData()[i] = 0.5f + 0.01f * static_cast<float>(i % 37);
+  }
+  ag::Backward(ag::SumAll(ag::Mul(h, ag::Constant(weights))));
+  std::vector<Tensor> out = {h->value().Clone()};
+  for (const ag::Var& v : args.All()) out.push_back(v->grad().Clone());
+  return out;
+}
+
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  int64_t mismatches = 0;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    if (std::bit_cast<uint32_t>(got[i]) != std::bit_cast<uint32_t>(want[i]) &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << label << ": element " << i << " got " << got[i]
+                    << " want " << want[i];
+    }
+  }
+}
+
+TEST(LstmSequenceTest, ForwardMatchesPerStepCompositionBitForBit) {
+  struct Shape {
+    int64_t in, hidden;
+  };
+  // The paper's shape (4 price fields, hidden 16) and an odd one whose
+  // hidden size leaves a vector tail in every gate block.
+  for (const Shape shape : {Shape{4, 16}, Shape{3, 5}}) {
+    for (const int64_t n : {1, 7, 64}) {
+      for (const int64_t t : {1, 5, 30}) {
+        const std::string label = "n=" + std::to_string(n) +
+                                  " t=" + std::to_string(t) +
+                                  " hidden=" + std::to_string(shape.hidden);
+        const LstmArgs args = MakeLstmArgs(n, t, shape.in, shape.hidden,
+                                           100 + n * 31 + t);
+        const Tensor want =
+            ComposedLastHidden(args.x, args.w_ih, args.w_hh, args.bias)
+                ->value();
+        ExpectBitEqual(FusedLastHidden(args)->value(), want, label);
+        ag::InferenceMode guard;
+        ExpectBitEqual(FusedLastHidden(args)->value(), want,
+                       label + " InferenceMode");
+        ExpectBitEqual(
+            ComposedLastHidden(args.x, args.w_ih, args.w_hh, args.bias)
+                ->value(),
+            want, label + " composition under InferenceMode");
+      }
+    }
+  }
+}
+
+TEST(LstmSequenceTest, BpttGradientsMatchPerStepComposition) {
+  struct Case {
+    int64_t n, t, in, hidden;
+  };
+  for (const Case c :
+       {Case{7, 5, 4, 16}, Case{3, 30, 3, 5}, Case{1, 1, 4, 16}}) {
+    const LstmArgs args = MakeLstmArgs(c.n, c.t, c.in, c.hidden, 7 + c.t);
+    const std::vector<Tensor> fused =
+        ForwardAndGradients(args, &ag::LstmSequence);
+    const std::vector<Tensor> composed =
+        ForwardAndGradients(args, &ComposedLastHidden);
+    const char* names[] = {"h", "dx", "dw_ih", "dw_hh", "dbias"};
+    for (size_t k = 0; k < fused.size(); ++k) {
+      // Relative to the tensor's largest magnitude: the two backwards sum
+      // the same terms in different orders. (At t = 1, h_0 = 0 makes
+      // dw_hh exactly zero on both sides.)
+      float scale = 0.0f;
+      for (int64_t i = 0; i < composed[k].numel(); ++i) {
+        scale = std::max(scale, std::fabs(composed[k][i]));
+      }
+      for (int64_t i = 0; i < composed[k].numel(); ++i) {
+        EXPECT_LE(std::fabs(fused[k][i] - composed[k][i]), 1e-5f * scale)
+            << names[k] << " element " << i << " t=" << c.t;
+      }
+    }
+  }
+}
+
+TEST(LstmSequenceTest, ForwardAndGradientsIdenticalAcrossPathsAndThreads) {
+  // Batch 32 x 11 assets: big enough that the gate kernels and the GEMMs
+  // take their OpenMP branches; and a hidden size with vector tails.
+  const LstmArgs cases[] = {MakeLstmArgs(352, 6, 4, 16, 99),
+                            MakeLstmArgs(9, 7, 3, 5, 98)};
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  const int thread_counts[] = {1, 4};
+#else
+  const int thread_counts[] = {1};
+#endif
+  const std::vector<dispatch::SimdPath> paths =
+      dispatch::Avx2Available()
+          ? std::vector<dispatch::SimdPath>{dispatch::SimdPath::kScalar,
+                                            dispatch::SimdPath::kAvx2}
+          : std::vector<dispatch::SimdPath>{dispatch::SimdPath::kScalar};
+  for (const LstmArgs& args : cases) {
+    std::vector<Tensor> want;
+    {
+      dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
+      want = ForwardAndGradients(args, &ag::LstmSequence);
+    }
+    for (const dispatch::SimdPath path : paths) {
+      for (const int threads : thread_counts) {
+#ifdef _OPENMP
+        omp_set_num_threads(threads);
+#endif
+        dispatch::ScopedForcePath force(path);
+        const std::vector<Tensor> got =
+            ForwardAndGradients(args, &ag::LstmSequence);
+        for (size_t k = 0; k < got.size(); ++k) {
+          ExpectBitEqual(got[k], want[k],
+                         std::string(dispatch::PathName(path)) + " threads=" +
+                             std::to_string(threads) + " tensor " +
+                             std::to_string(k));
+        }
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+TEST(LstmSequenceTest, RecordsOneTapeNodeAndNoneUnderInferenceMode) {
+#ifdef PPN_OBS_DISABLED
+  GTEST_SKIP() << "obs compiled out (-DPPN_OBS_COMPILED=OFF)";
+#endif
+  obs::ScopedObsEnable obs_on;
+  const LstmArgs args = MakeLstmArgs(5, 30, 4, 16, 3);
+  const auto tape_nodes = [] {
+    const obs::Snapshot snapshot = obs::TakeSnapshot();
+    const auto it = snapshot.counters.find("autograd.tape.nodes");
+    return it == snapshot.counters.end() ? 0.0 : it->second;
+  };
+  obs::ResetAll();
+  const ag::Var h = FusedLastHidden(args);
+  EXPECT_EQ(tape_nodes(), 1.0);
+  EXPECT_TRUE(h->requires_grad());
+  obs::ResetAll();
+  {
+    ag::InferenceMode guard;
+    const ag::Var guarded = FusedLastHidden(args);
+    EXPECT_FALSE(guarded->requires_grad());
+  }
+  EXPECT_EQ(tape_nodes(), 0.0);
+}
+
+TEST(LstmSequenceTest, CascadePolicyTakesOneTrainingStep) {
+  // PPN-TCCB-LSTM feeds the conv stream's sequence into the LSTM, so the
+  // op's dx flows on into the convolutions.
+  market::SyntheticMarketConfig market;
+  market.num_assets = 4;
+  market.num_periods = 300;
+  market.seed = 4;
+  const market::MarketDataset dataset =
+      market::SyntheticMarketGenerator(market).GenerateDataset("tiny", 0.8);
+  core::PolicyConfig config;
+  config.variant = core::PolicyVariant::kPpnTccbLstm;
+  config.num_assets = 4;
+  config.window = 10;
+  config.lstm_hidden = 6;
+  config.block1_channels = 3;
+  config.block2_channels = 4;
+  Rng init(1), dropout(2);
+  auto policy = core::MakePolicy(config, &init, &dropout);
+  std::vector<Tensor> before;
+  for (const ag::Var& p : policy->Parameters()) {
+    before.push_back(p->value().Clone());
+  }
+  core::TrainerConfig trainer_config;
+  trainer_config.batch_size = 4;
+  trainer_config.seed = 5;
+  core::PolicyGradientTrainer trainer(policy.get(), dataset, trainer_config);
+  EXPECT_TRUE(std::isfinite(trainer.TrainStep()));
+  // Every parameter, the cascade LSTM's and the convolutions' below it,
+  // received a gradient and moved.
+  const auto named = policy->NamedParameters();
+  for (size_t k = 0; k < named.size(); ++k) {
+    const Tensor& after = named[k].second->value();
+    bool moved = false;
+    for (int64_t i = 0; i < after.numel(); ++i) {
+      moved = moved || after[i] != before[k][i];
+    }
+    EXPECT_TRUE(moved) << named[k].first;
   }
 }
 

@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "for_each_path.h"
 #include "tensor/dispatch.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
+#include "tensor/vec/vec.h"
 
 // Pins the blocked/vectorized kernels in tensor/ops.cc to the naive
 // reference loops BIT-FOR-BIT — under EVERY dispatch path. The
@@ -23,22 +25,6 @@ namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
 constexpr float kQNaN = std::numeric_limits<float>::quiet_NaN();
-
-// Runs `fn` once per available dispatch path (scalar always; AVX2 when
-// the host supports it), with the path forced for the duration. Tests
-// written against this helper therefore prove scalar==naive and
-// avx2==naive, i.e. scalar==avx2 bit-for-bit.
-template <typename Fn>
-void ForEachPath(Fn fn) {
-  {
-    dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
-    fn("scalar");
-  }
-  if (dispatch::Avx2Available()) {
-    dispatch::ScopedForcePath force(dispatch::SimdPath::kAvx2);
-    fn("avx2");
-  }
-}
 
 // Reference implementations: the seed repo's triple loops, one float
 // accumulator per output element, k ascending.
@@ -205,7 +191,9 @@ TEST(KernelEquivalenceTest, NarrowedViewsBitIdenticalAcrossPaths) {
 
 // Every enumerated elementwise kernel, both paths, against the seed's
 // scalar lambda — over odd tail sizes and a value set that includes
-// +/-0, +/-Inf, NaN, denormals, and the clamp boundaries.
+// +/-0, +/-Inf, NaN, denormals, and the clamp boundaries. The polynomial
+// transcendentals have no libm twin; their reference is the scalar
+// table (their accuracy is pinned in transcendental_test.cc).
 TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
   constexpr float kDenorm = 1e-40f;
   std::vector<float> specials = {0.0f,  -0.0f,   1.0f,   -1.0f, 0.5f,
@@ -235,6 +223,12 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
         case vec::UnaryOp::kReluFwd: return x > 0.0f ? x : 0.0f;
         case vec::UnaryOp::kAbsFwd: return std::fabs(x);
         case vec::UnaryOp::kClampFwd: return x < lo ? lo : (x > hi ? hi : x);
+        case vec::UnaryOp::kSqrtFwd: return std::sqrt(x);
+        case vec::UnaryOp::kExpFwd:
+        case vec::UnaryOp::kLogFwd:
+        case vec::UnaryOp::kTanhFwd:
+        case vec::UnaryOp::kSigmoidFwd:
+          break;  // Reference: the scalar table.
       }
       return 0.0f;
     };
@@ -259,13 +253,23 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
     for (const vec::UnaryOp op :
          {vec::UnaryOp::kAddScalar, vec::UnaryOp::kMulScalar,
           vec::UnaryOp::kReluFwd, vec::UnaryOp::kAbsFwd,
-          vec::UnaryOp::kClampFwd}) {
-      Tensor want = Tensor::Uninitialized({n});
-      for (int64_t i = 0; i < n; ++i) {
-        want.MutableData()[i] = ref_unary(op, a.Data()[i]);
-      }
+          vec::UnaryOp::kClampFwd, vec::UnaryOp::kSqrtFwd,
+          vec::UnaryOp::kExpFwd, vec::UnaryOp::kLogFwd,
+          vec::UnaryOp::kTanhFwd, vec::UnaryOp::kSigmoidFwd}) {
       const float p0 = op == vec::UnaryOp::kClampFwd ? lo : 0.75f;
       const float p1 = op == vec::UnaryOp::kClampFwd ? hi : 0.0f;
+      const bool polynomial =
+          op == vec::UnaryOp::kExpFwd || op == vec::UnaryOp::kLogFwd ||
+          op == vec::UnaryOp::kTanhFwd || op == vec::UnaryOp::kSigmoidFwd;
+      Tensor want = Tensor::Uninitialized({n});
+      if (polynomial) {
+        dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
+        want = EltwiseUnary(op, a, p0, p1);
+      } else {
+        for (int64_t i = 0; i < n; ++i) {
+          want.MutableData()[i] = ref_unary(op, a.Data()[i]);
+        }
+      }
       ForEachPath([&](const char* path) {
         SCOPED_TRACE(testing::Message() << path << " n=" << n << " unary op "
                                         << static_cast<int>(op));
@@ -354,21 +358,6 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   }
 }
 
-// The fused elementwise kernels must match the type-erased API exactly
-// (same functor, same order, just statically dispatched).
-TEST(KernelEquivalenceTest, FusedMapMatchesTypeErasedMap) {
-  Tensor a = TestMatrix(17, 23, 707);
-  auto fn = [](float x) { return std::tanh(x) + 0.5f * x; };
-  ExpectBitIdentical(MapFused(a, fn), Map(a, fn), "MapFused");
-}
-
-TEST(KernelEquivalenceTest, FusedZipMapMatchesTypeErasedZipMap) {
-  Tensor a = TestMatrix(17, 23, 808);
-  Tensor b = TestMatrix(17, 23, 909);
-  auto fn = [](float x, float y) { return x * y + (x > 0.0f ? y : -y); };
-  ExpectBitIdentical(ZipMapFused(a, b, fn), ZipMap(a, b, fn), "ZipMapFused");
-}
-
 // Regression for the seed's `a_ip == 0.0f` skip, which silently dropped
 // the 0 * Inf = NaN and 0 * NaN = NaN terms required by IEEE 754. A
 // non-finite value anywhere in the reduction must poison the output.
@@ -433,6 +422,35 @@ TEST(NonFinitePropagationTest, MatchesNaiveReferenceOnNonFiniteInputs) {
       }
     }
   });
+}
+
+// VecScalar's Min/Max mirror vminps/vmaxps: the SECOND operand wins when
+// either lane is NaN and when +0 meets -0 (the exp kernel's input clamp
+// relies on both tables agreeing here).
+TEST(VecScalarTest, MinMaxFollowVminpsVmaxps) {
+  using vec::VecScalar;
+  struct Case {
+    float a, b, min, max;
+  };
+  const Case cases[] = {
+      {kQNaN, 2.0f, 2.0f, 2.0f},   {2.0f, kQNaN, kQNaN, kQNaN},
+      {0.0f, -0.0f, -0.0f, -0.0f}, {-0.0f, 0.0f, 0.0f, 0.0f},
+      {1.0f, 2.0f, 1.0f, 2.0f},    {2.0f, -kInf, -kInf, 2.0f},
+  };
+  for (const Case& c : cases) {
+    const VecScalar a = VecScalar::Broadcast(c.a);
+    const VecScalar b = VecScalar::Broadcast(c.b);
+    float min_out[VecScalar::kWidth];
+    float max_out[VecScalar::kWidth];
+    VecScalar::Min(a, b).StoreU(min_out);
+    VecScalar::Max(a, b).StoreU(max_out);
+    EXPECT_EQ(std::bit_cast<uint32_t>(min_out[0]),
+              std::bit_cast<uint32_t>(c.min))
+        << "Min(" << c.a << ", " << c.b << ")";
+    EXPECT_EQ(std::bit_cast<uint32_t>(max_out[0]),
+              std::bit_cast<uint32_t>(c.max))
+        << "Max(" << c.a << ", " << c.b << ")";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,17 +28,28 @@ TEST(ElementwiseTest, ScalarOps) {
   EXPECT_TRUE(MulScalar(a, -2.0f).AllClose(Tensor({2}, {-2.0f, -4.0f})));
 }
 
-TEST(MapTest, AppliesFunction) {
-  Tensor a({3}, {1.0f, 4.0f, 9.0f});
-  Tensor r = Map(a, [](float x) { return std::sqrt(x); });
-  EXPECT_TRUE(r.AllClose(Tensor({3}, {1.0f, 2.0f, 3.0f})));
-}
-
 TEST(MatMulTest, KnownProduct) {
   Tensor a({2, 3}, {1, 2, 3, 4, 5, 6});
   Tensor b({3, 2}, {7, 8, 9, 10, 11, 12});
   Tensor c = MatMul(a, b);
   EXPECT_TRUE(c.AllClose(Tensor({2, 2}, {58, 64, 139, 154})));
+}
+
+TEST(MatMulTest, IntoRowBlockMatchesMatMul) {
+  // Rows 3..8 of a [10, 5] matrix times b, written into rows 2..7 of a
+  // larger output: the same bits as MatMul on the copied row block.
+  Tensor a = Tensor::Uninitialized({10, 5});
+  Tensor b = Tensor::Uninitialized({5, 9});
+  for (int64_t i = 0; i < a.numel(); ++i) a.MutableData()[i] = 0.1f * i - 2.0f;
+  for (int64_t i = 0; i < b.numel(); ++i) b.MutableData()[i] = 1.0f - 0.07f * i;
+  Tensor out({10, 9});
+  MatMulInto(a.Data() + 3 * 5, b.Data(), out.MutableData() + 2 * 9, 6, 9, 5);
+  const Tensor want = MatMul(Narrow(a, 0, 3, 6), b);
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    EXPECT_EQ(out.Data()[2 * 9 + i], want.Data()[i]) << "element " << i;
+  }
+  EXPECT_EQ(out.Data()[0], 0.0f);
+  EXPECT_EQ(out.Data()[8 * 9], 0.0f);
 }
 
 TEST(MatMulTest, InnerDimMismatchAborts) {
