@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/math_utils.h"
@@ -13,6 +15,71 @@ void Strategy::Reset(const market::OhlcPanel& panel, int64_t first_period) {
   (void)first_period;
 }
 
+std::vector<double> DriftedHolding(const market::OhlcPanel& panel, int64_t t,
+                                   const std::vector<double>& held) {
+  if (t < 2) return held;
+  return DriftPortfolio(held, market::PriceRelativesWithCash(panel, t - 1));
+}
+
+Booking BookPeriod(const market::OhlcPanel& panel, int64_t t,
+                   const std::vector<double>& prev_hat,
+                   std::vector<double> target, const CostModel& costs) {
+  PPN_CHECK_EQ(target.size(), static_cast<size_t>(panel.num_assets() + 1));
+  PPN_CHECK_EQ(prev_hat.size(), target.size());
+  Booking booking;
+  const auto fail = [&](BookingStatus status, const auto&... what) {
+    std::ostringstream error;
+    (error << ... << what) << " at t=" << t;
+    booking.status = status;
+    booking.error = error.str();
+    return std::move(booking);
+  };
+  if (!IsOnSimplex(target, 1e-4)) {
+    return fail(BookingStatus::kNonSimplexTarget, "non-simplex portfolio");
+  }
+  // Force positions out of assets that cannot trade at t (halted or
+  // delisted).
+  if (panel.HasTradeabilityMask()) {
+    for (int64_t a = 0; a < panel.num_assets(); ++a) {
+      if (!panel.Tradeable(t, a)) target[a + 1] = 0.0;
+    }
+  }
+  // Exact renormalization to keep the accounting identity tight.
+  double total = 0.0;
+  for (double& v : target) {
+    v = std::max(v, 0.0);
+    total += v;
+  }
+  if (total <= 0.0) {
+    // Everything the target wanted is untradeable: go to cash.
+    std::fill(target.begin(), target.end(), 0.0);
+    target[0] = 1.0;
+    total = 1.0;
+  }
+  for (double& v : target) v /= total;
+  booking.weights = std::move(target);
+
+  booking.solve =
+      SolveNetWealthFactorDetailed(prev_hat, booking.weights, costs);
+  if (!booking.solve.converged) {
+    return fail(BookingStatus::kNotConverged, "net-wealth solve failed after ",
+                booking.solve.iterations, " iterations (psi_p=",
+                costs.purchase_rate, ", psi_s=", costs.sale_rate, ")");
+  }
+  const double omega = booking.solve.omega;
+  booking.gross_return =
+      Dot(booking.weights, market::PriceRelativesWithCash(panel, t));
+  if (!(booking.gross_return > 0.0)) {
+    return fail(BookingStatus::kNonPositiveGross, "gross return ",
+                booking.gross_return);
+  }
+  booking.net_return = booking.gross_return * omega;
+  for (size_t i = 0; i < prev_hat.size(); ++i) {
+    booking.turnover += std::fabs(prev_hat[i] - booking.weights[i] * omega);
+  }
+  return booking;
+}
+
 BacktestRecord RunBacktest(Strategy* strategy, const market::OhlcPanel& panel,
                            const BacktestConfig& config) {
   PPN_CHECK(strategy != nullptr);
@@ -20,7 +87,6 @@ BacktestRecord RunBacktest(Strategy* strategy, const market::OhlcPanel& panel,
   PPN_CHECK_LE(config.end_period, panel.num_periods());
   PPN_CHECK_LT(config.start_period, config.end_period);
 
-  const int64_t num_assets = panel.num_assets();
   if (!config.cost_multipliers.empty()) {
     PPN_CHECK_GE(static_cast<int64_t>(config.cost_multipliers.size()),
                  config.end_period)
@@ -37,44 +103,13 @@ BacktestRecord RunBacktest(Strategy* strategy, const market::OhlcPanel& panel,
   record.actions.reserve(steps);
 
   // Start fully in cash.
-  std::vector<double> previous_action(num_assets + 1, 0.0);
-  previous_action[0] = 1.0;
+  std::vector<double> held(panel.num_assets() + 1, 0.0);
+  held[0] = 1.0;
   double wealth = 1.0;
 
   for (int64_t t = config.start_period; t < config.end_period; ++t) {
-    // Drift the previous portfolio by the last observed price relative.
-    std::vector<double> prev_hat = previous_action;
-    if (t >= 2) {
-      prev_hat = DriftPortfolio(previous_action,
-                                market::PriceRelativesWithCash(panel, t - 1));
-    }
-
-    std::vector<double> action = strategy->DecideWeights({panel, t}, prev_hat);
-    PPN_CHECK_EQ(action.size(), static_cast<size_t>(num_assets + 1));
-    PPN_CHECK(IsOnSimplex(action, 1e-4))
-        << strategy->name() << " produced a non-simplex portfolio at t=" << t;
-    // Force positions out of assets that cannot trade at t (halted or
-    // delisted): a delisting is a forced sale at the frozen price, paid
-    // for through the normal ψ accounting below.
-    if (panel.HasTradeabilityMask()) {
-      for (int64_t a = 0; a < num_assets; ++a) {
-        if (!panel.Tradeable(t, a)) action[a + 1] = 0.0;
-      }
-    }
-    // Exact renormalization to keep the accounting identity tight.
-    double total = 0.0;
-    for (double& v : action) {
-      v = std::max(v, 0.0);
-      total += v;
-    }
-    if (total <= 0.0) {
-      // Everything the strategy wanted is untradeable: go to cash.
-      std::fill(action.begin(), action.end(), 0.0);
-      action[0] = 1.0;
-      total = 1.0;
-    }
-    for (double& v : action) v /= total;
-
+    const std::vector<double> prev_hat = DriftedHolding(panel, t, held);
+    std::vector<double> target = strategy->DecideWeights({panel, t}, prev_hat);
     CostModel costs = config.costs;
     if (!config.cost_multipliers.empty()) {
       const double multiplier = config.cost_multipliers[t];
@@ -85,32 +120,18 @@ BacktestRecord RunBacktest(Strategy* strategy, const market::OhlcPanel& panel,
           << "cost multiplier " << multiplier << " at t=" << t
           << " pushes the effective rate past 1";
     }
-    const NetWealthSolve solve =
-        SolveNetWealthFactorDetailed(prev_hat, action, costs);
-    PPN_CHECK(solve.converged)
-        << "net-wealth solve failed at t=" << t << " for " << strategy->name()
-        << " (psi_p=" << costs.purchase_rate
-        << ", psi_s=" << costs.sale_rate << ")";
-    const double omega = solve.omega;
-    const std::vector<double> relative =
-        market::PriceRelativesWithCash(panel, t);
-    const double gross_return = Dot(action, relative);
-    PPN_CHECK_GT(gross_return, 0.0);
-    const double net_return = gross_return * omega;
-    wealth *= net_return;
-
-    double turnover_term = 0.0;
-    for (size_t i = 0; i < action.size(); ++i) {
-      turnover_term += std::fabs(prev_hat[i] - action[i] * omega);
-    }
+    Booking booking =
+        BookPeriod(panel, t, prev_hat, std::move(target), costs);
+    PPN_CHECK(booking.status == BookingStatus::kOk)
+        << strategy->name() << ": " << booking.error;
+    wealth *= booking.net_return;
 
     record.wealth_curve.push_back(wealth);
-    record.log_returns.push_back(std::log(net_return));
-    record.cost_fractions.push_back(1.0 - omega);
-    record.turnover_terms.push_back(turnover_term);
-    record.actions.push_back(action);
-
-    previous_action = std::move(action);
+    record.log_returns.push_back(std::log(booking.net_return));
+    record.cost_fractions.push_back(1.0 - booking.solve.omega);
+    record.turnover_terms.push_back(booking.turnover);
+    held = booking.weights;
+    record.actions.push_back(std::move(booking.weights));
   }
   return record;
 }

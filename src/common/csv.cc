@@ -1,6 +1,7 @@
 #include "common/csv.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -92,6 +93,15 @@ bool ReadCsv(const std::string& path, CsvTable* table) {
     }
     table->rows.push_back(std::move(row));
   }
+  return true;
+}
+
+bool CsvIndex(double value, int64_t* index) {
+  constexpr double kLimit = 1073741824.0;  // 2^30.
+  if (!(value >= 0.0 && value < kLimit) || value != std::floor(value)) {
+    return false;
+  }
+  *index = static_cast<int64_t>(value);
   return true;
 }
 

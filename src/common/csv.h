@@ -1,6 +1,7 @@
 #ifndef PPN_COMMON_CSV_H_
 #define PPN_COMMON_CSV_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,12 @@ bool WriteCsv(const std::string& path, const CsvTable& table);
 /// lines doubles). Returns false on IO/parse failure; on failure `*table`
 /// is left empty.
 bool ReadCsv(const std::string& path, CsvTable* table);
+
+/// Reads a cell as an index or count. `ReadCsv` accepts any double (nan,
+/// inf, 1e300), so the range is checked before the cast: false unless
+/// `value` is a whole number in [0, 2^30), which keeps the product of two
+/// indices and a small factor inside int64.
+bool CsvIndex(double value, int64_t* index);
 
 }  // namespace ppn
 

@@ -1,7 +1,10 @@
 #include "market/io.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "common/csv.h"
+#include "market/replay_io.h"
 
 namespace ppn::market {
 
@@ -31,42 +34,41 @@ bool SaveDataset(const MarketDataset& dataset,
   return WriteCsv(path_prefix + ".prices.csv", prices);
 }
 
-bool LoadDataset(const std::string& path_prefix, MarketDataset* dataset) {
+bool LoadDataset(const std::string& path_prefix, MarketDataset* dataset,
+                 std::string* error) {
   PPN_CHECK(dataset != nullptr);
-  CsvTable meta;
-  if (!ReadCsv(path_prefix + ".meta.csv", &meta)) return false;
-  if (meta.rows.size() != 1 || meta.header.size() != 3) return false;
-  const int64_t num_periods = static_cast<int64_t>(meta.rows[0][0]);
-  const int64_t num_assets = static_cast<int64_t>(meta.rows[0][1]);
-  const int64_t train_end = static_cast<int64_t>(meta.rows[0][2]);
-  if (num_periods <= 0 || num_assets <= 0 || train_end < 0 ||
-      train_end > num_periods) {
+  const auto fail = [error](const std::string& message) {
+    if (error != nullptr) *error = message;
     return false;
+  };
+  const std::string meta_path = path_prefix + ".meta.csv";
+  CsvTable meta;
+  if (!ReadCsv(meta_path, &meta)) {
+    return fail("cannot read numeric CSV at " + meta_path);
+  }
+  if (meta.rows.size() != 1 || meta.header.size() != 3) {
+    return fail(meta_path + " must hold one row of three fields");
+  }
+  int64_t shape[3];  // num_periods, num_assets, train_end.
+  for (int i = 0; i < 3; ++i) {
+    if (!CsvIndex(meta.rows[0][i], &shape[i])) {
+      return fail(meta_path + ": " + meta.header[i] +
+                  " must be a non-negative integer below 2^30");
+    }
   }
 
-  CsvTable prices;
-  if (!ReadCsv(path_prefix + ".prices.csv", &prices)) return false;
-  if (prices.header.size() != 6 ||
-      static_cast<int64_t>(prices.rows.size()) != num_periods * num_assets) {
+  ReplayCsvOptions options;
+  options.name = path_prefix;
+  options.train_end = shape[2];
+  options.fill_missing = false;
+  MarketDataset loaded;
+  if (!LoadReplayCsv(path_prefix + ".prices.csv", options, &loaded, error)) {
     return false;
   }
-  MarketDataset loaded;
-  loaded.name = path_prefix;
-  loaded.panel = OhlcPanel(num_periods, num_assets);
-  loaded.train_end = train_end;
-  for (const auto& row : prices.rows) {
-    const int64_t t = static_cast<int64_t>(row[0]);
-    const int64_t a = static_cast<int64_t>(row[1]);
-    if (t < 0 || t >= num_periods || a < 0 || a >= num_assets) return false;
-    loaded.panel.SetPrice(t, a, kOpen, row[2]);
-    loaded.panel.SetPrice(t, a, kHigh, row[3]);
-    loaded.panel.SetPrice(t, a, kLow, row[4]);
-    loaded.panel.SetPrice(t, a, kClose, row[5]);
-  }
-  if (!loaded.panel.IsComplete()) return false;
-  loaded.asset_names.reserve(num_assets);
-  for (int64_t a = 0; a < num_assets; ++a) {
-    loaded.asset_names.push_back("ASSET" + std::to_string(a));
+  if (loaded.panel.num_periods() != shape[0] ||
+      loaded.panel.num_assets() != shape[1]) {
+    return fail("the prices disagree with " + meta_path +
+                " on the panel shape");
   }
   *dataset = std::move(loaded);
   return true;

@@ -18,10 +18,14 @@ namespace ppn::market {
 /// NaNs). Returns false on IO failure.
 bool SaveDataset(const MarketDataset& dataset, const std::string& path_prefix);
 
-/// Loads a dataset written by `SaveDataset`. Returns false on IO/format
-/// failure; `*dataset` is left untouched on failure. Asset names are
+/// Loads a dataset written by `SaveDataset`: the prices through
+/// `LoadReplayCsv` (no flat-fill, so every bar must be present), with the
+/// split and the panel shape checked against the meta file. Returns false
+/// on IO/format failure, leaving `*dataset` untouched and (when `error` is
+/// non-null) naming the offending file, field or row. Asset names are
 /// regenerated as ASSET<i> (names are not persisted).
-bool LoadDataset(const std::string& path_prefix, MarketDataset* dataset);
+bool LoadDataset(const std::string& path_prefix, MarketDataset* dataset,
+                 std::string* error = nullptr);
 
 }  // namespace ppn::market
 

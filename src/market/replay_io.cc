@@ -58,20 +58,20 @@ bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
     }
   }
 
-  // First pass: panel shape from the index maxima.
+  // First pass: each row's (period, asset), and the panel shape from
+  // their maxima.
+  const auto bad_index = [&](size_t r, const std::string& name) {
+    return Fail(error, path + " row " + std::to_string(r + 2) + ": " + name +
+                           " must be a non-negative integer below 2^30");
+  };
+  std::vector<std::pair<int64_t, int64_t>> bars(table.rows.size());
   int64_t num_periods = 0;
   int64_t num_assets = 0;
   for (size_t r = 0; r < table.rows.size(); ++r) {
+    auto& [t, a] = bars[r];
     const auto& row = table.rows[r];
-    const double period_raw = row[col_period];
-    const double asset_raw = row[col_asset];
-    const int64_t t = static_cast<int64_t>(period_raw);
-    const int64_t a = static_cast<int64_t>(asset_raw);
-    if (period_raw != static_cast<double>(t) || t < 0 ||
-        asset_raw != static_cast<double>(a) || a < 0) {
-      return Fail(error, path + " row " + std::to_string(r + 2) +
-                             ": period/asset must be non-negative integers");
-    }
+    if (!CsvIndex(row[col_period], &t)) return bad_index(r, "period");
+    if (!CsvIndex(row[col_asset], &a)) return bad_index(r, "asset");
     num_periods = std::max(num_periods, t + 1);
     num_assets = std::max(num_assets, a + 1);
   }
@@ -83,8 +83,7 @@ bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
   OhlcPanel panel(num_periods, num_assets);
   for (size_t r = 0; r < table.rows.size(); ++r) {
     const auto& row = table.rows[r];
-    const int64_t t = static_cast<int64_t>(row[col_period]);
-    const int64_t a = static_cast<int64_t>(row[col_asset]);
+    const auto [t, a] = bars[r];
     if (!panel.IsMissing(t, a)) {
       return Fail(error, path + " row " + std::to_string(r + 2) +
                              ": duplicate bar (period " + std::to_string(t) +

@@ -45,14 +45,12 @@ Conv2dGeometry CorrelationalConvGeometry(int64_t kernel_h) {
   return g;
 }
 
-Conv2dGeometry TimeCollapseConvGeometry(int64_t time_length) {
-  PPN_CHECK_GT(time_length, 0);
+Conv2dGeometry ValidTimeConvGeometry(int64_t kernel_w) {
+  PPN_CHECK_GT(kernel_w, 0);
   Conv2dGeometry g;
   g.kernel_h = 1;
-  g.kernel_w = time_length;
+  g.kernel_w = kernel_w;
   return g;
 }
-
-Conv2dGeometry PointwiseConvGeometry() { return Conv2dGeometry{}; }
 
 }  // namespace ppn::nn

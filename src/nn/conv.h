@@ -7,8 +7,8 @@
 /// \file
 /// Convolution layers used by the correlation information net (paper
 /// Table 2): dilated causal convolutions along the time axis (DCONV),
-/// correlational convolutions across the asset axis (CCONV), and the
-/// time-collapsing valid convolution (Conv4).
+/// correlational convolutions across the asset axis (CCONV), and valid
+/// convolutions along time (Conv4, EIIE and the DDPG critic).
 ///
 /// Feature maps are laid out [batch, channels, assets(H), time(W)].
 
@@ -45,12 +45,10 @@ Conv2dGeometry CausalTimeConvGeometry(int64_t kernel_w, int64_t dilation);
 /// the asset count m, letting every asset see every other asset.
 Conv2dGeometry CorrelationalConvGeometry(int64_t kernel_h);
 
-/// Geometry of a VALID convolution collapsing the full time axis
-/// (kernel [1 x k], no padding): output width 1.
-Conv2dGeometry TimeCollapseConvGeometry(int64_t time_length);
-
-/// Geometry of a 1x1 convolution (the decision-making "voting" layer).
-Conv2dGeometry PointwiseConvGeometry();
+/// Geometry of a VALID convolution along time (kernel [1 x kw], no
+/// padding): the time length shrinks by kw - 1, so kw = k collapses a
+/// k-period window to width 1 (Conv4).
+Conv2dGeometry ValidTimeConvGeometry(int64_t kernel_w);
 
 }  // namespace ppn::nn
 

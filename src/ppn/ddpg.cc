@@ -3,23 +3,12 @@
 #include <chrono>
 #include <cmath>
 
-#include "backtest/costs.h"
+#include "backtest/backtester.h"
 #include "ckpt/state_io.h"
 #include "common/check.h"
 #include "obs/trace.h"
 
 namespace ppn::core {
-
-namespace {
-
-Conv2dGeometry Valid1x3Geometry() {
-  Conv2dGeometry g;
-  g.kernel_h = 1;
-  g.kernel_w = 3;
-  return g;
-}
-
-}  // namespace
 
 // ------------------------------------------------------ CriticNetwork ----
 
@@ -27,11 +16,11 @@ CriticNetwork::CriticNetwork(const PolicyConfig& config, Rng* init_rng)
     : config_(config) {
   const int64_t m = config.num_assets;
   conv1_ = std::make_unique<nn::Conv2dLayer>(
-      market::kNumPriceFields, config.block1_channels, Valid1x3Geometry(),
-      init_rng);
+      market::kNumPriceFields, config.block1_channels,
+      nn::ValidTimeConvGeometry(3), init_rng);
   conv2_ = std::make_unique<nn::Conv2dLayer>(
       config.block1_channels, config.block2_channels,
-      nn::TimeCollapseConvGeometry(config.window - 2), init_rng);
+      nn::ValidTimeConvGeometry(config.window - 2), init_rng);
   state_features_ = config.block2_channels * m;
   const int64_t hidden = 64;
   value_hidden_ = std::make_unique<nn::Linear>(state_features_, hidden,
@@ -96,6 +85,7 @@ DdpgTrainer::DdpgTrainer(PolicyModule* actor,
       last_period_(dataset.train_end),
       rng_(config_.seed),
       dropout_rng_(config_.seed ^ 0xD00DULL),
+      panel_(&dataset.panel),
       env_period_(actor->config().window),
       previous_action_(actor->config().num_assets + 1,
                        1.0 / (actor->config().num_assets + 1)) {
@@ -121,10 +111,6 @@ DdpgTrainer::DdpgTrainer(PolicyModule* actor,
   windows_.reserve(last_period_ - first_period_);
   for (int64_t t = first_period_; t < last_period_; ++t) {
     windows_.push_back(market::NormalizedWindow(dataset.panel, t - 1, window_));
-  }
-  relatives_.resize(last_period_);
-  for (int64_t t = 1; t < last_period_; ++t) {
-    relatives_[t] = market::PriceRelativesWithCash(dataset.panel, t);
   }
 }
 
@@ -273,30 +259,20 @@ double DdpgTrainer::TrainStep() {
                              progress;
   const std::vector<double> noise =
       rng_.Dirichlet(static_cast<int>(num_assets_) + 1, 0.5);
-  std::vector<double> action(num_assets_ + 1);
-  double total = 0.0;
+  std::vector<double> mixture(num_assets_ + 1);
   for (int64_t i = 0; i <= num_assets_; ++i) {
-    action[i] = (1.0 - epsilon) * policy_action->value()[i] +
-                epsilon * noise[i];
-    total += action[i];
+    mixture[i] = (1.0 - epsilon) * policy_action->value()[i] +
+                 epsilon * noise[i];
   }
-  for (double& v : action) v /= total;
-
-  std::vector<double> prev_hat = previous_action_;
-  if (t >= 2) {
-    prev_hat = backtest::DriftPortfolio(previous_action_, relatives_[t - 1]);
-  }
-  const backtest::NetWealthSolve solve =
-      backtest::SolveNetWealthFactorDetailed(prev_hat, action, costs);
-  PPN_CHECK(solve.converged)
-      << "net-wealth fixed point did not converge after " << solve.iterations
-      << " iterations";
-  const double omega = solve.omega;
-  double gross = 0.0;
-  for (int64_t i = 0; i <= num_assets_; ++i) {
-    gross += action[i] * relatives_[t][i];
-  }
-  const double reward = std::log(gross * omega);
+  // The backtester's step books the period: it renormalizes the mixture
+  // and forces untradeable assets out.
+  const backtest::Booking booking = backtest::BookPeriod(
+      *panel_, t, backtest::DriftedHolding(*panel_, t, previous_action_),
+      std::move(mixture), costs);
+  PPN_CHECK(booking.status == backtest::BookingStatus::kOk)
+      << "DDPG environment: " << booking.error;
+  const std::vector<double>& action = booking.weights;
+  const double reward = std::log(booking.net_return);
   const int64_t tail_start =
       config_.steps - std::max<int64_t>(config_.steps / 10, 1);
   if (step >= tail_start && step < config_.steps) {
@@ -335,7 +311,7 @@ double DdpgTrainer::TrainStep() {
     record.reward_total = reward;
     record.reward_log_return = reward;
     record.grad_norm = last_actor_grad_norm_;
-    record.solver_iterations = static_cast<double>(solve.iterations);
+    record.solver_iterations = static_cast<double>(booking.solve.iterations);
     record.step_seconds = std::chrono::duration<double>(
                               std::chrono::steady_clock::now() - step_start)
                               .count();

@@ -73,7 +73,8 @@ struct DdpgConfig {
 /// Trains a PPN actor with DDPG on a dataset's training range.
 class DdpgTrainer {
  public:
-  /// `actor` must outlive the trainer and match the dataset's asset count.
+  /// `actor` and `dataset` must outlive the trainer; `actor` must match the
+  /// dataset's asset count.
   DdpgTrainer(PolicyModule* actor, const market::MarketDataset& dataset,
               DdpgConfig config);
   ~DdpgTrainer();
@@ -147,8 +148,8 @@ class DdpgTrainer {
   std::unique_ptr<nn::Adam> actor_optimizer_;
   std::unique_ptr<nn::Adam> critic_optimizer_;
 
-  std::vector<Tensor> windows_;  ///< Indexed by t - first_period_.
-  std::vector<std::vector<double>> relatives_;
+  const market::OhlcPanel* panel_;  ///< The environment's price panel.
+  std::vector<Tensor> windows_;     ///< Indexed by t - first_period_.
   std::vector<Transition> buffer_;
   int64_t buffer_next_ = 0;
 

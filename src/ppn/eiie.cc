@@ -5,26 +5,17 @@
 
 namespace ppn::core {
 
-namespace {
-
-// conv[1×3] along time, VALID padding (EIIE uses no padding).
-Conv2dGeometry Valid1x3() {
-  Conv2dGeometry g;
-  g.kernel_h = 1;
-  g.kernel_w = 3;
-  return g;
-}
-
-}  // namespace
-
 EiieNetwork::EiieNetwork(const PolicyConfig& config, Rng* init_rng)
     : PolicyModule(config), hidden_channels_(config.block2_channels) {
   PPN_CHECK_GE(config.window, 4);
+  // conv[1×3] then conv[1×(k-2)] along time, VALID padding (EIIE uses no
+  // padding).
   conv1_ = std::make_unique<nn::Conv2dLayer>(
-      market::kNumPriceFields, config.block1_channels, Valid1x3(), init_rng);
+      market::kNumPriceFields, config.block1_channels,
+      nn::ValidTimeConvGeometry(3), init_rng);
   conv2_ = std::make_unique<nn::Conv2dLayer>(
       config.block1_channels, hidden_channels_,
-      nn::TimeCollapseConvGeometry(config.window - 2), init_rng);
+      nn::ValidTimeConvGeometry(config.window - 2), init_rng);
   RegisterSubmodule("conv1", conv1_.get());
   RegisterSubmodule("conv2", conv2_.get());
   BuildDecisionHead(hidden_channels_, init_rng);

@@ -85,7 +85,7 @@ CorrelationInfoNet::CorrelationInfoNet(const PolicyConfig& config,
   if (collapse_time) {
     conv4_ = std::make_unique<nn::Conv2dLayer>(
         config.block2_channels, config.block2_channels,
-        nn::TimeCollapseConvGeometry(config.window), init_rng);
+        nn::ValidTimeConvGeometry(config.window), init_rng);
     RegisterSubmodule("conv4", conv4_.get());
   }
 }

@@ -1,13 +1,12 @@
 #include "serve/portfolio_server.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <unordered_map>
 #include <utility>
 
+#include "backtest/backtester.h"
 #include "common/check.h"
-#include "common/math_utils.h"
 #include "obs/stats.h"
 
 namespace ppn::serve {
@@ -18,11 +17,9 @@ PortfolioServer::PortfolioServer(const market::OhlcPanel* panel,
     : panel_(panel),
       inference_(policy),
       config_(config),
-      queue_(config.queue_capacity),
-      accounting_pool_(config.workers) {
+      queue_(config.queue_capacity) {
   PPN_CHECK(panel != nullptr);
   PPN_CHECK_GT(config.max_batch, 0);
-  PPN_CHECK_GE(config.workers, 0);
   PPN_CHECK_EQ(panel->num_assets(), inference_.config().num_assets);
 }
 
@@ -64,46 +61,6 @@ bool PortfolioServer::SubmitTick(int64_t user_id) {
 bool PortfolioServer::TrySubmitTick(int64_t user_id) {
   return KnownUser(user_id, num_users()) &&
          queue_.TryPush({user_id, std::chrono::steady_clock::now()});
-}
-
-void PortfolioServer::ApplyDecision(UserState* user, int64_t period,
-                                    const float* action_row) {
-  const int64_t m = inference_.config().num_assets;
-  // Identical arithmetic, in identical order, to backtest::RunBacktest —
-  // a served user's trajectory must be bit-equal to backtesting it alone.
-  std::vector<double> prev_hat = user->weights;
-  if (period >= 2) {
-    prev_hat = backtest::DriftPortfolio(
-        user->weights, market::PriceRelativesWithCash(*panel_, period - 1));
-  }
-  std::vector<double> action(m + 1);
-  for (int64_t i = 0; i <= m; ++i) {
-    action[i] = static_cast<double>(action_row[i]);
-  }
-  user->pvm_row = action;  // Raw output is the recursive policy input.
-  PPN_CHECK(IsOnSimplex(action, 1e-4))
-      << "serving policy produced a non-simplex portfolio at t=" << period;
-  double total = 0.0;
-  for (double& v : action) {
-    v = std::max(v, 0.0);
-    total += v;
-  }
-  for (double& v : action) v /= total;
-
-  const backtest::NetWealthSolve solve =
-      backtest::SolveNetWealthFactorDetailed(prev_hat, action, config_.costs);
-  PPN_CHECK(solve.converged)
-      << "net-wealth solve failed at t=" << period
-      << " (psi_p=" << config_.costs.purchase_rate
-      << ", psi_s=" << config_.costs.sale_rate << ")";
-  const std::vector<double> relative =
-      market::PriceRelativesWithCash(*panel_, period);
-  const double gross_return = Dot(action, relative);
-  PPN_CHECK_GT(gross_return, 0.0);
-  user->wealth *= gross_return * solve.omega;
-  user->weights = std::move(action);
-  user->next_period = period + 1;
-  ++user->decisions;
 }
 
 bool PortfolioServer::TakeBatch(bool block,
@@ -188,20 +145,25 @@ int64_t PortfolioServer::ServeBatch(const std::vector<TickRequest>& batch) {
     out = inference_.DecideBatch(windows, window_of_row, prev_actions);
   }
 
-  // Scatter + ψ accounting, optionally fanned across the worker pool.
-  // Tasks touch disjoint user states and the batch rows are fixed before
-  // the fan-out, so results are bit-identical at any worker count.
-  const float* rows = out.Data();
+  // Book each row for its user through the backtester's own step, so a
+  // served user's trajectory is bit-equal to backtesting it alone.
   for (int64_t i = 0; i < b; ++i) {
-    UserState* user = &users_[batch[i].user_id];
-    const int64_t period = user->next_period;
-    const float* row = rows + i * (m + 1);
-    accounting_pool_.Submit(
-        [this, user, period, row] { ApplyDecision(user, period, row); });
+    UserState& user = users_[batch[i].user_id];
+    const int64_t t = user.next_period;
+    const float* row = out.Data() + i * (m + 1);
+    user.pvm_row.assign(row, row + m + 1);  // Raw output: next PVM input.
+    backtest::Booking booking = backtest::BookPeriod(
+        *panel_, t, backtest::DriftedHolding(*panel_, t, user.weights),
+        user.pvm_row, config_.costs);
+    PPN_CHECK(booking.status == backtest::BookingStatus::kOk)
+        << "serving policy: " << booking.error;
+    user.wealth *= booking.net_return;
+    user.weights = std::move(booking.weights);
+    user.next_period = t + 1;
+    ++user.decisions;
   }
-  accounting_pool_.Wait();
 
-  // Metrics on the serving thread, in request order (deterministic).
+  // Metrics, in request order.
   const auto applied = std::chrono::steady_clock::now();
   decisions_ += b;
   for (const TickRequest& request : batch) {

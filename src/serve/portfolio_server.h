@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "backtest/costs.h"
-#include "exec/thread_pool.h"
 #include "market/dataset.h"
 #include "ppn/policy_inference.h"
 #include "serve/request_queue.h"
@@ -18,12 +17,13 @@
 /// each user decides next. It builds one normalized price window and runs
 /// the policy's market features once per distinct period, then runs the
 /// shared decision head once over all rows, each row pairing its period's
-/// features with the user's own PVM row. Finally it scatters the weight
-/// rows back and applies the ψ transaction-cost accounting per user —
-/// exactly the backtester's arithmetic. The previous action enters only at
-/// the head, and every kernel is row-independent with a fixed accumulation
-/// order, so a served user's wealth trajectory is bit-identical to
-/// backtesting that user alone, however many users share its period.
+/// features with the user's own PVM row. Finally it books each row for its
+/// user, inline on the serving thread, through `backtest::BookPeriod`: the
+/// backtester's own step, so untradeable assets are force-sold here too.
+/// The previous action enters only at the head, and every kernel is
+/// row-independent with a fixed accumulation order, so a served user's
+/// wealth trajectory is bit-identical to backtesting that user alone,
+/// however many users share its period.
 
 namespace ppn::serve {
 
@@ -34,20 +34,15 @@ struct ServerConfig {
   /// Intake queue bound (admission control / backpressure, see
   /// `RequestQueue`).
   int64_t queue_capacity = 4096;
-  /// Worker threads for the per-user ψ-accounting scatter (0 = inline).
-  /// Results are bit-identical at any worker count: each task touches one
-  /// user's disjoint state and the forward pass runs on the serving
-  /// thread.
-  int workers = 0;
   /// Transaction-cost model applied on every rebalance.
   backtest::CostModel costs;
 };
 
-/// Everything the server tracks per user. `weights` is the clipped and
-/// renormalized portfolio actually held (cash at index 0); `pvm_row` is
-/// the raw previous network output, fed back as the policy's recursive
-/// input (the serving-side portfolio-vector-memory row — same convention
-/// as `core::PolicyStrategy`).
+/// Everything the server tracks per user. `weights` is the portfolio
+/// actually held, as `backtest::BookPeriod` booked it (cash at index 0);
+/// `pvm_row` is the raw previous network output, fed back as the policy's
+/// recursive input (the serving-side portfolio-vector-memory row — same
+/// convention as `core::PolicyStrategy`).
 struct UserState {
   std::vector<double> weights;
   std::vector<double> pvm_row;
@@ -121,18 +116,14 @@ class PortfolioServer {
   /// when nothing was drained (closed and drained if `block`).
   bool TakeBatch(bool block, std::vector<TickRequest>* batch);
 
-  /// Decides and applies one round of distinct users; returns its size.
+  /// Decides and books one round of distinct users (aborting on a bad
+  /// booking status); returns its size.
   int64_t ServeBatch(const std::vector<TickRequest>& batch);
-
-  /// Applies one scattered decision row to one user (ψ accounting).
-  void ApplyDecision(UserState* user, int64_t period,
-                     const float* action_row);
 
   const market::OhlcPanel* panel_;
   core::PolicyInference inference_;
   ServerConfig config_;
   RequestQueue queue_;
-  exec::ThreadPool accounting_pool_;
   std::vector<UserState> users_;
   /// Requests deferred from the previous round (same-user duplicates).
   std::vector<TickRequest> holdover_;

@@ -1,6 +1,7 @@
 #include "backtest/backtester.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -174,6 +175,62 @@ TEST(BacktesterTest, RunOnTestRangeUsesSplit) {
   CashStrategy strategy;
   const BacktestRecord record = RunOnTestRange(&strategy, dataset, 0.0025);
   EXPECT_EQ(record.wealth_curve.size(), 10u);
+}
+
+TEST(BookPeriodTest, BooksGrossNetAndTurnover) {
+  // From half cash, half asset 0 into all asset 0 while it gains 2%.
+  const market::OhlcPanel panel = MakePanel(10, 1.02, 1.0);
+  const std::vector<double> prev_hat = {0.5, 0.5, 0.0};
+  const CostModel costs = CostModel::Uniform(0.0025);
+  const Booking booking =
+      BookPeriod(panel, 3, prev_hat, {0.0, 1.0, 0.0}, costs);
+  ASSERT_EQ(booking.status, BookingStatus::kOk);
+  EXPECT_TRUE(booking.error.empty());
+  EXPECT_EQ(booking.weights, (std::vector<double>{0.0, 1.0, 0.0}));
+  EXPECT_EQ(booking.solve.omega,
+            SolveNetWealthFactor(prev_hat, booking.weights, costs));
+  EXPECT_NEAR(booking.gross_return, 1.02, 1e-12);
+  EXPECT_EQ(booking.net_return, booking.gross_return * booking.solve.omega);
+  EXPECT_EQ(booking.turnover, 0.5 + std::fabs(0.5 - booking.solve.omega));
+}
+
+TEST(BookPeriodTest, UntradeableAssetsAreForcedOut) {
+  market::OhlcPanel panel = MakePanel(10, 1.0, 1.0);
+  panel.SetTradeable(3, 0, false);
+  const std::vector<double> cash = {1.0, 0.0, 0.0};
+  const CostModel costs = CostModel::Uniform(0.0025);
+  // The freed weight goes to what is left of the target ...
+  EXPECT_EQ(BookPeriod(panel, 3, cash, {0.0, 0.5, 0.5}, costs).weights,
+            (std::vector<double>{0.0, 0.0, 1.0}));
+  // ... or to cash when nothing tradeable is left.
+  EXPECT_EQ(BookPeriod(panel, 3, cash, {0.0, 1.0, 0.0}, costs).weights,
+            cash);
+}
+
+TEST(BookPeriodTest, NonSimplexTargetIsAStatus) {
+  const market::OhlcPanel panel = MakePanel(10, 1.0, 1.0);
+  const std::vector<double> cash = {1.0, 0.0, 0.0};
+  for (const std::vector<double>& target :
+       {std::vector<double>{0.9, 0.9, 0.9},
+        std::vector<double>{std::numeric_limits<double>::quiet_NaN(), 0.5,
+                            0.5}}) {
+    const Booking booking =
+        BookPeriod(panel, 3, cash, target, CostModel::Uniform(0.0025));
+    EXPECT_EQ(booking.status, BookingStatus::kNonSimplexTarget);
+    EXPECT_EQ(booking.error, "non-simplex portfolio at t=3");
+  }
+}
+
+TEST(BookPeriodTest, NonConvergedSolveIsAStatus) {
+  // At ψ = 0.9999 the fixed point contracts by 0.9999 per step, so a buy
+  // from cash needs ~2.5e5 steps and hits the solver's iteration cap.
+  const market::OhlcPanel panel = MakePanel(10, 1.0, 1.0);
+  const Booking booking = BookPeriod(panel, 3, {1.0, 0.0, 0.0},
+                                     {0.0, 1.0, 0.0},
+                                     CostModel::Uniform(0.9999));
+  EXPECT_EQ(booking.status, BookingStatus::kNotConverged);
+  EXPECT_NE(booking.error.find("net-wealth solve failed"), std::string::npos)
+      << booking.error;
 }
 
 TEST(BacktesterDeathTest, NonSimplexActionAborts) {

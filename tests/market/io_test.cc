@@ -1,5 +1,8 @@
 #include "market/io.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
 #include "common/csv.h"
@@ -72,6 +75,66 @@ TEST(DatasetIoTest, LoadRejectsCorruptMeta) {
   }
   MarketDataset loaded;
   EXPECT_FALSE(LoadDataset(prefix, &loaded));
+}
+
+/// Index cells a hostile file can carry: ReadCsv parses every one of them.
+const double kBadIndices[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 1e300,
+                              -1.0, 2.5};
+
+TEST(DatasetIoTest, BadMetaCellIsANamedError) {
+  const MarketDataset original = SmallDataset();
+  const std::string prefix = ::testing::TempDir() + "/dataset_meta_cell";
+  ASSERT_TRUE(SaveDataset(original, prefix));
+  CsvTable good;
+  ASSERT_TRUE(ReadCsv(prefix + ".meta.csv", &good));
+  for (const double bad : kBadIndices) {
+    for (size_t field = 0; field < good.header.size(); ++field) {
+      CsvTable meta = good;
+      meta.rows[0][field] = bad;
+      ASSERT_TRUE(WriteCsv(prefix + ".meta.csv", meta));
+      MarketDataset loaded;
+      std::string error;
+      EXPECT_FALSE(LoadDataset(prefix, &loaded, &error));
+      EXPECT_NE(error.find(good.header[field]), std::string::npos)
+          << "cell " << bad << ": " << error;
+    }
+  }
+}
+
+TEST(DatasetIoTest, BadPriceIndexCellIsANamedError) {
+  const MarketDataset original = SmallDataset();
+  const std::string prefix = ::testing::TempDir() + "/dataset_index_cell";
+  ASSERT_TRUE(SaveDataset(original, prefix));
+  CsvTable good;
+  ASSERT_TRUE(ReadCsv(prefix + ".prices.csv", &good));
+  for (const double bad : kBadIndices) {
+    for (const size_t column : {size_t{0}, size_t{1}}) {  // period, asset.
+      CsvTable prices = good;
+      prices.rows[7][column] = bad;
+      ASSERT_TRUE(WriteCsv(prefix + ".prices.csv", prices));
+      MarketDataset loaded;
+      std::string error;
+      EXPECT_FALSE(LoadDataset(prefix, &loaded, &error));
+      EXPECT_NE(error.find("row 9: " + good.header[column]),
+                std::string::npos)
+          << "cell " << bad << ": " << error;
+    }
+  }
+}
+
+TEST(DatasetIoTest, PricesDisagreeingWithMetaShapeAreRejected) {
+  const MarketDataset original = SmallDataset();
+  const std::string prefix = ::testing::TempDir() + "/dataset_shape";
+  ASSERT_TRUE(SaveDataset(original, prefix));
+  CsvTable meta;
+  ASSERT_TRUE(ReadCsv(prefix + ".meta.csv", &meta));
+  meta.rows[0][1] += 1.0;  // One asset more than the prices hold.
+  ASSERT_TRUE(WriteCsv(prefix + ".meta.csv", meta));
+  MarketDataset loaded;
+  std::string error;
+  EXPECT_FALSE(LoadDataset(prefix, &loaded, &error));
+  EXPECT_NE(error.find("panel shape"), std::string::npos) << error;
 }
 
 TEST(DatasetIoDeathTest, SaveRejectsIncompletePanel) {

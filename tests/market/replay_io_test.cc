@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -173,6 +174,29 @@ TEST_F(ReplayIoTest, DegenerateSplitIsReported) {
   std::string error;
   EXPECT_FALSE(LoadReplayCsv(path, options, &dataset, &error));
   EXPECT_NE(error.find("degenerate split"), std::string::npos) << error;
+}
+
+TEST_F(ReplayIoTest, BadIndexCellIsANamedError) {
+  const std::string good_path = WriteGoodCsv("good.csv", 10, 2);
+  CsvTable good;
+  ASSERT_TRUE(ReadCsv(good_path, &good));
+  // ReadCsv parses every one of these; none is a period or asset index.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), 1e300,
+                           -1.0, 2.5}) {
+    for (const size_t column : {size_t{0}, size_t{1}}) {  // period, asset.
+      CsvTable table = good;
+      table.rows[3][column] = bad;
+      const std::string path = PathFor("bad_index.csv");
+      ASSERT_TRUE(WriteCsv(path, table));
+      MarketDataset dataset;
+      std::string error;
+      EXPECT_FALSE(LoadReplayCsv(path, {}, &dataset, &error));
+      EXPECT_NE(error.find("row 5: " + good.header[column]),
+                std::string::npos)
+          << "cell " << bad << ": " << error;
+    }
+  }
 }
 
 TEST_F(ReplayIoTest, MissingFileIsReported) {

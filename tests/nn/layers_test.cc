@@ -158,7 +158,7 @@ TEST(ConvGeometryTest, CorrelationalPreservesAssets) {
 }
 
 TEST(ConvGeometryTest, TimeCollapseGivesWidthOne) {
-  const Conv2dGeometry g = TimeCollapseConvGeometry(30);
+  const Conv2dGeometry g = ValidTimeConvGeometry(30);
   EXPECT_EQ(g.OutW(30), 1);
 }
 

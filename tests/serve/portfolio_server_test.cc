@@ -1,9 +1,9 @@
 // PortfolioServer contract: the batched grad-free forward is bit-identical
-// to per-user sequential serving at any batch size and any worker count
-// (pool on or off), users sharing a period share its features but not its
-// decision, a single served user reproduces the backtester's wealth
-// trajectory exactly, the bounded intake queue sheds/defers correctly, bad
-// ticks are rejected without touching other users, and serving metrics
+// to per-user sequential serving at any batch size (tensor pool on or off),
+// users sharing a period share its features but not its decision, a single
+// served user reproduces the backtester's wealth trajectory exactly (also
+// through a delisting), the bounded intake queue sheds/defers correctly,
+// bad ticks are rejected without touching other users, and serving metrics
 // reach the obs layer.
 
 #include "serve/portfolio_server.h"
@@ -45,11 +45,10 @@ std::unique_ptr<core::PolicyModule> MakeTestPolicy(int64_t assets = 3) {
   return core::MakePolicy(SmallConfig(assets), &init, &dropout);
 }
 
-ServerConfig SmallServerConfig(int64_t max_batch, int workers = 0) {
+ServerConfig SmallServerConfig(int64_t max_batch) {
   ServerConfig config;
   config.max_batch = max_batch;
   config.queue_capacity = 1024;
-  config.workers = workers;
   config.costs = backtest::CostModel::Uniform(0.0025);
   return config;
 }
@@ -65,10 +64,9 @@ struct UserResult {
 /// and returns their final states.
 std::vector<UserResult> RunServer(const market::OhlcPanel& panel,
                                   core::PolicyModule* policy,
-                                  int64_t max_batch, int workers,
-                                  int64_t num_users, int64_t ticks) {
-  PortfolioServer server(&panel, policy,
-                         SmallServerConfig(max_batch, workers));
+                                  int64_t max_batch, int64_t num_users,
+                                  int64_t ticks) {
+  PortfolioServer server(&panel, policy, SmallServerConfig(max_batch));
   for (int64_t u = 0; u < num_users; ++u) {
     server.AddUser(20 + (u % 7));  // Staggered starts: batch rows differ.
   }
@@ -125,11 +123,10 @@ TEST(PortfolioServerTest, BatchSizeNeverChangesResults) {
   constexpr int64_t kUsers = 64;
   constexpr int64_t kTicks = 100;
   const std::vector<UserResult> batched =
-      RunServer(panel, policy.get(), /*max_batch=*/64, /*workers=*/0, kUsers,
-                kTicks);
+      RunServer(panel, policy.get(), /*max_batch=*/64, kUsers, kTicks);
   for (const int64_t max_batch : {int64_t{1}, int64_t{7}}) {
-    const std::vector<UserResult> other = RunServer(
-        panel, policy.get(), max_batch, /*workers=*/0, kUsers, kTicks);
+    const std::vector<UserResult> other =
+        RunServer(panel, policy.get(), max_batch, kUsers, kTicks);
     ExpectBitIdentical(batched, other,
                        "max_batch=" + std::to_string(max_batch));
   }
@@ -308,52 +305,55 @@ TEST(PortfolioServerTest, PoolDisabledMatchesPoolEnabled) {
   auto policy = MakeTestPolicy();
   constexpr int64_t kUsers = 16;
   constexpr int64_t kTicks = 100;
-  const std::vector<UserResult> pooled = RunServer(
-      panel, policy.get(), /*max_batch=*/16, /*workers=*/0, kUsers, kTicks);
+  const std::vector<UserResult> pooled =
+      RunServer(panel, policy.get(), /*max_batch=*/16, kUsers, kTicks);
   pool::ScopedPoolDisable no_pool;
-  const std::vector<UserResult> unpooled = RunServer(
-      panel, policy.get(), /*max_batch=*/16, /*workers=*/0, kUsers, kTicks);
+  const std::vector<UserResult> unpooled =
+      RunServer(panel, policy.get(), /*max_batch=*/16, kUsers, kTicks);
   ExpectBitIdentical(pooled, unpooled, "pool off");
 }
 
-TEST(PortfolioServerTest, WorkerCountNeverChangesResults) {
-  const market::OhlcPanel panel = TestPanel();
-  auto policy = MakeTestPolicy();
-  constexpr int64_t kUsers = 24;
-  constexpr int64_t kTicks = 40;
-  const std::vector<UserResult> inline_run = RunServer(
-      panel, policy.get(), /*max_batch=*/24, /*workers=*/0, kUsers, kTicks);
-  for (const int workers : {1, 3}) {
-    const std::vector<UserResult> pooled_run = RunServer(
-        panel, policy.get(), /*max_batch=*/24, workers, kUsers, kTicks);
-    ExpectBitIdentical(inline_run, pooled_run,
-                       "workers=" + std::to_string(workers));
-  }
-}
-
 TEST(PortfolioServerTest, SingleUserMatchesBacktesterExactly) {
-  const market::OhlcPanel panel = TestPanel();
-  auto policy = MakeTestPolicy();
   constexpr int64_t kStart = 20;
   constexpr int64_t kEnd = 120;
+  constexpr int64_t kDelisted = 70;
+  // The plain panel, and a copy on which asset 0 stops trading at
+  // kDelisted, mid-range: the backtester force-sells it there, so the
+  // server must too.
+  const market::OhlcPanel plain = TestPanel();
+  const market::OhlcPanel delisted = [&] {
+    market::OhlcPanel panel = plain;
+    for (int64_t t = kDelisted; t < panel.num_periods(); ++t) {
+      panel.SetTradeable(t, 0, false);
+    }
+    return panel;
+  }();
+  auto policy = MakeTestPolicy();
+  for (const market::OhlcPanel* panel : {&plain, &delisted}) {
+    SCOPED_TRACE(panel == &plain ? "plain panel" : "asset 0 delisted");
+    core::PolicyStrategy strategy(policy.get(), "PPN");
+    backtest::BacktestConfig config;
+    config.start_period = kStart;
+    config.end_period = kEnd;
+    config.costs = backtest::CostModel::Uniform(0.0025);
+    const backtest::BacktestRecord record =
+        backtest::RunBacktest(&strategy, *panel, config);
 
-  core::PolicyStrategy strategy(policy.get(), "PPN");
-  backtest::BacktestConfig config;
-  config.start_period = kStart;
-  config.end_period = kEnd;
-  config.costs = backtest::CostModel::Uniform(0.0025);
-  const backtest::BacktestRecord record =
-      backtest::RunBacktest(&strategy, panel, config);
-
-  PortfolioServer server(&panel, policy.get(), SmallServerConfig(8));
-  const int64_t user = server.AddUser(kStart);
-  for (int64_t t = kStart; t < kEnd; ++t) {
-    ASSERT_TRUE(server.SubmitTick(user));
-    ASSERT_EQ(server.ProcessBatch(), 1);
-    EXPECT_EQ(server.user(user).wealth, record.wealth_curve[t - kStart])
-        << "wealth diverged from the backtester at t=" << t;
+    PortfolioServer server(panel, policy.get(), SmallServerConfig(8));
+    const int64_t user = server.AddUser(kStart);
+    for (int64_t t = kStart; t < kEnd; ++t) {
+      ASSERT_TRUE(server.SubmitTick(user));
+      ASSERT_EQ(server.ProcessBatch(), 1);
+      ASSERT_EQ(server.user(user).wealth, record.wealth_curve[t - kStart])
+          << "wealth diverged from the backtester at t=" << t;
+      ASSERT_EQ(server.user(user).weights, record.actions[t - kStart])
+          << "holdings diverged from the backtester at t=" << t;
+    }
+    EXPECT_EQ(server.user(user).decisions, kEnd - kStart);
+    if (panel == &delisted) {
+      EXPECT_EQ(server.user(user).weights[1], 0.0);  // Asset 0 sold.
+    }
   }
-  EXPECT_EQ(server.user(user).decisions, kEnd - kStart);
 }
 
 TEST(PortfolioServerTest, DuplicateTicksDeferToLaterRounds) {

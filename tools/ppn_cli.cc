@@ -7,7 +7,7 @@
 //                      --checkpoint-every 50 --resume 1 --adversarial 0.01]
 //   ppn_cli backtest  --dataset crypto-a --variant PPN --weights ppn.weights
 //   ppn_cli serve     --dataset crypto-a --variant PPN --weights ppn.weights
-//                     [--users 1000 --ticks 50 --batch 256 --workers 0
+//                     [--users 1000 --ticks 50 --batch 256
 //                      --queue-capacity 4096 --cost 0.0025]
 //   ppn_cli baselines --dataset crypto-a
 //   ppn_cli help-env
@@ -157,9 +157,10 @@ bool DatasetIdFromName(const std::string& name, market::DatasetId* id) {
 market::MarketDataset ResolveDataset(const Flags& flags) {
   if (flags.count("data") > 0) {
     market::MarketDataset dataset;
-    if (!market::LoadDataset(flags.at("data"), &dataset)) {
-      std::fprintf(stderr, "could not load dataset '%s'\n",
-                   flags.at("data").c_str());
+    std::string error;
+    if (!market::LoadDataset(flags.at("data"), &dataset, &error)) {
+      std::fprintf(stderr, "could not load dataset '%s': %s\n",
+                   flags.at("data").c_str(), error.c_str());
       std::exit(1);
     }
     return dataset;
@@ -389,7 +390,6 @@ int CmdServe(const Flags& flags) {
   config.max_batch = static_cast<int64_t>(NumFlagOr(flags, "batch", 256));
   config.queue_capacity =
       static_cast<int64_t>(NumFlagOr(flags, "queue-capacity", 4096));
-  config.workers = static_cast<int>(NumFlagOr(flags, "workers", 0));
   config.costs =
       backtest::CostModel::Uniform(NumFlagOr(flags, "cost", 0.0025));
   serve::PortfolioServer server(&dataset.panel, policy.get(), config);
@@ -443,9 +443,9 @@ int CmdServe(const Flags& flags) {
               static_cast<long long>(num_users),
               static_cast<long long>(ticks),
               static_cast<long long>(server.decisions()), elapsed);
-  std::printf("throughput: %.0f decisions/s (batch<=%lld, workers=%d)\n",
+  std::printf("throughput: %.0f decisions/s (batch<=%lld)\n",
               static_cast<double>(server.decisions()) / elapsed,
-              static_cast<long long>(config.max_batch), config.workers);
+              static_cast<long long>(config.max_batch));
   std::printf("decision latency: p50 %.3f ms, p95 %.3f ms, p99 %.3f ms\n",
               1e3 * ExactPercentile(latencies, 0.50),
               1e3 * ExactPercentile(latencies, 0.95),
