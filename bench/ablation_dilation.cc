@@ -34,7 +34,7 @@ int64_t EmpiricalReceptiveField(const std::vector<int64_t>& dilations,
     for (const auto& layer : layers) h = layer->Forward(h);
     return h->value();
   };
-  Tensor base({1, 1, 1, window});
+  Tensor base({1, 1, window, 1});  // [N, assets, time, C].
   const Tensor base_out = forward(base);
   const int64_t t = window - 1;
   int64_t receptive = 0;
@@ -44,7 +44,7 @@ int64_t EmpiricalReceptiveField(const std::vector<int64_t>& dilations,
     const Tensor out = forward(perturbed);
     bool changed = false;
     for (int64_t c = 0; c < 4; ++c) {
-      if (out.At({0, c, 0, t}) != base_out.At({0, c, 0, t})) changed = true;
+      if (out.At({0, 0, t, c}) != base_out.At({0, 0, t, c})) changed = true;
     }
     if (changed) receptive = lag;
   }

@@ -44,7 +44,7 @@ BENCHMARK(BM_MatMulTransB)->Arg(48)->Arg(192);
 
 void BM_Im2Col(benchmark::State& state) {
   Rng rng(1);
-  Tensor input = RandomNormal({16, 16, 12, 30}, 0.0f, 1.0f, &rng);
+  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
   const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(Im2Col(input, g));
@@ -54,7 +54,7 @@ BENCHMARK(BM_Im2Col);
 
 void BM_Col2Im(benchmark::State& state) {
   Rng rng(1);
-  Tensor input = RandomNormal({16, 16, 12, 30}, 0.0f, 1.0f, &rng);
+  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
   const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 2);
   Tensor cols = Im2Col(input, g);
   for (auto _ : state) {
@@ -66,7 +66,7 @@ BENCHMARK(BM_Col2Im);
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(1);
   nn::Conv2dLayer layer(16, 16, nn::CorrelationalConvGeometry(12), &rng);
-  Tensor input = RandomNormal({16, 16, 12, 30}, 0.0f, 1.0f, &rng);
+  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
   for (auto _ : state) {
     ag::Var out = layer.Forward(ag::Constant(input));
     benchmark::DoNotOptimize(out->value().Data());
@@ -77,7 +77,7 @@ BENCHMARK(BM_Conv2dForward);
 void BM_Conv2dForwardBackward(benchmark::State& state) {
   Rng rng(1);
   nn::Conv2dLayer layer(16, 16, nn::CorrelationalConvGeometry(12), &rng);
-  Tensor input = RandomNormal({16, 16, 12, 30}, 0.0f, 1.0f, &rng);
+  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
   for (auto _ : state) {
     layer.ZeroGrad();
     ag::Var in = ag::Parameter(input);

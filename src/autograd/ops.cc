@@ -318,57 +318,6 @@ Var SoftmaxRows(const Var& a) {
   });
 }
 
-namespace {
-
-// Raw kernel: permutes 4-D tensor axes.
-Tensor PermuteTensor4(const Tensor& a, const std::array<int, 4>& axes) {
-  PPN_CHECK_EQ(a.ndim(), 4);
-  bool seen[4] = {false, false, false, false};
-  for (const int axis : axes) {
-    PPN_CHECK(axis >= 0 && axis < 4);
-    PPN_CHECK(!seen[axis]) << "duplicate axis in permutation";
-    seen[axis] = true;
-  }
-  const auto& in_shape = a.shape();
-  std::vector<int64_t> out_shape(4);
-  for (int i = 0; i < 4; ++i) out_shape[i] = in_shape[axes[i]];
-  Tensor out = Tensor::Uninitialized(out_shape);
-  // Input strides.
-  int64_t in_strides[4];
-  in_strides[3] = 1;
-  for (int i = 2; i >= 0; --i) in_strides[i] = in_strides[i + 1] * in_shape[i + 1];
-  const float* pa = a.Data();
-  float* po = out.MutableData();
-  int64_t out_index = 0;
-  for (int64_t i0 = 0; i0 < out_shape[0]; ++i0) {
-    for (int64_t i1 = 0; i1 < out_shape[1]; ++i1) {
-      for (int64_t i2 = 0; i2 < out_shape[2]; ++i2) {
-        for (int64_t i3 = 0; i3 < out_shape[3]; ++i3) {
-          const int64_t out_coord[4] = {i0, i1, i2, i3};
-          int64_t in_index = 0;
-          for (int d = 0; d < 4; ++d) {
-            in_index += out_coord[d] * in_strides[axes[d]];
-          }
-          po[out_index++] = pa[in_index];
-        }
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-Var Permute4(const Var& a, const std::array<int, 4>& axes) {
-  Tensor out = PermuteTensor4(a->value(), axes);
-  // Inverse permutation for the backward pass.
-  std::array<int, 4> inverse{};
-  for (int i = 0; i < 4; ++i) inverse[axes[i]] = i;
-  return MakeOp(std::move(out), {a}, [inverse](Node* self) {
-    MaybeAccumulate(self->parents[0], PermuteTensor4(self->grad(), inverse));
-  });
-}
-
 Var Dropout(const Var& a, float p, bool training, Rng* rng) {
   PPN_CHECK(p >= 0.0f && p < 1.0f);
   if (!training || p == 0.0f) return a;
@@ -516,9 +465,9 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
   PPN_CHECK_EQ(input->value().ndim(), 4);
   PPN_CHECK_EQ(weight->value().ndim(), 4);
   const int64_t batch = input->value().dim(0);
-  const int64_t c_in = input->value().dim(1);
-  const int64_t h = input->value().dim(2);
-  const int64_t w = input->value().dim(3);
+  const int64_t h = input->value().dim(1);
+  const int64_t w = input->value().dim(2);
+  const int64_t c_in = input->value().dim(3);
   const int64_t c_out = weight->value().dim(0);
   PPN_CHECK_EQ(weight->value().dim(1), c_in);
   PPN_CHECK_EQ(weight->value().dim(2), geometry.kernel_h);
@@ -547,28 +496,8 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
     PPN_CHECK_EQ(bias->value().dim(0), c_out);
     out_matrix = ppn::AddRowVector(out_matrix, bias->value());
   }
-  // Rearrange [B*OH*OW, C_out] -> [B, C_out, OH, OW].
-  Tensor out = Tensor::Uninitialized({batch, c_out, out_h, out_w});
-  {
-    const float* pm = out_matrix.Data();
-    float* po = out.MutableData();
-    // Pure permutation, disjoint per image: safe and bit-identical.
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (InnerParallelEnabled() && batch * c_out * out_h * out_w > 65536) \
-    schedule(static)
-#endif
-    for (int64_t b = 0; b < batch; ++b) {
-      for (int64_t oy = 0; oy < out_h; ++oy) {
-        for (int64_t ox = 0; ox < out_w; ++ox) {
-          const float* row = pm + ((b * out_h + oy) * out_w + ox) * c_out;
-          for (int64_t co = 0; co < c_out; ++co) {
-            po[((b * c_out + co) * out_h + oy) * out_w + ox] = row[co];
-          }
-        }
-      }
-    }
-  }
+  // The GEMM output rows run in (b, oy, ox) order: channels-last already.
+  Tensor out = out_matrix.Reshaped({batch, out_h, out_w, c_out});
 
   std::vector<Var> parents = {input, weight};
   if (bias != nullptr) parents.push_back(bias);
@@ -576,33 +505,11 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
   const bool has_bias = bias != nullptr;
   return MakeOp(
       std::move(out), std::move(parents),
-      [columns, geometry, input_shape, batch, c_out, out_h, out_w, patch,
-       has_bias](Node* self) {
+      [columns, geometry, input_shape, c_out, patch, has_bias](Node* self) {
         const Var& input = self->parents[0];
         const Var& weight = self->parents[1];
-        // Inverse rearrangement: grad [B, C_out, OH, OW] -> [B*OH*OW, C_out].
-        Tensor grad_matrix =
-            Tensor::Uninitialized({batch * out_h * out_w, c_out});
-        {
-          const float* pg = self->grad().Data();
-          float* pm = grad_matrix.MutableData();
-          // Pure permutation, disjoint per image: safe and bit-identical.
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (InnerParallelEnabled() && batch * c_out * out_h * out_w > 65536) \
-    schedule(static)
-#endif
-          for (int64_t b = 0; b < batch; ++b) {
-            for (int64_t co = 0; co < c_out; ++co) {
-              for (int64_t oy = 0; oy < out_h; ++oy) {
-                for (int64_t ox = 0; ox < out_w; ++ox) {
-                  pm[((b * out_h + oy) * out_w + ox) * c_out + co] =
-                      pg[((b * c_out + co) * out_h + oy) * out_w + ox];
-                }
-              }
-            }
-          }
-        }
+        const Tensor grad_matrix =
+            self->grad().Reshaped({columns.dim(0), c_out});
         if (input->requires_grad()) {
           Tensor weight_matrix = weight->value().Reshaped({c_out, patch});
           Tensor grad_columns = ppn::MatMul(grad_matrix, weight_matrix);

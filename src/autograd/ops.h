@@ -1,7 +1,6 @@
 #ifndef PPN_AUTOGRAD_OPS_H_
 #define PPN_AUTOGRAD_OPS_H_
 
-#include <array>
 #include <vector>
 
 #include "autograd/variable.h"
@@ -75,11 +74,6 @@ Var NarrowVar(const Var& a, int axis, int64_t start, int64_t length);
 /// Row-wise softmax of a 2-D tensor [m,n].
 Var SoftmaxRows(const Var& a);
 
-/// Permutation of the axes of a 4-D tensor: output axis i is input axis
-/// `axes[i]` (like numpy.transpose). Gradient applies the inverse
-/// permutation.
-Var Permute4(const Var& a, const std::array<int, 4>& axes);
-
 /// Inverted-dropout: during training each element is zeroed with
 /// probability `p` and survivors are scaled by 1/(1-p); identity when
 /// `training` is false. Requires 0 <= p < 1.
@@ -97,10 +91,10 @@ Var Dropout(const Var& a, float p, bool training, Rng* rng);
 Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
                  const Var& bias);
 
-/// 2-D convolution, stride 1: input [N, C_in, H, W], weight
+/// 2-D convolution, stride 1, channels-last: input [N, H, W, C_in], weight
 /// [C_out, C_in, kh, kw], optional bias [C_out] (pass nullptr to skip),
 /// geometry describing dilation and asymmetric zero padding.
-/// Output [N, C_out, OutH, OutW].
+/// Output [N, OutH, OutW, C_out]: the biased GEMM output, reshaped.
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dGeometry& geometry);
 

@@ -55,6 +55,18 @@ class CheckFailure {
 #define PPN_CHECK_GT(a, b) PPN_CHECK((a) > (b)) << "(" << (a) << " vs " << (b) << ")"
 #define PPN_CHECK_GE(a, b) PPN_CHECK((a) >= (b)) << "(" << (a) << " vs " << (b) << ")"
 
+namespace ppn {
+
+/// Returns `pointer` after checking it is non-null, so a member initializer
+/// list can check a constructor argument before reading through it.
+template <typename T>
+T* CheckNotNull(T* pointer, const char* what) {
+  PPN_CHECK(pointer != nullptr) << what << "is null";
+  return pointer;
+}
+
+}  // namespace ppn
+
 #ifdef NDEBUG
 #define PPN_DCHECK(condition) \
   if (true) {                 \

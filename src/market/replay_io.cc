@@ -78,6 +78,27 @@ bool LoadReplayCsv(const std::string& path, const ReplayCsvOptions& options,
   if (num_periods < 2) {
     return Fail(error, path + " holds fewer than 2 periods; nothing to trade");
   }
+  // Bound the panel by the file before allocating it: indices below 2^30
+  // let a two-row file name a panel of 2^60 bars.
+  const int64_t rows = static_cast<int64_t>(table.rows.size());
+  const int64_t bars_implied = num_periods * num_assets;
+  const int64_t bars_allowed =
+      options.fill_missing ? kMaxFilledBarsPerRow * rows : rows;
+  if (bars_implied > bars_allowed) {
+    const std::string shape =
+        path + ": " + std::to_string(rows) + " rows imply a panel of " +
+        std::to_string(num_periods) + " periods x " +
+        std::to_string(num_assets) + " assets (" +
+        std::to_string(bars_implied) + " bars)";
+    if (!options.fill_missing) {
+      return Fail(error, shape + ": at least " +
+                             std::to_string(bars_implied - rows) +
+                             " missing bars and fill_missing is off");
+    }
+    return Fail(error, shape + "; flat-filling allows at most " +
+                           std::to_string(kMaxFilledBarsPerRow) +
+                           " bars per row");
+  }
 
   // Second pass: fill the panel, rejecting duplicate bars.
   OhlcPanel panel(num_periods, num_assets);

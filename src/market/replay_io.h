@@ -20,6 +20,12 @@
 
 namespace ppn::market {
 
+/// Most bars a flat-filled panel may hold per row of its file. A file must
+/// observe at least one bar in this many, so a panel costs at most a fixed
+/// multiple of the file's own size (a handful of hostile rows cannot name
+/// a panel of 2^60 bars).
+inline constexpr int64_t kMaxFilledBarsPerRow = 16;
+
 /// Knobs for `LoadReplayCsv`.
 struct ReplayCsvOptions {
   /// Dataset name; defaults to the file path when empty.
@@ -30,7 +36,8 @@ struct ReplayCsvOptions {
   /// Explicit train/test boundary in periods; -1 = use `train_fraction`.
   int64_t train_end = -1;
   /// Flat-fill bars absent from the file (pre-listing history and interior
-  /// gaps) per `FlatFillMissing`. When false, any missing bar is an error.
+  /// gaps) per `FlatFillMissing`, up to `kMaxFilledBarsPerRow` bars per
+  /// row. When false, any missing bar is an error.
   bool fill_missing = true;
 };
 
@@ -39,7 +46,8 @@ struct ReplayCsvOptions {
 /// Expected columns (matched by header name, any order, extra columns
 /// ignored): `period`, `asset`, `open`, `high`, `low`, `close`. Periods
 /// and assets are dense 0-based indices; panel shape is inferred from the
-/// maxima. Bars absent from the file are flat-filled (see
+/// maxima and checked against the row count before the panel is built.
+/// Bars absent from the file are flat-filled (see
 /// `ReplayCsvOptions::fill_missing`), and the result must pass
 /// `OhlcPanel::IsValid`.
 ///

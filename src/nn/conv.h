@@ -10,7 +10,10 @@
 /// correlational convolutions across the asset axis (CCONV), and valid
 /// convolutions along time (Conv4, EIIE and the DDPG critic).
 ///
-/// Feature maps are laid out [batch, channels, assets(H), time(W)].
+/// Feature maps are channels-last, [batch, assets(H), time(W), channels],
+/// the layout of the policy's [B, m, k, 4] price windows, so a stream runs
+/// from its windows to its last conv without a transpose. Weights stay
+/// [C_out, C_in, kh, kw].
 
 namespace ppn::nn {
 
@@ -22,7 +25,8 @@ class Conv2dLayer : public Module {
   Conv2dLayer(int64_t in_channels, int64_t out_channels,
               const Conv2dGeometry& geometry, Rng* rng);
 
-  /// Applies the convolution to a [N, C_in, H, W] input.
+  /// Applies the convolution to a [N, H, W, C_in] input; returns
+  /// [N, OutH, OutW, C_out].
   ag::Var Forward(const ag::Var& input) const;
 
   const Conv2dGeometry& geometry() const { return geometry_; }

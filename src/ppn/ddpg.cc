@@ -41,10 +41,9 @@ ag::Var CriticNetwork::Forward(const ag::Var& windows,
                                const ag::Var& prev_actions,
                                const ag::Var& actions) const {
   const int64_t batch = windows->value().dim(0);
-  ag::Var conv_input = ag::Permute4(windows, {0, 3, 1, 2});
-  ag::Var h = ag::Relu(conv1_->Forward(conv_input));
-  h = ag::Relu(conv2_->Forward(h));  // [B, C2, m, 1].
-  ag::Var state = ag::Reshape(h, {batch, state_features_});
+  ag::Var h = ag::Relu(conv1_->Forward(windows));
+  h = ag::Relu(conv2_->Forward(h));  // [B, m, 1, C2].
+  ag::Var state = ag::Reshape(h, {batch, state_features_});  // Asset-major.
   // Dueling-style split: V(s) + A(s, a_{t-1}, a).
   ag::Var value =
       value_head_->Forward(ag::Relu(value_hidden_->Forward(state)));
@@ -77,7 +76,7 @@ void DdpgConfig::Validate() const {
 DdpgTrainer::DdpgTrainer(PolicyModule* actor,
                          const market::MarketDataset& dataset,
                          DdpgConfig config)
-    : actor_(actor),
+    : actor_(CheckNotNull(actor, "DdpgTrainer: actor")),
       config_(std::move(config)),
       num_assets_(actor->config().num_assets),
       window_(actor->config().window),
@@ -90,7 +89,6 @@ DdpgTrainer::DdpgTrainer(PolicyModule* actor,
       previous_action_(actor->config().num_assets + 1,
                        1.0 / (actor->config().num_assets + 1)) {
   config_.Validate();
-  PPN_CHECK(actor != nullptr);
   PPN_CHECK_EQ(dataset.panel.num_assets(), num_assets_);
   PPN_CHECK_GT(last_period_ - first_period_, 2);
 

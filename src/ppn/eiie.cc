@@ -23,11 +23,9 @@ EiieNetwork::EiieNetwork(const PolicyConfig& config, Rng* init_rng)
 
 ag::Var EiieNetwork::ExtractFeatures(const ag::Var& centered) const {
   const int64_t batch = centered->value().dim(0);
-  ag::Var conv_input = ag::Permute4(centered, {0, 3, 1, 2});  // [B,4,m,k].
-  ag::Var h = ag::Relu(conv1_->Forward(conv_input));         // [B,C1,m,k-2].
-  h = ag::Relu(conv2_->Forward(h));                          // [B,C2,m,1].
-  return ag::Reshape(ag::Permute4(h, {0, 2, 3, 1}),
-                     {batch, config().num_assets, hidden_channels_});
+  ag::Var h = ag::Relu(conv1_->Forward(centered));  // [B,m,k-2,C1].
+  h = ag::Relu(conv2_->Forward(h));                 // [B,m,1,C2].
+  return ag::Reshape(h, {batch, config().num_assets, hidden_channels_});
 }
 
 }  // namespace ppn::core

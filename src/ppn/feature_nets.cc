@@ -90,8 +90,9 @@ CorrelationInfoNet::CorrelationInfoNet(const PolicyConfig& config,
   }
 }
 
-ag::Var CorrelationInfoNet::RunBlocks(const ag::Var& conv_input) const {
-  ag::Var h = block1_.Forward(conv_input);
+ag::Var CorrelationInfoNet::ForwardSequence(const ag::Var& windows) const {
+  PPN_CHECK_EQ(windows->value().ndim(), 4);
+  ag::Var h = block1_.Forward(windows);
   h = block2_.Forward(h);
   return block3_.Forward(h);
 }
@@ -103,20 +104,8 @@ ag::Var CorrelationInfoNet::Forward(const ag::Var& windows) const {
   PPN_CHECK_EQ(windows->value().dim(2), window_);
   PPN_CHECK(conv4_ != nullptr)
       << "Forward requires collapse_time; use ForwardSequence instead";
-  // [B, m, k, 4] -> [B, 4, m, k].
-  ag::Var conv_input = ag::Permute4(windows, {0, 3, 1, 2});
-  ag::Var h = RunBlocks(conv_input);
-  h = ag::Relu(conv4_->Forward(h));  // [B, C2, m, 1].
-  // -> [B, m, C2].
-  ag::Var per_asset = ag::Permute4(h, {0, 2, 3, 1});
-  return ag::Reshape(per_asset, {batch, num_assets_, channels2_});
-}
-
-ag::Var CorrelationInfoNet::ForwardSequence(const ag::Var& windows) const {
-  PPN_CHECK_EQ(windows->value().ndim(), 4);
-  ag::Var conv_input = ag::Permute4(windows, {0, 3, 1, 2});
-  ag::Var h = RunBlocks(conv_input);  // [B, C2, m, k].
-  return ag::Permute4(h, {0, 2, 3, 1});  // [B, m, k, C2].
+  ag::Var h = ag::Relu(conv4_->Forward(ForwardSequence(windows)));
+  return ag::Reshape(h, {batch, num_assets_, channels2_});  // [B, m, 1, C2].
 }
 
 }  // namespace ppn::core

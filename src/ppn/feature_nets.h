@@ -20,7 +20,8 @@
 ///    in TCCB mode, an m×1 correlational convolution across assets.
 ///
 /// Throughout, policy inputs are laid out [batch, assets(m), time(k), 4]
-/// and conv feature maps [batch, channels, assets, time].
+/// and conv feature maps keep that channels-last layout,
+/// [batch, assets, time, channels], from the windows to Conv4.
 
 namespace ppn::core {
 
@@ -50,7 +51,7 @@ class TemporalConvBlock : public nn::Module {
                     int64_t dilation, int64_t num_assets, bool correlational,
                     float dropout, Rng* init_rng, Rng* dropout_rng);
 
-  /// [B, C_in, m, k] -> [B, C_out, m, k] (shape-preserving).
+  /// [B, m, k, C_in] -> [B, m, k, C_out].
   ag::Var Forward(const ag::Var& input) const;
 
   bool correlational() const { return correlational_; }
@@ -89,9 +90,6 @@ class CorrelationInfoNet : public nn::Module {
   int64_t sequence_channels() const { return channels2_; }
 
  private:
-  /// Shared block stack: [B, 4, m, k] -> [B, C2, m, k].
-  ag::Var RunBlocks(const ag::Var& conv_input) const;
-
   int64_t num_assets_;
   int64_t window_;
   int64_t channels2_;

@@ -27,7 +27,7 @@ void TrainerConfig::Validate() const {
 PolicyGradientTrainer::PolicyGradientTrainer(
     PolicyModule* policy, const market::MarketDataset& dataset,
     TrainerConfig config)
-    : policy_(policy),
+    : policy_(CheckNotNull(policy, "PolicyGradientTrainer: policy")),
       config_(std::move(config)),
       num_assets_(policy->config().num_assets),
       window_(policy->config().window),
@@ -37,7 +37,6 @@ PolicyGradientTrainer::PolicyGradientTrainer(
       pvm_write_step_(static_cast<size_t>(dataset.panel.num_periods()), -1),
       rng_(config_.seed) {
   config_.Validate();
-  PPN_CHECK(policy != nullptr);
   PPN_CHECK_EQ(dataset.panel.num_assets(), num_assets_);
   PPN_CHECK_GT(last_period_ - first_period_, config_.batch_size)
       << "training range too short for the batch size";

@@ -146,31 +146,40 @@ int64_t PortfolioServer::ServeBatch(const std::vector<TickRequest>& batch) {
   }
 
   // Book each row for its user through the backtester's own step, so a
-  // served user's trajectory is bit-equal to backtesting it alone.
+  // served user's trajectory is bit-equal to backtesting it alone. A row
+  // the step refuses (non-simplex output, unconverged solve, gross return
+  // <= 0) is rejected: its user keeps its state.
+  std::vector<const TickRequest*> booked;
+  booked.reserve(static_cast<size_t>(b));
   for (int64_t i = 0; i < b; ++i) {
     UserState& user = users_[batch[i].user_id];
     const int64_t t = user.next_period;
     const float* row = out.Data() + i * (m + 1);
-    user.pvm_row.assign(row, row + m + 1);  // Raw output: next PVM input.
+    std::vector<double> action(row, row + m + 1);  // Raw: next PVM input.
     backtest::Booking booking = backtest::BookPeriod(
-        *panel_, t, backtest::DriftedHolding(*panel_, t, user.weights),
-        user.pvm_row, config_.costs);
-    PPN_CHECK(booking.status == backtest::BookingStatus::kOk)
-        << "serving policy: " << booking.error;
+        *panel_, t, backtest::DriftedHolding(*panel_, t, user.weights), action,
+        config_.costs);
+    if (booking.status != backtest::BookingStatus::kOk) continue;
+    user.pvm_row = std::move(action);
     user.wealth *= booking.net_return;
     user.weights = std::move(booking.weights);
     user.next_period = t + 1;
     ++user.decisions;
+    booked.push_back(&batch[i]);
   }
+  const int64_t served = static_cast<int64_t>(booked.size());
 
   // Metrics, in request order.
   const auto applied = std::chrono::steady_clock::now();
-  decisions_ += b;
-  for (const TickRequest& request : batch) {
+  decisions_ += served;
+  for (const TickRequest* request : booked) {
     latencies_.push_back(
-        std::chrono::duration<double>(applied - request.submitted).count());
+        std::chrono::duration<double>(applied - request->submitted).count());
   }
   if (obs::Enabled()) {
+    static thread_local obs::Counter& rejected =
+        obs::GetCounter("serve.rejected.booking");
+    if (served < b) rejected.Add(static_cast<double>(b - served));
     static thread_local obs::Counter& decisions =
         obs::GetCounter("serve.decisions");
     static thread_local obs::Counter& feature_rows =
@@ -179,15 +188,15 @@ int64_t PortfolioServer::ServeBatch(const std::vector<TickRequest>& batch) {
         obs::GetHistogram("serve.batch.size");
     static thread_local obs::Histogram& latency =
         obs::GetHistogram("serve.decide.latency.seconds");
-    decisions.Add(static_cast<double>(b));
+    decisions.Add(static_cast<double>(served));
     feature_rows.Add(static_cast<double>(d));
     batch_size.Observe(static_cast<double>(b));
-    for (size_t i = latencies_.size() - static_cast<size_t>(b);
+    for (size_t i = latencies_.size() - static_cast<size_t>(served);
          i < latencies_.size(); ++i) {
       latency.Observe(latencies_[i]);
     }
   }
-  return b;
+  return served;
 }
 
 int64_t PortfolioServer::ProcessBatch() {

@@ -85,9 +85,12 @@ class PortfolioServer {
   /// requests for the same user within a round are deferred to the next
   /// round — a user's ticks are strictly sequential. A request whose user
   /// has reached the end of the feed is dropped, leaving the user as it
-  /// was, and counted in `serve.rejected.past_end`; a round of only such
-  /// requests moves on to the next one. Returns the number of decisions
-  /// made; 0 means intake closed and fully drained.
+  /// was, and counted in `serve.rejected.past_end`. A request whose
+  /// booking fails (`backtest::BookingStatus` not kOk) is rejected the
+  /// same way, counted in `serve.rejected.booking` and in neither the
+  /// decisions nor the latency samples. A round of only rejected requests
+  /// moves on to the next one. Returns the number of decisions made; 0
+  /// means intake closed and fully drained.
   int64_t ProcessBatch();
 
   /// Serves rounds as `ProcessBatch` does until the queue and holdover
@@ -116,8 +119,8 @@ class PortfolioServer {
   /// when nothing was drained (closed and drained if `block`).
   bool TakeBatch(bool block, std::vector<TickRequest>* batch);
 
-  /// Decides and books one round of distinct users (aborting on a bad
-  /// booking status); returns its size.
+  /// Decides and books one round of distinct users; returns the number
+  /// booked (rejected bookings excluded).
   int64_t ServeBatch(const std::vector<TickRequest>& batch);
 
   const market::OhlcPanel* panel_;

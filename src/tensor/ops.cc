@@ -258,9 +258,9 @@ vec::Im2ColArgs MakeIm2ColArgs(const std::vector<int64_t>& input_shape,
                                const Conv2dGeometry& g) {
   vec::Im2ColArgs args;
   args.n = input_shape[0];
-  args.c = input_shape[1];
-  args.h = input_shape[2];
-  args.w = input_shape[3];
+  args.h = input_shape[1];
+  args.w = input_shape[2];
+  args.c = input_shape[3];
   args.out_h = g.OutH(args.h);
   args.out_w = g.OutW(args.w);
   args.patch = args.c * g.kernel_h * g.kernel_w;

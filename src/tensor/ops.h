@@ -123,13 +123,16 @@ struct Conv2dGeometry {
   }
 };
 
-/// Lowers input [N, C, H, W] to columns [N * OutH * OutW, C * kh * kw] so a
-/// convolution becomes a matrix product with the [C*kh*kw, C_out] filter.
+/// Lowers a channels-last input [N, H, W, C] to columns
+/// [N * OutH * OutW, C * kh * kw] so a convolution becomes a matrix product
+/// with the [C*kh*kw, C_out] filter. Rows run in (n, oy, ox) order, so the
+/// product is the channels-last output [N, OutH, OutW, C_out] by a reshape;
+/// each row's patch runs in (channel, ky, kx) order, the filter's own.
 /// Out-of-bounds taps read zero (implicit zero padding).
 Tensor Im2Col(const Tensor& input, const Conv2dGeometry& geometry);
 
-/// Adjoint of `Im2Col`: scatters column gradients back to an input-shaped
-/// tensor [N, C, H, W].
+/// Adjoint of `Im2Col`: scatters column gradients back to a channels-last
+/// input-shaped tensor [N, H, W, C].
 Tensor Col2Im(const Tensor& columns, const std::vector<int64_t>& input_shape,
               const Conv2dGeometry& geometry);
 

@@ -52,7 +52,7 @@ enum class BinaryOp : int {
 /// mirror of `Conv2dGeometry` plus the derived sizes (tensor/ops.cc
 /// fills it; kernels never recompute shapes).
 struct Im2ColArgs {
-  int64_t n, c, h, w;          ///< input [N, C, H, W]
+  int64_t n, c, h, w;          ///< channels-last input [N, H, W, C]
   int64_t out_h, out_w;        ///< output spatial dims (stride 1)
   int64_t patch;               ///< c * kernel_h * kernel_w
   int64_t kernel_h, kernel_w;
@@ -71,7 +71,8 @@ struct KernelTable {
   void (*matmul_ta)(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* out, int64_t m, int64_t n, int64_t k,
                     bool parallel_ok);
-  /// Lowers input [N,C,H,W] to columns [N*out_h*out_w, patch].
+  /// Lowers input [N,H,W,C] to columns [N*out_h*out_w, patch], patch
+  /// entries in (channel, ky, kx) order.
   void (*im2col)(const float* input, float* columns, const Im2ColArgs& args,
                  bool parallel_ok);
   /// Adjoint scatter-add of im2col. `image` must be zero-initialized.

@@ -390,24 +390,27 @@ void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
 // im2col / col2im.
 // ---------------------------------------------------------------------------
 
-// For output pixels whose every tap is in bounds, the patch is a fixed
-// gather pattern: tap (ch, ky, kx) reads base + ch*h*w + ky*dil_h*w +
-// kx*dil_w where base is the pixel's top-left input element. The
-// interior fast path precomputes those offsets once and gathers; only
-// boundary pixels (and inputs too large for int32 offsets) take the
-// bounds-checked scalar loop. Pure data movement: bit-identity is free.
+// Both kernels work on channels-last images [N, H, W, C] and keep the
+// (channel, ky, kx) patch order, so column matrices do not depend on the
+// image layout. For output pixels whose every tap is in bounds, the patch
+// is a fixed gather pattern: tap (ch, ky, kx) reads base +
+// (ky*dil_h*w + kx*dil_w)*c + ch where base is the pixel's top-left input
+// element. The interior fast path precomputes those offsets once and
+// gathers; only boundary pixels (and inputs too large for int32 offsets)
+// take the bounds-checked scalar loop. Pure data movement: bit-identity
+// is free.
 template <class Vec>
 void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
-  const int64_t plane = g.h * g.w;
-  const bool gatherable = g.c * plane <= INT32_MAX;
+  const int64_t image = g.h * g.w * g.c;
+  const bool gatherable = image <= INT32_MAX;
   std::vector<int32_t> rel;
   if (gatherable) {
     rel.reserve(static_cast<size_t>(g.patch));
     for (int64_t ch = 0; ch < g.c; ++ch) {
       for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
         for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-          rel.push_back(static_cast<int32_t>(ch * plane + ky * g.dilation_h * g.w +
-                                             kx * g.dilation_w));
+          rel.push_back(static_cast<int32_t>(
+              (ky * g.dilation_h * g.w + kx * g.dilation_w) * g.c + ch));
         }
       }
     }
@@ -425,7 +428,7 @@ void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
   (void)parallel_ok;
 #endif
   for (int64_t b = 0; b < g.n; ++b) {
-    const float* batch = pi + b * g.c * plane;
+    const float* batch = pi + b * image;
     for (int64_t oy = 0; oy < g.out_h; ++oy) {
       const int64_t y0 = oy - g.pad_top;
       const bool y_interior = y0 >= 0 && y0 + span_y < g.h;
@@ -433,7 +436,7 @@ void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
         float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
         const int64_t x0 = ox - g.pad_left;
         if (gatherable && y_interior && x0 >= 0 && x0 + span_x < g.w) {
-          const float* base = batch + y0 * g.w + x0;
+          const float* base = batch + (y0 * g.w + x0) * g.c;
           int64_t ci = 0;
           for (; ci + Vec::kWidth <= g.patch; ci += Vec::kWidth) {
             Vec::Gather(base, rel_data + ci).StoreU(col + ci);
@@ -449,7 +452,7 @@ void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
               const int64_t in_x = x0 + kx * g.dilation_w;
               float value = 0.0f;
               if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                value = batch[(ch * g.h + in_y) * g.w + in_x];
+                value = batch[(in_y * g.w + in_x) * g.c + ch];
               }
               col[col_index++] = value;
             }
@@ -477,6 +480,7 @@ void Col2Im(const float* pc, float* pi, const Im2ColArgs& g, bool parallel_ok) {
   (void)parallel_ok;
 #endif
   for (int64_t b = 0; b < g.n; ++b) {
+    float* image = pi + b * g.h * g.w * g.c;
     for (int64_t oy = 0; oy < g.out_h; ++oy) {
       for (int64_t ox = 0; ox < g.out_w; ++ox) {
         const float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
@@ -488,7 +492,7 @@ void Col2Im(const float* pc, float* pi, const Im2ColArgs& g, bool parallel_ok) {
               const int64_t in_x = ox - g.pad_left + kx * g.dilation_w;
               const float value = col[col_index++];
               if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                pi[((b * g.c + ch) * g.h + in_y) * g.w + in_x] += value;
+                image[(in_y * g.w + in_x) * g.c + ch] += value;
               }
             }
           }

@@ -1,4 +1,6 @@
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -156,14 +158,8 @@ std::vector<GradCase> MakeCases() {
     return SumAll(Mul(s, Constant(Tensor({2, 3}, {1, 2, 3, 4, 5, 6}))));
   }, {SmallTensor()});
 
-  add_case("Permute4", [](const std::vector<Var>& in) {
-    Var p = Permute4(in[0], {0, 3, 1, 2});
-    return SumAll(Mul(p, p));
-  }, {Tensor({2, 2, 2, 2}, {0.1f, 0.2f, 0.3f, 0.4f, 0.5f, 0.6f, 0.7f, 0.8f,
-                            -0.1f, -0.2f, -0.3f, -0.4f, 1.1f, 1.2f, 1.3f,
-                            1.4f})});
-
-  // Conv2d: plain, causal-padded, and dilated geometries.
+  // Conv2d on channels-last inputs [N, H, W, C]: plain, causal-padded,
+  // and dilated geometries.
   {
     Conv2dGeometry plain;
     plain.kernel_h = 1;
@@ -171,10 +167,10 @@ std::vector<GradCase> MakeCases() {
     add_case("Conv2dValid", [plain](const std::vector<Var>& in) {
       Var y = Conv2d(in[0], in[1], in[2], plain);
       return SumAll(Mul(y, y));
-    }, {Tensor({1, 2, 2, 5}, {0.1f, 0.4f, -0.2f, 0.3f, 0.5f,
-                              0.2f, -0.1f, 0.6f, -0.3f, 0.1f,
-                              0.7f, 0.2f, -0.5f, 0.4f, -0.6f,
-                              0.3f, 0.1f, 0.2f, -0.4f, 0.5f}),
+    }, {Tensor({1, 2, 5, 2}, {0.1f, 0.7f, 0.4f, 0.2f, -0.2f,
+                              -0.5f, 0.3f, 0.4f, 0.5f, -0.6f,
+                              0.2f, 0.3f, -0.1f, 0.1f, 0.6f,
+                              0.2f, -0.3f, -0.4f, 0.1f, 0.5f}),
         Tensor({3, 2, 1, 3}, {0.5f, -0.2f, 0.1f, 0.3f, 0.2f, -0.4f,
                               0.1f, 0.6f, -0.3f, 0.2f, -0.1f, 0.5f,
                               -0.2f, 0.3f, 0.4f, 0.1f, -0.5f, 0.2f}),
@@ -188,7 +184,7 @@ std::vector<GradCase> MakeCases() {
     add_case("Conv2dCausalDilated", [causal](const std::vector<Var>& in) {
       Var y = Conv2d(in[0], in[1], in[2], causal);
       return SumAll(Mul(y, y));
-    }, {Tensor({1, 1, 1, 6}, {0.1f, 0.4f, -0.2f, 0.3f, 0.5f, -0.1f}),
+    }, {Tensor({1, 1, 6, 1}, {0.1f, 0.4f, -0.2f, 0.3f, 0.5f, -0.1f}),
         Tensor({2, 1, 1, 3}, {0.5f, -0.2f, 0.1f, 0.3f, 0.2f, -0.4f}),
         Tensor({2}, {0.05f, -0.05f})});
   }
@@ -200,7 +196,7 @@ std::vector<GradCase> MakeCases() {
     add_case("Conv2dSameHeight", [same_h](const std::vector<Var>& in) {
       Var y = Conv2d(in[0], in[1], in[2], same_h);
       return SumAll(Mul(y, y));
-    }, {Tensor({1, 1, 3, 2}, {0.1f, 0.4f, -0.2f, 0.3f, 0.5f, -0.1f}),
+    }, {Tensor({1, 3, 2, 1}, {0.1f, 0.4f, -0.2f, 0.3f, 0.5f, -0.1f}),
         Tensor({1, 1, 3, 1}, {0.5f, -0.2f, 0.1f}),
         Tensor({1}, {0.1f})});
   }
@@ -226,6 +222,134 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GradCase>& info) {
       return info.param.name;
     });
+
+// ag::Conv2d takes channels-last tensors. It must equal, bit for bit, the
+// NCHW lowering it replaced, composed here from test-local pieces:
+// transpose in, NCHW im2col, the same GEMM and bias, rearrange the GEMM
+// output to NCHW and transpose out; backward runs the same steps in
+// reverse (NCHW col2im for the input gradient).
+
+// [N, H, W, C] -> [N, C, H, W] when `to_nchw`, else the inverse.
+Tensor Transpose(const Tensor& t, bool to_nchw) {
+  const int64_t n = t.dim(0);
+  const int64_t h = to_nchw ? t.dim(1) : t.dim(2);
+  const int64_t w = to_nchw ? t.dim(2) : t.dim(3);
+  const int64_t c = to_nchw ? t.dim(3) : t.dim(1);
+  Tensor out = to_nchw ? Tensor({n, c, h, w}) : Tensor({n, h, w, c});
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t y = 0; y < h; ++y) {
+      for (int64_t x = 0; x < w; ++x) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          const int64_t nhwc = ((b * h + y) * w + x) * c + ch;
+          const int64_t nchw = ((b * c + ch) * h + y) * w + x;
+          out.MutableData()[to_nchw ? nchw : nhwc] =
+              t.Data()[to_nchw ? nhwc : nchw];
+        }
+      }
+    }
+  }
+  return out;
+}
+
+// NCHW im2col (fills `cols` from `image`) or col2im (adds `cols` into
+// `image`), patch entries in (channel, ky, kx) order.
+void NchwLowering(Tensor* image, Tensor* cols, const Conv2dGeometry& g,
+                  bool to_cols) {
+  const int64_t n = image->dim(0), c = image->dim(1);
+  const int64_t h = image->dim(2), w = image->dim(3);
+  int64_t col = 0;
+  for (int64_t b = 0; b < n; ++b) {
+    for (int64_t oy = 0; oy < g.OutH(h); ++oy) {
+      for (int64_t ox = 0; ox < g.OutW(w); ++ox) {
+        for (int64_t ch = 0; ch < c; ++ch) {
+          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+            for (int64_t kx = 0; kx < g.kernel_w; ++kx, ++col) {
+              const int64_t y = oy - g.pad_top + ky * g.dilation_h;
+              const int64_t x = ox - g.pad_left + kx * g.dilation_w;
+              if (y < 0 || y >= h || x < 0 || x >= w) continue;
+              float& pixel =
+                  image->MutableData()[((b * c + ch) * h + y) * w + x];
+              if (to_cols) {
+                cols->MutableData()[col] = pixel;
+              } else {
+                pixel += cols->Data()[col];
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void ExpectSameBits(const Tensor& got, const Tensor& want, const char* label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    EXPECT_EQ(std::bit_cast<uint32_t>(got.Data()[i]),
+              std::bit_cast<uint32_t>(want.Data()[i]))
+        << label << " element " << i;
+  }
+}
+
+TEST(Conv2dLayoutTest, MatchesNchwCompositionBitForBit) {
+  const int64_t batch = 2, assets = 5, time = 9, c_in = 3, c_out = 4;
+  Conv2dGeometry causal;
+  causal.kernel_w = 3;
+  causal.dilation_w = 2;
+  causal.pad_left = 4;
+  Conv2dGeometry correlational;
+  correlational.kernel_h = assets;
+  correlational.pad_top = (assets - 1) / 2;
+  correlational.pad_bottom = (assets - 1) - correlational.pad_top;
+  Conv2dGeometry valid;
+  valid.kernel_w = 3;
+  for (const Conv2dGeometry& g : {causal, correlational, valid}) {
+    SCOPED_TRACE(testing::Message() << "kernel " << g.kernel_h << "x"
+                                    << g.kernel_w);
+    const int64_t out_h = g.OutH(assets), out_w = g.OutW(time);
+    const int64_t rows = batch * out_h * out_w;
+    const int64_t patch = c_in * g.kernel_h * g.kernel_w;
+    Rng rng(31 + g.kernel_h + g.kernel_w);
+    const Tensor input =
+        RandomUniform({batch, assets, time, c_in}, -1.0f, 1.0f, &rng);
+    const Tensor weight = RandomUniform(
+        {c_out, c_in, g.kernel_h, g.kernel_w}, -1.0f, 1.0f, &rng);
+    const Tensor bias = RandomUniform({c_out}, -1.0f, 1.0f, &rng);
+    const Tensor grad_out =
+        RandomUniform({batch, out_h, out_w, c_out}, -1.0f, 1.0f, &rng);
+
+    Var x = Parameter(input.Clone());
+    Var w = Parameter(weight.Clone());
+    Var b = Parameter(bias.Clone());
+    Var y = Conv2d(x, w, b, g);
+    Backward(SumAll(Mul(y, Constant(grad_out.Clone()))));
+
+    Tensor image = Transpose(input, /*to_nchw=*/true);
+    Tensor cols({rows, patch});
+    NchwLowering(&image, &cols, g, /*to_cols=*/true);
+    const Tensor weight_matrix = weight.Reshaped({c_out, patch});
+    const Tensor out_matrix = ppn::AddRowVector(
+        ppn::MatMulTransB(cols, weight_matrix), bias);
+    const Tensor out_nchw = Transpose(
+        out_matrix.Reshaped({batch, out_h, out_w, c_out}), /*to_nchw=*/true);
+    ExpectSameBits(y->value(), Transpose(out_nchw, /*to_nchw=*/false),
+                   "output");
+
+    // Backward of the transpose out, then the inverse NCHW rearrange.
+    const Tensor grad_matrix =
+        Transpose(Transpose(grad_out, /*to_nchw=*/true), /*to_nchw=*/false)
+            .Reshaped({rows, c_out});
+    Tensor grad_cols = ppn::MatMul(grad_matrix, weight_matrix);
+    Tensor grad_image({batch, c_in, assets, time});
+    NchwLowering(&grad_image, &grad_cols, g, /*to_cols=*/false);
+    ExpectSameBits(x->grad(), Transpose(grad_image, /*to_nchw=*/false),
+                   "input grad");
+    const Tensor grad_weight = ppn::MatMulTransA(grad_matrix, cols);
+    ExpectSameBits(w->grad(), grad_weight.Reshaped(weight.shape()),
+                   "weight grad");
+    ExpectSameBits(b->grad(), ppn::SumRows(grad_matrix), "bias grad");
+  }
+}
 
 TEST(DropoutGradTest, MaskIsConsistentBetweenForwardAndBackward) {
   Rng rng(3);

@@ -199,6 +199,48 @@ TEST_F(ReplayIoTest, BadIndexCellIsANamedError) {
   }
 }
 
+// A two-row file naming index 2^30 - 1 implies a panel of ~2^30 bars
+// (~32 GB). It must come back as a named error stating that size, never a
+// bad_alloc, whether or not missing bars would be flat-filled.
+void ExpectHugePanelRejected(const std::string& path, const char* implied) {
+  for (const bool fill_missing : {true, false}) {
+    ReplayCsvOptions options;
+    options.fill_missing = fill_missing;
+    MarketDataset dataset;
+    std::string error;
+    EXPECT_FALSE(LoadReplayCsv(path, options, &dataset, &error));
+    EXPECT_NE(error.find(std::string("2 rows imply a panel of ") + implied),
+              std::string::npos)
+        << error;
+    EXPECT_NE(error.find(fill_missing ? "at most 16 bars per row"
+                                      : "missing bars"),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST_F(ReplayIoTest, HugePeriodIsANamedError) {
+  CsvTable table;
+  table.header = {"period", "asset", "open", "high", "low", "close"};
+  table.rows.push_back({0.0, 0.0, 1.0, 1.1, 0.9, 1.0});
+  table.rows.push_back({1073741823.0, 0.0, 1.0, 1.1, 0.9, 1.0});
+  const std::string path = PathFor("huge_period.csv");
+  ASSERT_TRUE(WriteCsv(path, table));
+  ExpectHugePanelRejected(
+      path, "1073741824 periods x 1 assets (1073741824 bars)");
+}
+
+TEST_F(ReplayIoTest, HugeAssetIsANamedError) {
+  CsvTable table;
+  table.header = {"period", "asset", "open", "high", "low", "close"};
+  table.rows.push_back({0.0, 0.0, 1.0, 1.1, 0.9, 1.0});
+  table.rows.push_back({1.0, 1073741823.0, 1.0, 1.1, 0.9, 1.0});
+  const std::string path = PathFor("huge_asset.csv");
+  ASSERT_TRUE(WriteCsv(path, table));
+  ExpectHugePanelRejected(
+      path, "2 periods x 1073741824 assets (2147483648 bars)");
+}
+
 TEST_F(ReplayIoTest, MissingFileIsReported) {
   MarketDataset dataset;
   std::string error;

@@ -166,7 +166,7 @@ TEST(ConvLayerTest, CausalityNoFutureLeakage) {
   // Changing the input at time t must not change outputs at times < t.
   Rng rng(3);
   Conv2dLayer layer(1, 2, CausalTimeConvGeometry(3, 2), &rng);
-  Tensor input({1, 1, 1, 10});
+  Tensor input({1, 1, 10, 1});
   Rng data_rng(5);
   for (int64_t i = 0; i < 10; ++i) {
     input.MutableData()[i] = static_cast<float>(data_rng.Normal());
@@ -178,26 +178,26 @@ TEST(ConvLayerTest, CausalityNoFutureLeakage) {
   ag::Var new_out = layer.Forward(ag::Constant(perturbed));
   for (int64_t c = 0; c < 2; ++c) {
     for (int64_t t = 0; t < 10; ++t) {
-      const float before = base_out->value().At({0, c, 0, t});
-      const float after = new_out->value().At({0, c, 0, t});
+      const float before = base_out->value().At({0, 0, t, c});
+      const float after = new_out->value().At({0, 0, t, c});
       if (t < t_changed) {
         EXPECT_FLOAT_EQ(before, after) << "leak at t=" << t;
       }
     }
   }
   // The changed position itself must be affected (kernel tap at lag 0).
-  EXPECT_NE(base_out->value().At({0, 0, 0, t_changed}),
-            new_out->value().At({0, 0, 0, t_changed}));
+  EXPECT_NE(base_out->value().At({0, 0, t_changed, 0}),
+            new_out->value().At({0, 0, t_changed, 0}));
 }
 
 TEST(ConvLayerTest, DilatedReceptiveFieldReachesBack) {
   // With kernel 3, dilation 4, output at t depends on t-8 but not t-9.
   Rng rng(3);
   Conv2dLayer layer(1, 1, CausalTimeConvGeometry(3, 4), &rng);
-  Tensor input({1, 1, 1, 16});
+  Tensor input({1, 1, 16, 1});
   auto out_at = [&](const Tensor& in, int64_t t) {
     ag::Var out = layer.Forward(ag::Constant(in.Clone()));
-    return out->value().At({0, 0, 0, t});
+    return out->value().At({0, 0, t, 0});
   };
   const int64_t t = 12;
   Tensor in_base = input.Clone();
@@ -213,15 +213,15 @@ TEST(ConvLayerTest, CorrelationalConvMixesAssets) {
   Rng rng(3);
   const int64_t m = 5;
   Conv2dLayer layer(1, 1, CorrelationalConvGeometry(m), &rng);
-  Tensor input({1, 1, m, 4});
+  Tensor input({1, m, 4, 1});
   ag::Var base = layer.Forward(ag::Constant(input.Clone()));
   Tensor perturbed = input.Clone();
-  perturbed.Set({0, 0, 0, 2}, 5.0f);  // Change asset 0 only.
+  perturbed.Set({0, 0, 2, 0}, 5.0f);  // Change asset 0 only.
   ag::Var changed = layer.Forward(ag::Constant(perturbed));
   // Some OTHER asset's output at the same time step must change.
   bool other_asset_affected = false;
   for (int64_t a = 1; a < m; ++a) {
-    if (base->value().At({0, 0, a, 2}) != changed->value().At({0, 0, a, 2})) {
+    if (base->value().At({0, a, 2, 0}) != changed->value().At({0, a, 2, 0})) {
       other_asset_affected = true;
     }
   }

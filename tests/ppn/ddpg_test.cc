@@ -118,5 +118,11 @@ TEST(DdpgTrainerTest, DeterministicWithSeed) {
   EXPECT_DOUBLE_EQ(run(), run());
 }
 
+TEST(DdpgTrainerDeathTest, NullActorAbortsWithAMessage) {
+  const market::MarketDataset dataset = SmallDataset();
+  EXPECT_DEATH(DdpgTrainer(nullptr, dataset, DdpgConfig{}),
+               "DdpgTrainer: actor is null");
+}
+
 }  // namespace
 }  // namespace ppn::core

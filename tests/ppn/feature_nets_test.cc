@@ -72,9 +72,9 @@ TEST(TemporalConvBlockTest, ShapePreserving) {
                           /*correlational=*/true, 0.2f, &init, &dropout);
   block.SetTraining(false);
   Rng data(3);
-  Tensor input = RandomNormal({2, 4, 5, 16}, 0.0f, 1.0f, &data);
+  Tensor input = RandomNormal({2, 5, 16, 4}, 0.0f, 1.0f, &data);
   ag::Var out = block.Forward(ag::Constant(input));
-  EXPECT_EQ(out->value().shape(), (std::vector<int64_t>{2, 8, 5, 16}));
+  EXPECT_EQ(out->value().shape(), (std::vector<int64_t>{2, 5, 16, 8}));
 }
 
 TEST(TemporalConvBlockTest, TcbHasNoCrossAssetFlow) {
@@ -83,16 +83,16 @@ TEST(TemporalConvBlockTest, TcbHasNoCrossAssetFlow) {
   TemporalConvBlock tcb(1, 2, 1, /*num_assets=*/4, /*correlational=*/false,
                         0.0f, &init, &dropout);
   tcb.SetTraining(false);
-  Tensor base({1, 1, 4, 8});
+  Tensor base({1, 4, 8, 1});
   Tensor perturbed = base.Clone();
-  perturbed.Set({0, 0, 1, 3}, 2.0f);  // Touch asset 1 only.
+  perturbed.Set({0, 1, 3, 0}, 2.0f);  // Touch asset 1 only.
   ag::Var out_base = tcb.Forward(ag::Constant(base));
   ag::Var out_pert = tcb.Forward(ag::Constant(perturbed));
   // Asset 0's row must be untouched in every channel/time.
   for (int64_t c = 0; c < 2; ++c) {
     for (int64_t t = 0; t < 8; ++t) {
-      EXPECT_FLOAT_EQ(out_base->value().At({0, c, 0, t}),
-                      out_pert->value().At({0, c, 0, t}));
+      EXPECT_FLOAT_EQ(out_base->value().At({0, 0, t, c}),
+                      out_pert->value().At({0, 0, t, c}));
     }
   }
 }
@@ -104,15 +104,15 @@ TEST(TemporalConvBlockTest, TccbHasCrossAssetFlow) {
                          0.0f, &init, &dropout);
   tccb.SetTraining(false);
   Rng data(5);
-  Tensor base = RandomNormal({1, 1, 4, 8}, 0.0f, 1.0f, &data);
+  Tensor base = RandomNormal({1, 4, 8, 1}, 0.0f, 1.0f, &data);
   Tensor perturbed = base.Clone();
-  perturbed.Set({0, 0, 1, 3}, perturbed.At({0, 0, 1, 3}) + 2.0f);
+  perturbed.Set({0, 1, 3, 0}, perturbed.At({0, 1, 3, 0}) + 2.0f);
   ag::Var out_base = tccb.Forward(ag::Constant(base));
   ag::Var out_pert = tccb.Forward(ag::Constant(perturbed));
   bool other_asset_changed = false;
   for (int64_t c = 0; c < 2; ++c) {
-    if (out_base->value().At({0, c, 0, 3}) !=
-        out_pert->value().At({0, c, 0, 3})) {
+    if (out_base->value().At({0, 0, 3, c}) !=
+        out_pert->value().At({0, 0, 3, c})) {
       other_asset_changed = true;
     }
   }

@@ -198,6 +198,12 @@ TEST(TrainerDeathTest, TooShortTrainingRangeAborts) {
       "training range too short");
 }
 
+TEST(TrainerDeathTest, NullPolicyAbortsWithAMessage) {
+  const market::MarketDataset dataset = SmallDataset();
+  EXPECT_DEATH(PolicyGradientTrainer(nullptr, dataset, SmallTrainerConfig()),
+               "PolicyGradientTrainer: policy is null");
+}
+
 TEST(PvmTest, InitializedUniformAndSettable) {
   PortfolioVectorMemory pvm(10, 4);
   const std::vector<double>& initial = pvm.Get(3);

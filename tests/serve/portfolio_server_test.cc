@@ -3,8 +3,8 @@
 // users sharing a period share its features but not its decision, a single
 // served user reproduces the backtester's wealth trajectory exactly (also
 // through a delisting), the bounded intake queue sheds/defers correctly,
-// bad ticks are rejected without touching other users, and serving metrics
-// reach the obs layer.
+// bad ticks and bad bookings are rejected without touching any user, and
+// serving metrics reach the obs layer.
 
 #include "serve/portfolio_server.h"
 
@@ -296,6 +296,58 @@ TEST(PortfolioServerTest, RoundOfOnlyRejectedTicksMovesOn) {
   server.CloseIntake();
   EXPECT_EQ(server.ProcessBatch(), 0);
   EXPECT_EQ(server.decisions(), 2);
+}
+
+TEST(PortfolioServerTest, BadBookingRejectsOnlyThatRequest) {
+#ifndef PPN_OBS_DISABLED
+  obs::ScopedObsEnable obs_on;
+  obs::ResetAll();
+#endif
+  // At ψ = 0.9999 a full buy from cash hits the solver's iteration cap
+  // (as in BookPeriodTest.NonConvergedSolveIsAStatus). Every user starts
+  // in cash, and a cash row of -100 against all-ones decision weights
+  // leaves the policy ~e^-500 in cash, so every booking fails.
+  const market::OhlcPanel panel = TestPanel();
+  core::PolicyConfig policy_config = SmallConfig();
+  policy_config.cash_bias = -100.0f;
+  Rng init(1), dropout(2);
+  auto policy = core::MakePolicy(policy_config, &init, &dropout);
+  for (auto& [name, param] : policy->NamedParameters()) {
+    if (name.rfind("decision/", 0) == 0) {
+      Tensor* value = param->mutable_value();
+      for (int64_t i = 0; i < value->numel(); ++i) {
+        value->MutableData()[i] = 1.0f;
+      }
+    }
+  }
+  ServerConfig config = SmallServerConfig(8);
+  config.costs = backtest::CostModel::Uniform(0.9999);
+  PortfolioServer server(&panel, policy.get(), config);
+  for (int64_t u = 0; u < 3; ++u) server.AddUser(20 + u);
+  std::vector<UserResult> before;
+  for (int64_t u = 0; u < 3; ++u) before.push_back(ResultOf(server.user(u)));
+
+  for (int round = 0; round < 4; ++round) {
+    for (int64_t u = 0; u < 3; ++u) ASSERT_TRUE(server.SubmitTick(u));
+    EXPECT_EQ(server.DrainPending(), 0);
+  }
+  for (int64_t u = 0; u < 3; ++u) ASSERT_TRUE(server.SubmitTick(u));
+  server.CloseIntake();
+  EXPECT_EQ(server.ProcessBatch(), 0);
+
+  std::vector<UserResult> after;
+  for (int64_t u = 0; u < 3; ++u) {
+    after.push_back(ResultOf(server.user(u)));
+    EXPECT_EQ(server.user(u).next_period, 20 + u);
+  }
+  ExpectBitIdentical(before, after, "rejected bookings");
+  EXPECT_EQ(server.decisions(), 0);
+  EXPECT_TRUE(server.latency_seconds().empty());
+#ifndef PPN_OBS_DISABLED
+  const obs::Snapshot snapshot = obs::TakeSnapshot();
+  EXPECT_EQ(snapshot.counters.at("serve.rejected.booking"), 15.0);
+  EXPECT_EQ(snapshot.counters.at("serve.decisions"), 0.0);
+#endif
 }
 
 TEST(PortfolioServerTest, PoolDisabledMatchesPoolEnabled) {

@@ -74,6 +74,62 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b) {
   return out;
 }
 
+// Channels-last conv lowering, written out: image [N, H, W, C], one
+// column row per output pixel (n, oy, ox), patch entries in (channel, ky,
+// kx) order. Col2Im visits pixels in the same order, so each image
+// element sums its taps in ascending output-pixel order.
+struct NaiveConvIndex {
+  const std::vector<int64_t>& shape;
+  const Conv2dGeometry& g;
+  int64_t n() const { return shape[0]; }
+  int64_t h() const { return shape[1]; }
+  int64_t w() const { return shape[2]; }
+  int64_t c() const { return shape[3]; }
+  int64_t patch() const { return c() * g.kernel_h * g.kernel_w; }
+  // Visits (column index, image index or -1 for padding) in column order.
+  template <class Fn>
+  void ForEachTap(Fn fn) const {
+    int64_t col = 0;
+    for (int64_t b = 0; b < n(); ++b) {
+      for (int64_t oy = 0; oy < g.OutH(h()); ++oy) {
+        for (int64_t ox = 0; ox < g.OutW(w()); ++ox) {
+          for (int64_t ch = 0; ch < c(); ++ch) {
+            for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+              for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+                const int64_t y = oy - g.pad_top + ky * g.dilation_h;
+                const int64_t x = ox - g.pad_left + kx * g.dilation_w;
+                const bool inside = y >= 0 && y < h() && x >= 0 && x < w();
+                fn(col++, inside ? ((b * h() + y) * w() + x) * c() + ch : -1);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+};
+
+Tensor NaiveIm2ColChannelsLast(const Tensor& image, const Conv2dGeometry& g) {
+  const NaiveConvIndex index{image.shape(), g};
+  Tensor cols({index.n() * g.OutH(index.h()) * g.OutW(index.w()),
+               index.patch()});
+  index.ForEachTap([&](int64_t col, int64_t pixel) {
+    cols.MutableData()[col] = pixel < 0 ? 0.0f : image.Data()[pixel];
+  });
+  return cols;
+}
+
+Tensor NaiveCol2ImChannelsLast(const Tensor& cols,
+                               const std::vector<int64_t>& shape,
+                               const Conv2dGeometry& g) {
+  const NaiveConvIndex index{shape, g};
+  Tensor image(shape);
+  index.ForEachTap([&](int64_t col, int64_t pixel) {
+    if (pixel >= 0) image.MutableData()[pixel] += cols.Data()[col];
+  });
+  return image;
+}
+
 // EXPECT-style bitwise tensor equality. AllClose would hide both
 // rounding drift and NaN-payload differences; bit_cast hides nothing.
 void ExpectBitIdentical(const Tensor& got, const Tensor& want,
@@ -296,7 +352,7 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
 }
 
 // Row reductions and the conv lowering across paths, including odd
-// column tails and the dilated causal geometry the paper's network uses.
+// column tails and the conv geometries the paper's network uses.
 TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   for (const int64_t n : {1LL, 7LL, 8LL, 9LL, 17LL, 100LL}) {
     Tensor a = TestMatrix(13, n, 50 + n);
@@ -319,17 +375,26 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
       ExpectBitIdentical(AddRowVector(a, b), want_arv, "AddRowVector");
     });
   }
-  // Im2Col/Col2Im: dilated causal time conv (kernel 1x3, dilation 2,
-  // left pad 4 — boundary AND interior gather pixels) plus a symmetric
-  // 3x3. Compare both paths against the scalar table directly.
+  // Im2Col/Col2Im against the channels-last loops above: the dilated
+  // causal time conv (kernel 1x3, dilation 2, left pad 4: boundary AND
+  // interior gather pixels), the SAME correlational conv across all
+  // assets, a VALID time conv and a symmetric 3x3, over channel counts
+  // around the 8-lane width and odd widths.
   struct Geo {
     Conv2dGeometry g;
     const char* label;
   };
+  const int64_t assets = 5;
   Conv2dGeometry causal;
   causal.kernel_w = 3;
   causal.dilation_w = 2;
   causal.pad_left = 4;
+  Conv2dGeometry correlational;
+  correlational.kernel_h = assets;
+  correlational.pad_top = (assets - 1) / 2;
+  correlational.pad_bottom = (assets - 1) - correlational.pad_top;
+  Conv2dGeometry valid;
+  valid.kernel_w = 3;
   Conv2dGeometry sym;
   sym.kernel_h = 3;
   sym.kernel_w = 3;
@@ -337,24 +402,31 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   sym.pad_bottom = 1;
   sym.pad_left = 1;
   sym.pad_right = 1;
-  const Geo geos[] = {{causal, "causal"}, {sym, "3x3"}};
-  Rng rng(7777);
-  Tensor input = RandomUniform({2, 3, 9, 13}, -2.0f, 2.0f, &rng);
+  const Geo geos[] = {{causal, "causal dilated"},
+                      {correlational, "SAME correlational"},
+                      {valid, "VALID"},
+                      {sym, "3x3"}};
   for (const Geo& geo : geos) {
-    Tensor want_cols;
-    Tensor want_img;
-    {
-      dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
-      want_cols = Im2Col(input, geo.g);
-      want_img = Col2Im(want_cols, input.shape(), geo.g);
+    for (const int64_t channels : {1LL, 3LL, 8LL, 16LL}) {
+      for (const int64_t width : {7LL, 13LL}) {
+        Rng rng(100 * channels + width);
+        const Tensor image =
+            RandomUniform({2, assets, width, channels}, -2.0f, 2.0f, &rng);
+        const Tensor want_cols = NaiveIm2ColChannelsLast(image, geo.g);
+        const Tensor grad_cols =
+            RandomUniform(want_cols.shape(), -2.0f, 2.0f, &rng);
+        const Tensor want_img =
+            NaiveCol2ImChannelsLast(grad_cols, image.shape(), geo.g);
+        ForEachPath([&](const char* path) {
+          SCOPED_TRACE(testing::Message() << path << " " << geo.label
+                                          << " C=" << channels
+                                          << " W=" << width);
+          ExpectBitIdentical(Im2Col(image, geo.g), want_cols, "Im2Col");
+          ExpectBitIdentical(Col2Im(grad_cols, image.shape(), geo.g),
+                             want_img, "Col2Im");
+        });
+      }
     }
-    ForEachPath([&](const char* path) {
-      SCOPED_TRACE(testing::Message() << path << " " << geo.label);
-      Tensor cols = Im2Col(input, geo.g);
-      ExpectBitIdentical(cols, want_cols, "Im2Col");
-      ExpectBitIdentical(Col2Im(cols, input.shape(), geo.g), want_img,
-                         "Col2Im");
-    });
   }
 }
 

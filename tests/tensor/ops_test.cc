@@ -157,9 +157,10 @@ TEST(RandomTensorTest, UniformBoundsAndDeterminism) {
 }
 
 // ------------------------------------------------------------ im2col ----
+// Images are channels-last, [N, H, W, C].
 
 TEST(Im2ColTest, Identity1x1) {
-  Tensor input({1, 1, 2, 2}, {1, 2, 3, 4});
+  Tensor input({1, 2, 2, 1}, {1, 2, 3, 4});
   Conv2dGeometry g;  // 1x1 kernel.
   Tensor cols = Im2Col(input, g);
   EXPECT_EQ(cols.dim(0), 4);
@@ -169,7 +170,7 @@ TEST(Im2ColTest, Identity1x1) {
 
 TEST(Im2ColTest, CausalPaddingReadsZeros) {
   // 1x3 causal kernel along width with pad_left=2 keeps width.
-  Tensor input({1, 1, 1, 3}, {1, 2, 3});
+  Tensor input({1, 1, 3, 1}, {1, 2, 3});
   Conv2dGeometry g;
   g.kernel_w = 3;
   g.pad_left = 2;
@@ -182,7 +183,7 @@ TEST(Im2ColTest, CausalPaddingReadsZeros) {
 }
 
 TEST(Im2ColTest, DilationSkipsTaps) {
-  Tensor input({1, 1, 1, 5}, {1, 2, 3, 4, 5});
+  Tensor input({1, 1, 5, 1}, {1, 2, 3, 4, 5});
   Conv2dGeometry g;
   g.kernel_w = 2;
   g.dilation_w = 2;
@@ -192,8 +193,8 @@ TEST(Im2ColTest, DilationSkipsTaps) {
 }
 
 TEST(Im2ColTest, MultiChannelLayout) {
-  // 2 channels, 1x1 kernel: each column is [c0, c1].
-  Tensor input({1, 2, 1, 2}, {1, 2, 10, 20});
+  // 2 channels, 1x1 kernel: each row is one pixel's [c0, c1].
+  Tensor input({1, 1, 2, 2}, {1, 10, 2, 20});
   Conv2dGeometry g;
   Tensor cols = Im2Col(input, g);
   EXPECT_TRUE(cols.AllClose(Tensor({2, 2}, {1, 10, 2, 20})));
@@ -202,7 +203,7 @@ TEST(Im2ColTest, MultiChannelLayout) {
 TEST(Col2ImTest, AdjointOfIm2Col) {
   // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y (adjoint property).
   Rng rng(9);
-  Tensor x = RandomNormal({2, 3, 4, 5}, 0.0f, 1.0f, &rng);
+  Tensor x = RandomNormal({2, 4, 5, 3}, 0.0f, 1.0f, &rng);
   Conv2dGeometry g;
   g.kernel_h = 2;
   g.kernel_w = 3;
