@@ -1,7 +1,7 @@
 // Engineering microbenchmarks (google-benchmark): throughput of the hot
-// kernels underneath training — matmul, im2col/col2im, conv2d forward and
-// backward, LSTM steps, softmax, the transaction-cost fixed point, and a
-// full policy forward pass.
+// kernels underneath training — matmul, the three conv kernels, conv2d
+// forward and backward, dropout masks, LSTM steps, softmax, the
+// transaction-cost fixed point, and a full policy forward pass.
 
 #include <benchmark/benchmark.h>
 
@@ -42,26 +42,59 @@ void BM_MatMulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransB)->Arg(48)->Arg(192);
 
-void BM_Im2Col(benchmark::State& state) {
-  Rng rng(1);
-  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
-  const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Im2Col(input, g));
-  }
-}
-BENCHMARK(BM_Im2Col);
+// The three conv kernels at the block-2 correlational conv of a batch-32
+// train step: input [32, 11, 30, 16], 16 -> 16 channels, kernel 11 x 1.
+struct BlockTwoCconv {
+  Rng rng{1};
+  Conv2dGeometry g = nn::CorrelationalConvGeometry(11);
+  Tensor input = RandomNormal({32, 11, 30, 16}, 0.0f, 1.0f, &rng);
+  Tensor weight = RandomNormal({16, 16, 11, 1}, 0.0f, 0.1f, &rng);
+  Tensor bias = RandomNormal({16}, 0.0f, 0.1f, &rng);
+  Tensor grad = RandomNormal({32, 11, 30, 16}, 0.0f, 1.0f, &rng);
+  int64_t flops = 2 * 32 * 11 * 30 * 16 * 16 * 11;
+};
 
-void BM_Col2Im(benchmark::State& state) {
-  Rng rng(1);
-  Tensor input = RandomNormal({16, 12, 30, 16}, 0.0f, 1.0f, &rng);
-  const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 2);
-  Tensor cols = Im2Col(input, g);
+void BM_ConvForward(benchmark::State& state) {
+  const BlockTwoCconv conv;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Col2Im(cols, input.shape(), g));
+    benchmark::DoNotOptimize(
+        ConvForward(conv.input, conv.weight, &conv.bias, conv.g));
   }
+  state.SetItemsProcessed(state.iterations() * conv.flops);
 }
-BENCHMARK(BM_Col2Im);
+BENCHMARK(BM_ConvForward);
+
+void BM_ConvInputGrad(benchmark::State& state) {
+  const BlockTwoCconv conv;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        ConvInputGrad(conv.grad, conv.weight, conv.input.shape(), conv.g));
+  }
+  state.SetItemsProcessed(state.iterations() * conv.flops);
+}
+BENCHMARK(BM_ConvInputGrad);
+
+void BM_ConvWeightGrad(benchmark::State& state) {
+  const BlockTwoCconv conv;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ConvWeightGrad(conv.input, conv.grad, conv.g));
+  }
+  state.SetItemsProcessed(state.iterations() * conv.flops);
+}
+BENCHMARK(BM_ConvWeightGrad);
+
+// One dropout mask (and its multiply) over the block-2 activations.
+void BM_DropoutMask(benchmark::State& state) {
+  Rng rng(1);
+  const ag::Var input =
+      ag::Constant(RandomNormal({32, 11, 30, 16}, 0.0f, 1.0f, &rng));
+  for (auto _ : state) {
+    ag::Var out = ag::Dropout(input, 0.2f, /*training=*/true, &rng);
+    benchmark::DoNotOptimize(out->value().Data());
+  }
+  state.SetItemsProcessed(state.iterations() * input->numel());
+}
+BENCHMARK(BM_DropoutMask);
 
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(1);

@@ -1,6 +1,8 @@
 #include "autograd/ops.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/check.h"
@@ -323,11 +325,22 @@ Var Dropout(const Var& a, float p, bool training, Rng* rng) {
   if (!training || p == 0.0f) return a;
   PPN_CHECK(rng != nullptr);
   const float scale = 1.0f / (1.0f - p);
+  // Element i is dropped iff draw i has Uniform() < p, as Rng::Bernoulli
+  // decides. Uniform() is q·2^-53 for the integer q = u >> 11, exact in
+  // double, so the test is q < ceil(p·2^53), which is exact too. The mask
+  // element is `scale`'s bits ANDed with all ones or all zeros (+0.0f):
+  // no branch on the draw.
+  const uint64_t threshold =
+      static_cast<uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p53));
+  const uint32_t scale_bits = std::bit_cast<uint32_t>(scale);
   Tensor mask = Tensor::Uninitialized(a->shape());
   float* pm = mask.MutableData();
+  Rng stream = *rng;  // a local copy keeps the xoshiro state in registers
   for (int64_t i = 0; i < mask.numel(); ++i) {
-    pm[i] = rng->Bernoulli(p) ? 0.0f : scale;
+    const uint32_t keep = (stream.NextUint64() >> 11) >= threshold;
+    pm[i] = std::bit_cast<float>(scale_bits & (0u - keep));
   }
+  *rng = stream;
   Tensor out = ppn::Mul(a->value(), mask);
   return MakeOp(std::move(out), {a}, [mask](Node* self) {
     MaybeAccumulate(self->parents[0], ppn::Mul(self->grad(), mask));
@@ -462,67 +475,46 @@ Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
 
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dGeometry& geometry) {
-  PPN_CHECK_EQ(input->value().ndim(), 4);
-  PPN_CHECK_EQ(weight->value().ndim(), 4);
-  const int64_t batch = input->value().dim(0);
-  const int64_t h = input->value().dim(1);
-  const int64_t w = input->value().dim(2);
-  const int64_t c_in = input->value().dim(3);
-  const int64_t c_out = weight->value().dim(0);
-  PPN_CHECK_EQ(weight->value().dim(1), c_in);
-  PPN_CHECK_EQ(weight->value().dim(2), geometry.kernel_h);
-  PPN_CHECK_EQ(weight->value().dim(3), geometry.kernel_w);
-  const int64_t out_h = geometry.OutH(h);
-  const int64_t out_w = geometry.OutW(w);
-  const int64_t patch = c_in * geometry.kernel_h * geometry.kernel_w;
+  obs::Span span("nn.conv2d.forward", /*min_duration_us=*/20.0);
+  // ConvForward checks the geometry and every shape before any work.
+  Tensor out = ConvForward(input->value(), weight->value(),
+                           bias != nullptr ? &bias->value() : nullptr,
+                           geometry);
+  const int64_t rows = out.dim(0) * out.dim(1) * out.dim(2);
+  const int64_t c_out = out.dim(3);
   if (obs::Enabled()) {
     static thread_local obs::Counter& calls =
         obs::GetCounter("nn.conv2d.calls");
     static thread_local obs::Counter& flops =
         obs::GetCounter("nn.conv2d.flops");
     calls.Add(1.0);
-    flops.Add(2.0 * static_cast<double>(batch * out_h * out_w) *
-              static_cast<double>(patch) * static_cast<double>(c_out));
+    const int64_t patch =
+        input->value().dim(3) * geometry.kernel_h * geometry.kernel_w;
+    flops.Add(2.0 * static_cast<double>(rows) * static_cast<double>(patch) *
+              static_cast<double>(c_out));
   }
-  obs::Span span("nn.conv2d.forward", /*min_duration_us=*/20.0);
-  span.AddArg("batch", static_cast<double>(batch));
+  span.AddArg("batch", static_cast<double>(out.dim(0)));
   span.AddArg("c_out", static_cast<double>(c_out));
-
-  Tensor columns = Im2Col(input->value(), geometry);  // [B*OH*OW, patch]
-  Tensor weight_matrix = weight->value().Reshaped({c_out, patch});
-  Tensor out_matrix = ppn::MatMulTransB(columns, weight_matrix);
-  if (bias != nullptr) {
-    PPN_CHECK_EQ(bias->value().ndim(), 1);
-    PPN_CHECK_EQ(bias->value().dim(0), c_out);
-    out_matrix = ppn::AddRowVector(out_matrix, bias->value());
-  }
-  // The GEMM output rows run in (b, oy, ox) order: channels-last already.
-  Tensor out = out_matrix.Reshaped({batch, out_h, out_w, c_out});
 
   std::vector<Var> parents = {input, weight};
   if (bias != nullptr) parents.push_back(bias);
-  const std::vector<int64_t> input_shape = input->value().shape();
   const bool has_bias = bias != nullptr;
   return MakeOp(
       std::move(out), std::move(parents),
-      [columns, geometry, input_shape, c_out, patch, has_bias](Node* self) {
+      [geometry, rows, c_out, has_bias](Node* self) {
         const Var& input = self->parents[0];
         const Var& weight = self->parents[1];
-        const Tensor grad_matrix =
-            self->grad().Reshaped({columns.dim(0), c_out});
         if (input->requires_grad()) {
-          Tensor weight_matrix = weight->value().Reshaped({c_out, patch});
-          Tensor grad_columns = ppn::MatMul(grad_matrix, weight_matrix);
-          input->AccumulateGrad(
-              Col2Im(grad_columns, input_shape, geometry));
+          input->AccumulateGrad(ConvInputGrad(self->grad(), weight->value(),
+                                              input->shape(), geometry));
         }
         if (weight->requires_grad()) {
-          Tensor grad_weight = ppn::MatMulTransA(grad_matrix, columns);
-          weight->AccumulateGrad(grad_weight.Reshaped(weight->shape()));
+          weight->AccumulateGrad(
+              ConvWeightGrad(input->value(), self->grad(), geometry));
         }
         if (has_bias) {
-          const Var& bias = self->parents[2];
-          MaybeAccumulate(bias, ppn::SumRows(grad_matrix));
+          MaybeAccumulate(self->parents[2],
+                          ppn::SumRows(self->grad().Reshaped({rows, c_out})));
         }
       });
 }

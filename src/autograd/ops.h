@@ -76,7 +76,9 @@ Var SoftmaxRows(const Var& a);
 
 /// Inverted-dropout: during training each element is zeroed with
 /// probability `p` and survivors are scaled by 1/(1-p); identity when
-/// `training` is false. Requires 0 <= p < 1.
+/// `training` is false. Requires 0 <= p < 1. Element i is dropped exactly
+/// when the i-th `rng->Bernoulli(p)` would return true, and `rng` ends
+/// where that loop would leave it; the mask loop itself is branchless.
 Var Dropout(const Var& a, float p, bool training, Rng* rng);
 
 /// Single-layer LSTM over a whole sequence, as ONE tape node: x
@@ -93,8 +95,13 @@ Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
 
 /// 2-D convolution, stride 1, channels-last: input [N, H, W, C_in], weight
 /// [C_out, C_in, kh, kw], optional bias [C_out] (pass nullptr to skip),
-/// geometry describing dilation and asymmetric zero padding.
-/// Output [N, OutH, OutW, C_out]: the biased GEMM output, reshaped.
+/// geometry describing dilation and asymmetric zero padding. Output
+/// [N, OutH, OutW, C_out]. The forward and both gradients are
+/// `ConvForward`, `ConvInputGrad` and `ConvWeightGrad` (tensor/ops.h): no
+/// column matrix is built or kept on the tape, and every value has the
+/// bits of the column-matrix GEMMs. Aborts with a named message on a
+/// kernel size or dilation below 1, a negative pad, a weight that does
+/// not match the input, or an empty output.
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
            const Conv2dGeometry& geometry);
 

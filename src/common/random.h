@@ -20,8 +20,19 @@ class Rng {
   /// streams.
   explicit Rng(uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
-  /// Returns the next raw 64-bit output.
-  uint64_t NextUint64();
+  /// Returns the next raw 64-bit output. Inline, so a loop over draws
+  /// (dropout masks) keeps the state in registers.
+  uint64_t NextUint64() {
+    const uint64_t result = Rotl(state_[1] * 5, 7) * 9;
+    const uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = Rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1).
   double Uniform();
@@ -71,6 +82,10 @@ class Rng {
   void SetState(const State& state);
 
  private:
+  static uint64_t Rotl(uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   uint64_t state_[4];
   double spare_normal_ = 0.0;
   bool has_spare_normal_ = false;

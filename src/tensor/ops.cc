@@ -254,25 +254,6 @@ inline void CopyFloats(float* dst, const float* src, int64_t count) {
   }
 }
 
-vec::Im2ColArgs MakeIm2ColArgs(const std::vector<int64_t>& input_shape,
-                               const Conv2dGeometry& g) {
-  vec::Im2ColArgs args;
-  args.n = input_shape[0];
-  args.h = input_shape[1];
-  args.w = input_shape[2];
-  args.c = input_shape[3];
-  args.out_h = g.OutH(args.h);
-  args.out_w = g.OutW(args.w);
-  args.patch = args.c * g.kernel_h * g.kernel_w;
-  args.kernel_h = g.kernel_h;
-  args.kernel_w = g.kernel_w;
-  args.dilation_h = g.dilation_h;
-  args.dilation_w = g.dilation_w;
-  args.pad_top = g.pad_top;
-  args.pad_left = g.pad_left;
-  return args;
-}
-
 }  // namespace
 
 Tensor Concat(const std::vector<Tensor>& parts, int axis) {
@@ -379,37 +360,191 @@ Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev,
   return out;
 }
 
-Tensor Im2Col(const Tensor& input, const Conv2dGeometry& g) {
-  PPN_CHECK_EQ(input.ndim(), 4);
-  const vec::Im2ColArgs args = MakeIm2ColArgs(input.shape(), g);
+namespace {
+
+// Checks a conv's geometry and shapes, each with a named message, and
+// returns its kernel arguments without the implicit-column view.
+vec::ConvArgs CheckConv(const std::vector<int64_t>& input_shape,
+                        const std::vector<int64_t>& weight_shape,
+                        const Conv2dGeometry& g) {
+  PPN_CHECK(g.kernel_h >= 1 && g.kernel_w >= 1 && g.dilation_h >= 1 &&
+            g.dilation_w >= 1)
+      << "conv kernel and dilation must be >= 1: kernel_h" << g.kernel_h
+      << "kernel_w" << g.kernel_w << "dilation_h" << g.dilation_h
+      << "dilation_w" << g.dilation_w;
+  PPN_CHECK(g.pad_top >= 0 && g.pad_bottom >= 0 && g.pad_left >= 0 &&
+            g.pad_right >= 0)
+      << "conv pads must be >= 0: pad_top" << g.pad_top << "pad_bottom"
+      << g.pad_bottom << "pad_left" << g.pad_left << "pad_right"
+      << g.pad_right;
+  PPN_CHECK(input_shape.size() == 4 && weight_shape.size() == 4 &&
+            weight_shape[1] == input_shape[3] &&
+            weight_shape[2] == g.kernel_h && weight_shape[3] == g.kernel_w)
+      << "conv weight" << ShapeToString(weight_shape)
+      << "does not match input" << ShapeToString(input_shape)
+      << "and kernel_h" << g.kernel_h << "kernel_w" << g.kernel_w
+      << "(want input [N, H, W, C_in], weight [C_out, C_in, kernel_h, "
+         "kernel_w])";
+  vec::ConvArgs args{};
+  args.n = input_shape[0];
+  args.h = input_shape[1];
+  args.w = input_shape[2];
+  args.c = input_shape[3];
+  args.out_h = g.OutH(args.h);
+  args.out_w = g.OutW(args.w);
+  args.c_out = weight_shape[0];
   PPN_CHECK(args.out_h > 0 && args.out_w > 0)
-      << "conv output is empty for input " << ShapeToString(input.shape());
-  if (obs::Enabled()) {
-    static thread_local obs::Counter& calls =
-        obs::GetCounter("tensor.im2col.calls");
-    calls.Add(1.0);
-  }
-  obs::Span span("tensor.im2col", /*min_duration_us=*/20.0);
-  // Every column element is written (out-of-bounds taps store 0.0f).
-  Tensor columns =
-      Tensor::Uninitialized({args.n * args.out_h * args.out_w, args.patch});
-  dispatch::Kernels().im2col(input.Data(), columns.MutableData(), args,
-                             InnerParallelEnabled());
-  return columns;
+      << "conv output is empty for input" << ShapeToString(input_shape)
+      << "and this geometry: out_h" << args.out_h << "out_w" << args.out_w;
+  args.kernel_h = g.kernel_h;
+  args.kernel_w = g.kernel_w;
+  args.dilation_h = g.dilation_h;
+  args.dilation_w = g.dilation_w;
+  args.pad_top = g.pad_top;
+  args.pad_left = g.pad_left;
+  return args;
 }
 
-Tensor Col2Im(const Tensor& columns, const std::vector<int64_t>& input_shape,
-              const Conv2dGeometry& g) {
-  PPN_CHECK_EQ(columns.ndim(), 2);
-  PPN_CHECK_EQ(static_cast<int>(input_shape.size()), 4);
-  const vec::Im2ColArgs args = MakeIm2ColArgs(input_shape, g);
-  PPN_CHECK_EQ(columns.dim(0), args.n * args.out_h * args.out_w);
-  PPN_CHECK_EQ(columns.dim(1), args.patch);
-  // Overlapping patches accumulate: the output must start zeroed.
-  Tensor image(input_shape);
-  dispatch::Kernels().col2im(columns.Data(), image.MutableData(), args,
-                             InnerParallelEnabled());
-  return image;
+// The implicit-column view of a conv over `input` (vec::ConvArgs): the
+// input itself, or its zero-padded copy [N, H + pad_top + pad_bottom,
+// W + pad_left + pad_right, C] when the geometry pads, a base offset per
+// output row and an offset per tap in (channel, ky, kx) order.
+struct ColumnView {
+  vec::ConvArgs shape;
+  Tensor columns;
+  std::vector<int64_t> row;
+  std::vector<int64_t> tap;
+
+  // Kernel arguments pointing into this view.
+  vec::ConvArgs Args() const {
+    vec::ConvArgs args = shape;
+    args.columns = columns.Data();
+    args.row = row.data();
+    args.tap = tap.data();
+    return args;
+  }
+};
+
+ColumnView MakeColumnView(const Tensor& input, const vec::ConvArgs& args,
+                          const Conv2dGeometry& g) {
+  ColumnView view;
+  view.shape = args;
+  const int64_t padded_h = args.h + g.pad_top + g.pad_bottom;
+  const int64_t padded_w = args.w + g.pad_left + g.pad_right;
+  if (padded_h == args.h && padded_w == args.w) {
+    view.columns = input;
+  } else {
+    view.columns = Tensor({args.n, padded_h, padded_w, args.c});
+    const int64_t row_floats = args.w * args.c;
+    for (int64_t b = 0; b < args.n; ++b) {
+      for (int64_t y = 0; y < args.h; ++y) {
+        CopyFloats(view.columns.MutableData() +
+                       ((b * padded_h + y + g.pad_top) * padded_w +
+                        g.pad_left) *
+                           args.c,
+                   input.Data() + (b * args.h + y) * row_floats, row_floats);
+      }
+    }
+  }
+  view.row.reserve(static_cast<size_t>(args.n * args.out_h * args.out_w));
+  for (int64_t b = 0; b < args.n; ++b) {
+    for (int64_t oy = 0; oy < args.out_h; ++oy) {
+      for (int64_t ox = 0; ox < args.out_w; ++ox) {
+        view.row.push_back(((b * padded_h + oy) * padded_w + ox) * args.c);
+      }
+    }
+  }
+  view.tap.reserve(static_cast<size_t>(args.c * g.kernel_h * g.kernel_w));
+  for (int64_t ch = 0; ch < args.c; ++ch) {
+    for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
+      for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
+        view.tap.push_back(
+            (ky * g.dilation_h * padded_w + kx * g.dilation_w) * args.c + ch);
+      }
+    }
+  }
+  return view;
+}
+
+}  // namespace
+
+Tensor ConvForward(const Tensor& input, const Tensor& weight,
+                   const Tensor* bias, const Conv2dGeometry& g) {
+  const vec::ConvArgs args = CheckConv(input.shape(), weight.shape(), g);
+  if (bias != nullptr) {
+    PPN_CHECK(bias->ndim() == 1 && bias->dim(0) == args.c_out)
+        << "conv bias" << ShapeToString(bias->shape())
+        << "does not match weight" << ShapeToString(weight.shape());
+  }
+  const int64_t rows = args.n * args.out_h * args.out_w;
+  const int64_t patch = args.c * g.kernel_h * g.kernel_w;
+  RecordMatMul(rows, args.c_out, patch);
+  obs::Span span("tensor.conv.forward", /*min_duration_us=*/20.0);
+  const ColumnView view = MakeColumnView(input, args, g);
+  const Tensor weight_t = Transpose2D(weight.Reshaped({args.c_out, patch}));
+  Tensor out = Tensor::Uninitialized({args.n, args.out_h, args.out_w,
+                                      args.c_out});
+  dispatch::Kernels().conv_forward(
+      view.Args(), weight_t.Data(), bias != nullptr ? bias->Data() : nullptr,
+      out.MutableData(), InnerParallelEnabled());
+  return out;
+}
+
+Tensor ConvInputGrad(const Tensor& grad, const Tensor& weight,
+                     const std::vector<int64_t>& input_shape,
+                     const Conv2dGeometry& g) {
+  const vec::ConvArgs args = CheckConv(input_shape, weight.shape(), g);
+  PPN_CHECK(grad.shape() == std::vector<int64_t>({args.n, args.out_h,
+                                                  args.out_w, args.c_out}))
+      << "conv output gradient" << ShapeToString(grad.shape())
+      << "does not match the output of input" << ShapeToString(input_shape);
+  const int64_t taps = g.kernel_h * g.kernel_w;
+  RecordMatMul(args.n * args.out_h * args.out_w, args.c * taps, args.c_out);
+  obs::Span span("tensor.conv.input_grad", /*min_duration_us=*/20.0);
+  // [C_out, C_in, kh, kw] -> [kh·kw, C_out, C_in]: each tap's filter rows
+  // with channels contiguous, the gather's lanes.
+  Tensor weight_taps = Tensor::Uninitialized({taps, args.c_out, args.c});
+  const float* pw = weight.Data();
+  float* pt = weight_taps.MutableData();
+  for (int64_t o = 0; o < args.c_out; ++o) {
+    for (int64_t ch = 0; ch < args.c; ++ch) {
+      for (int64_t t = 0; t < taps; ++t) {
+        pt[(t * args.c_out + o) * args.c + ch] =
+            pw[(o * args.c + ch) * taps + t];
+      }
+    }
+  }
+  Tensor dx = Tensor::Uninitialized(input_shape);
+  dispatch::Kernels().conv_input_grad(args, grad.Data(), weight_taps.Data(),
+                                      dx.MutableData(),
+                                      InnerParallelEnabled());
+  return dx;
+}
+
+Tensor ConvWeightGrad(const Tensor& input, const Tensor& grad,
+                      const Conv2dGeometry& g) {
+  PPN_CHECK_EQ(grad.ndim(), 4);
+  const int64_t c_out = grad.dim(3);
+  const int64_t c_in = input.ndim() == 4 ? input.dim(3) : 0;
+  const vec::ConvArgs args = CheckConv(
+      input.shape(), {c_out, c_in, g.kernel_h, g.kernel_w}, g);
+  PPN_CHECK(grad.shape() == std::vector<int64_t>({args.n, args.out_h,
+                                                  args.out_w, args.c_out}))
+      << "conv output gradient" << ShapeToString(grad.shape())
+      << "does not match the output of input" << ShapeToString(input.shape());
+  const int64_t rows = args.n * args.out_h * args.out_w;
+  const int64_t patch = args.c * g.kernel_h * g.kernel_w;
+  RecordMatMul(c_out, patch, rows);
+  obs::Span span("tensor.conv.weight_grad", /*min_duration_us=*/20.0);
+  const ColumnView view = MakeColumnView(input, args, g);
+  // dW^T [patch, C_out] has one row block per 8 patch entries, so every
+  // thread gets work even when C_out is 8.
+  Tensor weight_grad_t = Tensor::Uninitialized({patch, c_out});
+  dispatch::Kernels().conv_weight_grad(view.Args(), grad.Data(),
+                                       weight_grad_t.MutableData(),
+                                       InnerParallelEnabled());
+  return Transpose2D(weight_grad_t)
+      .Reshaped({c_out, args.c, g.kernel_h, g.kernel_w});
 }
 
 }  // namespace ppn

@@ -24,6 +24,9 @@
 ///    `vec::KernelTable` (scalar always; AVX2 when the CPU has it, or as
 ///    forced by PPN_SIMD). Every table obeys the same accumulation-order
 ///    contract, so the dispatch choice never changes any output bit.
+///  - Convolutions never materialize a column matrix: `ConvForward`,
+///    `ConvInputGrad` and `ConvWeightGrad` read the input in place and
+///    give the bits of the column-matrix GEMMs they replace.
 
 namespace ppn {
 
@@ -101,8 +104,8 @@ Tensor RandomUniform(std::vector<int64_t> shape, float lo, float hi, Rng* rng);
 Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev,
                     Rng* rng);
 
-/// Parameters of a 2-D convolution lowering. Stride is fixed at 1 (the only
-/// stride the paper's architecture uses).
+/// Parameters of a 2-D convolution. Stride is fixed at 1 (the only stride
+/// the paper's architecture uses).
 struct Conv2dGeometry {
   int64_t kernel_h = 1;
   int64_t kernel_w = 1;
@@ -123,18 +126,32 @@ struct Conv2dGeometry {
   }
 };
 
-/// Lowers a channels-last input [N, H, W, C] to columns
-/// [N * OutH * OutW, C * kh * kw] so a convolution becomes a matrix product
-/// with the [C*kh*kw, C_out] filter. Rows run in (n, oy, ox) order, so the
-/// product is the channels-last output [N, OutH, OutW, C_out] by a reshape;
-/// each row's patch runs in (channel, ky, kx) order, the filter's own.
-/// Out-of-bounds taps read zero (implicit zero padding).
-Tensor Im2Col(const Tensor& input, const Conv2dGeometry& geometry);
+/// The three kernels of a stride-1 convolution over a channels-last input
+/// x [N, H, W, C_in] with filter w [C_out, C_in, kh, kw]. Each is a GEMM
+/// over the conv's column matrix cols [N·OutH·OutW, C_in·kh·kw] (rows in
+/// (n, oy, ox) order, patch entries in (channel, ky, kx) order, zeros at
+/// padding taps), with that GEMM's bits; none builds cols, each reads x in
+/// place through an implicit-column view (vec::ConvArgs). Each checks the
+/// geometry and shapes first, with a named message: kernel sizes and
+/// dilations >= 1, pads >= 0, a weight matching the input, a non-empty
+/// output.
 
-/// Adjoint of `Im2Col`: scatters column gradients back to a channels-last
-/// input-shaped tensor [N, H, W, C].
-Tensor Col2Im(const Tensor& columns, const std::vector<int64_t>& input_shape,
-              const Conv2dGeometry& geometry);
+/// Output [N, OutH, OutW, C_out] = cols · w^T (+ bias [C_out] on every
+/// pixel when `bias` is non-null, as `AddRowVector` adds it).
+Tensor ConvForward(const Tensor& input, const Tensor& weight,
+                   const Tensor* bias, const Conv2dGeometry& geometry);
+
+/// Input gradient [N, H, W, C_in] for the output gradient `grad`
+/// [N, OutH, OutW, C_out]: the column gradient grad · w scattered back
+/// onto the input (the adjoint of cols), in ascending output row, without
+/// building the column gradient.
+Tensor ConvInputGrad(const Tensor& grad, const Tensor& weight,
+                     const std::vector<int64_t>& input_shape,
+                     const Conv2dGeometry& geometry);
+
+/// Weight gradient [C_out, C_in, kh, kw] = grad^T · cols.
+Tensor ConvWeightGrad(const Tensor& input, const Tensor& grad,
+                      const Conv2dGeometry& geometry);
 
 }  // namespace ppn
 

@@ -33,8 +33,9 @@ class Tensor {
   /// Allocates WITHOUT initializing: recycled pool buffers keep their
   /// previous contents. Only legal for callers that overwrite every
   /// element before the tensor can be read (elementwise outputs, matmul
-  /// outputs, copies, …). Ops that *accumulate* into their output (e.g.
-  /// `Col2Im`, `SumRows`) must use the zeroing constructor instead.
+  /// outputs, copies, …). Ops that *accumulate* into their output, or
+  /// write only part of it (gradient buffers, a conv's zero-padded input
+  /// copy), must use the zeroing constructor instead.
   static Tensor Uninitialized(std::vector<int64_t> shape);
 
   /// Allocates and fills from `values`; `values.size()` must equal the

@@ -13,7 +13,11 @@
 /// elementwise op the autograd layer emits. The transcendental forwards
 /// (exp/log/tanh/sigmoid) are polynomial bodies written once against the
 /// Vec concept (kernels_impl.h), so they too are bit-identical across
-/// tables; they do not call libm.
+/// tables; they do not call libm. A convolution is three entries (forward,
+/// weight gradient, input gradient) that read the channels-last input in
+/// place through an implicit-column view (`ConvArgs`); no column matrix is
+/// ever built, and each entry keeps the summation order of the GEMM over
+/// that matrix (DESIGN.md §2.8).
 
 namespace ppn::vec {
 
@@ -48,16 +52,26 @@ enum class BinaryOp : int {
   kClampBwd,    ///< g * (p0 < x && x < p1 ? 1 : 0)
 };
 
-/// Geometry for the im2col/col2im kernels — a flattened, dependency-free
-/// mirror of `Conv2dGeometry` plus the derived sizes (tensor/ops.cc
-/// fills it; kernels never recompute shapes).
-struct Im2ColArgs {
-  int64_t n, c, h, w;          ///< channels-last input [N, H, W, C]
-  int64_t out_h, out_w;        ///< output spatial dims (stride 1)
-  int64_t patch;               ///< c * kernel_h * kernel_w
+/// One stride-1 convolution as the three conv kernels see it: the
+/// channels-last input x [n, h, w, c], the filter [c_out, c, kernel_h,
+/// kernel_w] and the output [n, out_h, out_w, c_out] (tensor/ops.cc fills
+/// it; kernels never recompute shapes). Its column matrix cols [rows,
+/// patch] (rows = n·out_h·out_w in (n, oy, ox) order, patch =
+/// c·kernel_h·kernel_w in (channel, ky, kx) order, zero at padding taps) is
+/// never built: it is the implicit-column view
+///   cols(r, p) = columns[row[r] + tap[p]],
+/// where `columns` is x itself, or its zero-padded copy when the geometry
+/// pads, `row[r]` is output row r's first tap and `tap[p]` patch entry p's
+/// offset from it. The input-gradient gather reads only the shape fields.
+struct ConvArgs {
+  int64_t n, h, w, c;        ///< input [N, H, W, C]
+  int64_t out_h, out_w, c_out;
   int64_t kernel_h, kernel_w;
   int64_t dilation_h, dilation_w;
   int64_t pad_top, pad_left;
+  const float* columns;      ///< x, or x zero-padded by the pads
+  const int64_t* row;        ///< [rows]
+  const int64_t* tap;        ///< [patch]
 };
 
 /// One ISA's kernel set. All pointers are always non-null in a built
@@ -71,13 +85,24 @@ struct KernelTable {
   void (*matmul_ta)(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* out, int64_t m, int64_t n, int64_t k,
                     bool parallel_ok);
-  /// Lowers input [N,H,W,C] to columns [N*out_h*out_w, patch], patch
-  /// entries in (channel, ky, kx) order.
-  void (*im2col)(const float* input, float* columns, const Im2ColArgs& args,
-                 bool parallel_ok);
-  /// Adjoint scatter-add of im2col. `image` must be zero-initialized.
-  void (*col2im)(const float* columns, float* image, const Im2ColArgs& args,
-                 bool parallel_ok);
+  /// Conv forward: out [rows, c_out] = cols · weight_t (+ bias[j] on
+  /// every row when `bias` is non-null), weight_t the [patch, c_out]
+  /// transposed filter. The `matmul` body, reading A from the view; the
+  /// bias joins each element as it is stored, acc + b.
+  void (*conv_forward)(const ConvArgs& args, const float* weight_t,
+                       const float* bias, float* out, bool parallel_ok);
+  /// Conv weight gradient, transposed: out [patch, c_out] = colsᵀ · grad
+  /// for grad [rows, c_out]. The `matmul` body again, A = colsᵀ.
+  void (*conv_weight_grad)(const ConvArgs& args, const float* grad,
+                           float* out, bool parallel_ok);
+  /// Conv input gradient: dx [N,H,W,C] = the adjoint of cols applied to
+  /// grad · filter, by one gather per input element over its in-bounds
+  /// taps in descending (ky, kx) order (ascending output row). Each tap's
+  /// term sums its c_out products in ascending order; `weight_taps` is the
+  /// filter as [kernel_h·kernel_w, c_out, c]. Writes every element of dx.
+  void (*conv_input_grad)(const ConvArgs& args, const float* grad,
+                          const float* weight_taps, float* dx,
+                          bool parallel_ok);
   /// Column sums of a [m,n] matrix into out[n]. Writes every output
   /// column exactly once (no zero init required).
   void (*sum_rows)(const float* a, float* out, int64_t m, int64_t n);

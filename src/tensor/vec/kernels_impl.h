@@ -15,10 +15,10 @@
 /// Nothing here may depend on the ISA except through the Vec type.
 ///
 /// Bit-identity rules (DESIGN.md §2.8):
-///  - Reductions (matmul, sum_rows, col2im) keep ONE accumulator per
-///    output element, summed in the reference order. SIMD lanes only
-///    ever hold DISTINCT output elements, so widening the vector cannot
-///    reorder any element's sum.
+///  - Reductions (matmul, the conv kernels, sum_rows) keep ONE
+///    accumulator per output element, summed in the reference order.
+///    SIMD lanes only ever hold DISTINCT output elements, so widening the
+///    vector cannot reorder any element's sum.
 ///  - Elementwise kernels replicate the scalar expression tree per lane
 ///    (a select stays a select, a multiply-by-mask stays a multiply).
 ///  - Tails run the same lane ops under a partial mask (vmaskmovps
@@ -55,6 +55,21 @@ inline void ApplyBinary(Fn fn, const float* a, const float* b, float* out,
   if (rest > 0) {
     fn(Vec::LoadPartial(a + i, rest), Vec::LoadPartial(b + i, rest))
         .StorePartial(out + i, rest);
+  }
+}
+
+// Full-vector or masked-tail access to `count` <= kWidth lanes.
+template <class Vec>
+inline Vec LoadLanes(const float* p, int64_t count) {
+  return count == Vec::kWidth ? Vec::LoadU(p) : Vec::LoadPartial(p, count);
+}
+
+template <class Vec>
+inline void StoreLanes(Vec v, float* p, int64_t count) {
+  if (count == Vec::kWidth) {
+    v.StoreU(p);
+  } else {
+    v.StorePartial(p, count);
   }
 }
 
@@ -310,24 +325,72 @@ void BinaryKernel(BinaryOp op, const float* a, const float* b, float* out,
 }
 
 // ---------------------------------------------------------------------------
-// Blocked matmul. Same structure as the pre-SIMD kernel (8-row register
-// blocks, j vectorized, ascending-k single accumulators); the interior
-// microkernel now holds its 8 j-lane accumulators in Vec registers.
+// Blocked matmul. 8-row register blocks, j vectorized, ascending-k single
+// accumulators: the interior microkernel holds its 8 j-lane accumulators
+// in Vec registers and broadcasts A one scalar at a time. Since A enters
+// only through that scalar, the body is generic over how A is read (the
+// operands below): a conv reads its column matrix in place, and every
+// element still sums the same products in the same order.
 // ---------------------------------------------------------------------------
 
 constexpr int64_t kIB = 8;
 
-template <class Vec, bool kATransposed>
-inline void MicroKernel(const float* a, int64_t lda, const float* b,
-                        int64_t ldb, float* out, int64_t ldo, int64_t k) {
+// A(i, p) = a[i * lda + p].
+struct DenseA {
+  const float* a;
+  int64_t lda;
+  float operator()(int64_t i, int64_t p) const { return a[i * lda + p]; }
+  DenseA RowsFrom(int64_t i0) const { return {a + i0 * lda, lda}; }
+};
+
+// A(i, p) = a[p * lda + i] (transposed layout).
+struct TransposedA {
+  const float* a;
+  int64_t lda;
+  float operator()(int64_t i, int64_t p) const { return a[p * lda + i]; }
+  TransposedA RowsFrom(int64_t i0) const { return {a + i0, lda}; }
+};
+
+// A = cols, a conv's implicit column matrix: A(r, p) = columns[row[r] +
+// tap[p]] (kernels.h, ConvArgs).
+struct ColumnsA {
+  const float* columns;
+  const int64_t* row;
+  const int64_t* tap;
+  float operator()(int64_t i, int64_t p) const {
+    return columns[row[i] + tap[p]];
+  }
+  ColumnsA RowsFrom(int64_t i0) const { return {columns, row + i0, tap}; }
+};
+
+// A = colsᵀ: A(p, r) = columns[row[r] + tap[p]].
+struct ColumnsTA {
+  const float* columns;
+  const int64_t* row;
+  const int64_t* tap;
+  float operator()(int64_t i, int64_t p) const {
+    return columns[row[p] + tap[i]];
+  }
+  ColumnsTA RowsFrom(int64_t i0) const { return {columns, row, tap + i0}; }
+};
+
+// `bias`, when non-null, is added to each finished accumulator as it is
+// stored (acc + b, the add_row_vector expression).
+template <class Vec, class AOperand>
+inline void MicroKernel(AOperand a, const float* b, int64_t ldb,
+                        float* out, int64_t ldo, int64_t k,
+                        const float* bias) {
   Vec acc[kIB];
   for (int64_t i = 0; i < kIB; ++i) acc[i] = Vec::Zero();
   for (int64_t p = 0; p < k; ++p) {
     const Vec b_row = Vec::LoadU(b + p * ldb);
     for (int64_t i = 0; i < kIB; ++i) {
-      const float av = kATransposed ? a[p * lda + i] : a[i * lda + p];
-      acc[i] = Vec::MulAdd(Vec::Broadcast(av), b_row, acc[i]);
+      acc[i] = Vec::MulAdd(Vec::Broadcast(a(i, p)), b_row, acc[i]);
     }
+  }
+  if (bias != nullptr) {
+    const Vec b_vec = Vec::LoadU(bias);
+    for (int64_t i = 0; i < kIB; ++i) acc[i] = acc[i] + b_vec;
   }
   for (int64_t i = 0; i < kIB; ++i) acc[i].StoreU(out + i * ldo);
 }
@@ -335,26 +398,29 @@ inline void MicroKernel(const float* a, int64_t lda, const float* b,
 // Variable-size remainder block (right/bottom edges): scalar loops with
 // the same accumulator discipline. Edge work is O(edge * k); keeping it
 // scalar costs little and stays trivially bit-identical.
-template <class Vec, bool kATransposed>
-inline void EdgeBlock(const float* a, int64_t lda, const float* b, int64_t ldb,
+template <class Vec, class AOperand>
+inline void EdgeBlock(AOperand a, const float* b, int64_t ldb,
                       float* out, int64_t ldo, int64_t k, int64_t ib,
-                      int64_t jb) {
+                      int64_t jb, const float* bias) {
   float acc[kIB][Vec::kWidth] = {};
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * ldb;
     for (int64_t i = 0; i < ib; ++i) {
-      const float av = kATransposed ? a[p * lda + i] : a[i * lda + p];
+      const float av = a(i, p);
       for (int64_t j = 0; j < jb; ++j) acc[i][j] += av * b_row[j];
     }
   }
   for (int64_t i = 0; i < ib; ++i) {
-    for (int64_t j = 0; j < jb; ++j) out[i * ldo + j] = acc[i][j];
+    for (int64_t j = 0; j < jb; ++j) {
+      out[i * ldo + j] = bias != nullptr ? acc[i][j] + bias[j] : acc[i][j];
+    }
   }
 }
 
-template <class Vec, bool kATransposed>
-void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
-                   float* out, int64_t m, int64_t n, int64_t k,
+// out [m, n] = A · b (+ bias), b rows `b + p * ldb` contiguous.
+template <class Vec, class AOperand>
+void BlockedMatMul(AOperand a, const float* b, int64_t ldb, float* out,
+                   int64_t m, int64_t n, int64_t k, const float* bias,
                    bool parallel_ok) {
   constexpr int64_t kJB = Vec::kWidth;
   // OpenMP splits row blocks; every output element is computed wholly by
@@ -367,137 +433,180 @@ void BlockedMatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
 #endif
   for (int64_t i0 = 0; i0 < m; i0 += kIB) {
     const int64_t ib = m - i0 < kIB ? m - i0 : kIB;
-    // A's row-block origin: row i0 in the row-major layout, column i0 in
-    // the transposed layout.
-    const float* a_block = kATransposed ? a + i0 : a + i0 * lda;
+    const AOperand a_block = a.RowsFrom(i0);
     float* out_block = out + i0 * n;
     int64_t j0 = 0;
     if (ib == kIB) {
       for (; j0 + kJB <= n; j0 += kJB) {
-        MicroKernel<Vec, kATransposed>(a_block, lda, b + j0, ldb,
-                                       out_block + j0, n, k);
+        MicroKernel<Vec>(a_block, b + j0, ldb, out_block + j0, n, k,
+                         bias != nullptr ? bias + j0 : nullptr);
       }
     }
     for (; j0 < n; j0 += kJB) {
       const int64_t jb = n - j0 < kJB ? n - j0 : kJB;
-      EdgeBlock<Vec, kATransposed>(a_block, lda, b + j0, ldb, out_block + j0, n,
-                                   k, ib, jb);
+      EdgeBlock<Vec>(a_block, b + j0, ldb, out_block + j0, n, k, ib, jb,
+                     bias != nullptr ? bias + j0 : nullptr);
     }
   }
 }
 
+template <class Vec>
+void MatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
+            float* out, int64_t m, int64_t n, int64_t k, bool parallel_ok) {
+  BlockedMatMul<Vec>(DenseA{a, lda}, b, ldb, out, m, n, k, nullptr,
+                     parallel_ok);
+}
+
+template <class Vec>
+void MatMulTransA(const float* a, int64_t lda, const float* b, int64_t ldb,
+                  float* out, int64_t m, int64_t n, int64_t k,
+                  bool parallel_ok) {
+  BlockedMatMul<Vec>(TransposedA{a, lda}, b, ldb, out, m, n, k, nullptr,
+                     parallel_ok);
+}
+
 // ---------------------------------------------------------------------------
-// im2col / col2im.
+// Convolution without column matrices (DESIGN.md §2.8). The forward and
+// the weight gradient are the blocked matmul over the implicit-column
+// view, so each output element sums exactly the products the column-matrix
+// GEMM summed, in its order: the forward over patch entries p ascending, the
+// weight gradient over output rows r ascending (col * grad where the GEMM
+// had grad * col; IEEE multiplication commutes). Padding taps read the
+// padded copy's +0.0f, so 0 * Inf is NaN as before.
 // ---------------------------------------------------------------------------
 
-// Both kernels work on channels-last images [N, H, W, C] and keep the
-// (channel, ky, kx) patch order, so column matrices do not depend on the
-// image layout. For output pixels whose every tap is in bounds, the patch
-// is a fixed gather pattern: tap (ch, ky, kx) reads base +
-// (ky*dil_h*w + kx*dil_w)*c + ch where base is the pixel's top-left input
-// element. The interior fast path precomputes those offsets once and
-// gathers; only boundary pixels (and inputs too large for int32 offsets)
-// take the bounds-checked scalar loop. Pure data movement: bit-identity
-// is free.
 template <class Vec>
-void Im2Col(const float* pi, float* pc, const Im2ColArgs& g, bool parallel_ok) {
-  const int64_t image = g.h * g.w * g.c;
-  const bool gatherable = image <= INT32_MAX;
-  std::vector<int32_t> rel;
-  if (gatherable) {
-    rel.reserve(static_cast<size_t>(g.patch));
-    for (int64_t ch = 0; ch < g.c; ++ch) {
-      for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-        for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-          rel.push_back(static_cast<int32_t>(
-              (ky * g.dilation_h * g.w + kx * g.dilation_w) * g.c + ch));
+void ConvForward(const ConvArgs& g, const float* weight_t, const float* bias,
+                 float* out, bool parallel_ok) {
+  const int64_t rows = g.n * g.out_h * g.out_w;
+  const int64_t patch = g.c * g.kernel_h * g.kernel_w;
+  BlockedMatMul<Vec>(ColumnsA{g.columns, g.row, g.tap}, weight_t, g.c_out,
+                     out, rows, g.c_out, patch, bias, parallel_ok);
+}
+
+template <class Vec>
+void ConvWeightGrad(const ConvArgs& g, const float* grad, float* out,
+                    bool parallel_ok) {
+  const int64_t rows = g.n * g.out_h * g.out_w;
+  const int64_t patch = g.c * g.kernel_h * g.kernel_w;
+  BlockedMatMul<Vec>(ColumnsTA{g.columns, g.row, g.tap}, grad, g.c_out, out,
+                     patch, g.c_out, rows, nullptr, parallel_ok);
+}
+
+// The input gradient is the column gradient grad · filter scattered back
+// onto the input. Its reference sums fix the order: each column-gradient
+// element sums its c_out products in ascending order from +0, and the
+// scatter adds the elements landing on one input element to a zeroed image
+// in ascending output row, i.e. descending (ky, kx). The gather below
+// forms those sums in that order without the column gradient, one input
+// element at a time, lanes over channels (distinct elements). Out-of-bounds taps are skipped, as the scatter skipped them,
+// so a filter tap that only ever reads padding never reaches dx. Runs of
+// kGatherPixels neighbours along a row that share their in-bounds taps
+// (so each tap reads consecutive output rows) go through one register
+// block; the other pixels go one at a time. The loops over a block's
+// pixels are unrolled so that acc and dot stay in registers (at -O2 GCC
+// keeps such arrays on the stack).
+constexpr int64_t kGatherPixels = 4;
+
+template <class Vec, int64_t kPixels>
+inline void GatherPixels(const ConvArgs& g, const float* grad,
+                         const float* weight_taps, float* dx, int64_t b,
+                         int64_t y, int64_t x, int64_t ky_lo, int64_t ky_hi,
+                         int64_t kx_lo, int64_t kx_hi) {
+  for (int64_t ch = 0; ch < g.c; ch += Vec::kWidth) {
+    const int64_t lanes =
+        g.c - ch < Vec::kWidth ? g.c - ch : int64_t{Vec::kWidth};
+    Vec acc[kPixels];
+#pragma GCC unroll 8
+    for (int64_t i = 0; i < kPixels; ++i) acc[i] = Vec::Zero();
+    for (int64_t ky = ky_hi; ky >= ky_lo; --ky) {
+      const int64_t oy = y + g.pad_top - ky * g.dilation_h;
+      for (int64_t kx = kx_hi; kx >= kx_lo; --kx) {
+        const int64_t ox = x + g.pad_left - kx * g.dilation_w;
+        const float* grad_rows =
+            grad + ((b * g.out_h + oy) * g.out_w + ox) * g.c_out;
+        const float* w =
+            weight_taps + (ky * g.kernel_w + kx) * g.c_out * g.c + ch;
+        Vec dot[kPixels];
+#pragma GCC unroll 8
+        for (int64_t i = 0; i < kPixels; ++i) dot[i] = Vec::Zero();
+        for (int64_t o = 0; o < g.c_out; ++o) {
+          const Vec w_o = LoadLanes<Vec>(w + o * g.c, lanes);
+#pragma GCC unroll 8
+          for (int64_t i = 0; i < kPixels; ++i) {
+            dot[i] = Vec::MulAdd(Vec::Broadcast(grad_rows[i * g.c_out + o]),
+                                 w_o, dot[i]);
+          }
         }
+#pragma GCC unroll 8
+        for (int64_t i = 0; i < kPixels; ++i) acc[i] = acc[i] + dot[i];
       }
     }
-  }
-  const int32_t* rel_data = rel.data();
-  // Tap extents: pixel (oy, ox) is interior iff its first and last taps
-  // are in bounds on both axes.
-  const int64_t span_y = g.dilation_h * (g.kernel_h - 1);
-  const int64_t span_x = g.dilation_w * (g.kernel_w - 1);
-#ifdef _OPENMP
-#pragma omp parallel for \
-    if (parallel_ok && g.n * g.out_h * g.out_w * g.patch > 65536) \
-    schedule(static)
-#else
-  (void)parallel_ok;
-#endif
-  for (int64_t b = 0; b < g.n; ++b) {
-    const float* batch = pi + b * image;
-    for (int64_t oy = 0; oy < g.out_h; ++oy) {
-      const int64_t y0 = oy - g.pad_top;
-      const bool y_interior = y0 >= 0 && y0 + span_y < g.h;
-      for (int64_t ox = 0; ox < g.out_w; ++ox) {
-        float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
-        const int64_t x0 = ox - g.pad_left;
-        if (gatherable && y_interior && x0 >= 0 && x0 + span_x < g.w) {
-          const float* base = batch + (y0 * g.w + x0) * g.c;
-          int64_t ci = 0;
-          for (; ci + Vec::kWidth <= g.patch; ci += Vec::kWidth) {
-            Vec::Gather(base, rel_data + ci).StoreU(col + ci);
-          }
-          for (; ci < g.patch; ++ci) col[ci] = base[rel_data[ci]];
-          continue;
-        }
-        int64_t col_index = 0;
-        for (int64_t ch = 0; ch < g.c; ++ch) {
-          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-            const int64_t in_y = y0 + ky * g.dilation_h;
-            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const int64_t in_x = x0 + kx * g.dilation_w;
-              float value = 0.0f;
-              if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                value = batch[(in_y * g.w + in_x) * g.c + ch];
-              }
-              col[col_index++] = value;
-            }
-          }
-        }
-      }
+    float* out = dx + ((b * g.h + y) * g.w + x) * g.c + ch;
+#pragma GCC unroll 8
+    for (int64_t i = 0; i < kPixels; ++i) {
+      StoreLanes(acc[i], out + i * g.c, lanes);
     }
   }
 }
 
-// Adjoint scatter-add. Overlapping patches accumulate into shared
-// pixels, so vector lanes could not hold distinct output elements along
-// the patch axis in general; the kernel stays scalar (its cost is small
-// next to the conv matmuls) and identical in both tables.
+// First and last kernel index k in [0, kernel) whose output coordinate
+// `at + pad - k * dilation` lies in [0, out): a contiguous range, empty
+// (first > last) when no tap reaches an output.
+inline void InBoundsTaps(int64_t at, int64_t pad, int64_t dilation,
+                         int64_t kernel, int64_t out, int64_t* first,
+                         int64_t* last) {
+  *first = kernel;
+  *last = -1;
+  for (int64_t k = 0; k < kernel; ++k) {
+    const int64_t o = at + pad - k * dilation;
+    if (o >= 0 && o < out) {
+      if (*first == kernel) *first = k;
+      *last = k;
+    }
+  }
+}
+
 template <class Vec>
-void Col2Im(const float* pc, float* pi, const Im2ColArgs& g, bool parallel_ok) {
-  // Parallel over the batch only: overlapping patches of one image
-  // accumulate into shared pixels, but images never alias each other, and
-  // the within-image accumulation order is untouched (bit-identical).
+void ConvInputGrad(const ConvArgs& g, const float* grad,
+                   const float* weight_taps, float* dx, bool parallel_ok) {
+  std::vector<int64_t> kx_lo(static_cast<size_t>(g.w));
+  std::vector<int64_t> kx_hi(static_cast<size_t>(g.w));
+  for (int64_t x = 0; x < g.w; ++x) {
+    InBoundsTaps(x, g.pad_left, g.dilation_w, g.kernel_w, g.out_w, &kx_lo[x],
+                 &kx_hi[x]);
+  }
+  const int64_t work =
+      g.n * g.out_h * g.out_w * g.c * g.kernel_h * g.kernel_w * g.c_out;
 #ifdef _OPENMP
-#pragma omp parallel for \
-    if (parallel_ok && g.n * g.out_h * g.out_w * g.patch > 65536) \
-    schedule(static)
+#pragma omp parallel for if (parallel_ok && work > 65536) schedule(static)
 #else
   (void)parallel_ok;
+  (void)work;
 #endif
-  for (int64_t b = 0; b < g.n; ++b) {
-    float* image = pi + b * g.h * g.w * g.c;
-    for (int64_t oy = 0; oy < g.out_h; ++oy) {
-      for (int64_t ox = 0; ox < g.out_w; ++ox) {
-        const float* col = pc + ((b * g.out_h + oy) * g.out_w + ox) * g.patch;
-        int64_t col_index = 0;
-        for (int64_t ch = 0; ch < g.c; ++ch) {
-          for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
-            const int64_t in_y = oy - g.pad_top + ky * g.dilation_h;
-            for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-              const int64_t in_x = ox - g.pad_left + kx * g.dilation_w;
-              const float value = col[col_index++];
-              if (in_y >= 0 && in_y < g.h && in_x >= 0 && in_x < g.w) {
-                image[(in_y * g.w + in_x) * g.c + ch] += value;
-              }
-            }
-          }
-        }
+  for (int64_t by = 0; by < g.n * g.h; ++by) {
+    const int64_t b = by / g.h;
+    const int64_t y = by % g.h;
+    int64_t ky_lo;
+    int64_t ky_hi;
+    InBoundsTaps(y, g.pad_top, g.dilation_h, g.kernel_h, g.out_h, &ky_lo,
+                 &ky_hi);
+    int64_t x = 0;
+    while (x < g.w) {
+      int64_t run = 1;
+      while (run < kGatherPixels && x + run < g.w &&
+             kx_lo[x + run] == kx_lo[x] && kx_hi[x + run] == kx_hi[x]) {
+        ++run;
       }
+      if (run == kGatherPixels) {
+        GatherPixels<Vec, kGatherPixels>(g, grad, weight_taps, dx, b, y, x,
+                                         ky_lo, ky_hi, kx_lo[x], kx_hi[x]);
+      } else {
+        run = 1;
+        GatherPixels<Vec, 1>(g, grad, weight_taps, dx, b, y, x, ky_lo, ky_hi,
+                             kx_lo[x], kx_hi[x]);
+      }
+      x += run;
     }
   }
 }
@@ -551,21 +660,6 @@ void AddRowVector(const float* a, const float* b, float* out, int64_t m,
 // along a row, lanes are hidden units (full vectors, then one masked
 // tail), and each gate's block sits `hidden` floats after the previous.
 // ---------------------------------------------------------------------------
-
-// Full-vector or masked-tail access to `count` <= kWidth lanes.
-template <class Vec>
-inline Vec LoadLanes(const float* p, int64_t count) {
-  return count == Vec::kWidth ? Vec::LoadU(p) : Vec::LoadPartial(p, count);
-}
-
-template <class Vec>
-inline void StoreLanes(Vec v, float* p, int64_t count) {
-  if (count == Vec::kWidth) {
-    v.StoreU(p);
-  } else {
-    v.StorePartial(p, count);
-  }
-}
 
 // Row-parallel only when a step carries enough work to pay for the fork.
 constexpr int64_t kLstmParallelElements = 4096;
@@ -652,10 +746,11 @@ void LstmCellBwd(const float* gates, const float* c_prev, const float* tanh_c,
 template <class Vec>
 KernelTable MakeTable() {
   KernelTable table;
-  table.matmul = &BlockedMatMul<Vec, /*kATransposed=*/false>;
-  table.matmul_ta = &BlockedMatMul<Vec, /*kATransposed=*/true>;
-  table.im2col = &Im2Col<Vec>;
-  table.col2im = &Col2Im<Vec>;
+  table.matmul = &MatMul<Vec>;
+  table.matmul_ta = &MatMulTransA<Vec>;
+  table.conv_forward = &ConvForward<Vec>;
+  table.conv_weight_grad = &ConvWeightGrad<Vec>;
+  table.conv_input_grad = &ConvInputGrad<Vec>;
   table.sum_rows = &SumRows<Vec>;
   table.add_row_vector = &AddRowVector<Vec>;
   table.unary = &UnaryKernel<Vec>;

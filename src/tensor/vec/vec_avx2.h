@@ -147,12 +147,6 @@ class VecAvx2 {
         _mm256_castsi256_ps(_mm256_set1_epi32(static_cast<int>(bits))));
   }
 
-  static VecAvx2 Gather(const float* base, const int32_t* idx) {
-    const __m256i vindex =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(idx));
-    return VecAvx2(_mm256_i32gather_ps(base, vindex, 4));
-  }
-
   static VecAvx2 Blend(const VecAvx2& mask, const VecAvx2& if_true,
                        const VecAvx2& if_false) {
     return VecAvx2(_mm256_blendv_ps(if_false.raw_, if_true.raw_, mask.raw_));

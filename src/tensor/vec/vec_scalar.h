@@ -264,14 +264,6 @@ class VecScalar {
     return Broadcast(std::bit_cast<float>(bits));
   }
 
-  /// vgatherdps: lane i reads base[idx[i]]. All eight indices must be
-  /// in bounds (no masking).
-  static VecScalar Gather(const float* base, const int32_t* idx) {
-    VecScalar out;
-    for (int i = 0; i < kWidth; ++i) out.lane_[i] = base[idx[i]];
-    return out;
-  }
-
   /// vblendvps: lane i takes `if_true` when mask lane i's TOP BIT is
   /// set, else `if_false`.
   static VecScalar Blend(const VecScalar& mask, const VecScalar& if_true,

@@ -2,12 +2,19 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include <gtest/gtest.h>
 
+#include "../tensor/for_each_path.h"
 #include "autograd/grad_check.h"
 #include "autograd/ops.h"
+#include "nn/conv.h"
 #include "tensor/ops.h"
 
 namespace ppn::ag {
@@ -348,6 +355,248 @@ TEST(Conv2dLayoutTest, MatchesNchwCompositionBitForBit) {
     ExpectSameBits(w->grad(), grad_weight.Reshaped(weight.shape()),
                    "weight grad");
     ExpectSameBits(b->grad(), ppn::SumRows(grad_matrix), "bias grad");
+  }
+}
+
+// The same composition, as a function of the conv's tensors: the output
+// and the input, weight and bias gradients for output gradient `grad_out`.
+struct ConvRun {
+  Tensor out, input_grad, weight_grad, bias_grad;
+};
+
+ConvRun RunComposition(const Tensor& input, const Tensor& weight,
+                       const Tensor& bias, const Tensor& grad_out,
+                       const Conv2dGeometry& g) {
+  const int64_t batch = input.dim(0), assets = input.dim(1);
+  const int64_t time = input.dim(2), c_in = input.dim(3);
+  const int64_t c_out = weight.dim(0);
+  const int64_t out_h = g.OutH(assets), out_w = g.OutW(time);
+  const int64_t rows = batch * out_h * out_w;
+  const int64_t patch = c_in * g.kernel_h * g.kernel_w;
+  Tensor image = Transpose(input, /*to_nchw=*/true);
+  Tensor cols({rows, patch});
+  NchwLowering(&image, &cols, g, /*to_cols=*/true);
+  const Tensor weight_matrix = weight.Reshaped({c_out, patch});
+  const Tensor grad_matrix = grad_out.Reshaped({rows, c_out});
+  Tensor grad_cols = ppn::MatMul(grad_matrix, weight_matrix);
+  Tensor grad_image({batch, c_in, assets, time});
+  NchwLowering(&grad_image, &grad_cols, g, /*to_cols=*/false);
+  return {ppn::AddRowVector(ppn::MatMulTransB(cols, weight_matrix), bias)
+              .Reshaped({batch, out_h, out_w, c_out}),
+          Transpose(grad_image, /*to_nchw=*/false),
+          ppn::MatMulTransA(grad_matrix, cols).Reshaped(weight.shape()),
+          ppn::SumRows(grad_matrix)};
+}
+
+ConvRun RunConv2d(const Tensor& input, const Tensor& weight,
+                  const Tensor& bias, const Tensor& grad_out,
+                  const Conv2dGeometry& g) {
+  Var x = Parameter(input.Clone());
+  Var w = Parameter(weight.Clone());
+  Var b = Parameter(bias.Clone());
+  Var y = Conv2d(x, w, b, g);
+  Backward(SumAll(Mul(y, Constant(grad_out.Clone()))));
+  return {y->value(), x->grad(), w->grad(), b->grad()};
+}
+
+// One EXPECT per tensor (these tensors run to 10^5 elements): the number
+// of elements whose bits differ, and the first of them.
+void ExpectBitEqual(const Tensor& got, const Tensor& want,
+                    const std::string& label) {
+  ASSERT_EQ(got.shape(), want.shape()) << label;
+  int64_t mismatches = 0;
+  int64_t first = -1;
+  for (int64_t i = 0; i < got.numel(); ++i) {
+    if (std::bit_cast<uint32_t>(got.Data()[i]) !=
+        std::bit_cast<uint32_t>(want.Data()[i])) {
+      if (first < 0) first = i;
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << label << ": first at " << first << " (got "
+                           << (first < 0 ? 0.0f : got.Data()[first])
+                           << ", want "
+                           << (first < 0 ? 0.0f : want.Data()[first]) << ")";
+}
+
+void ExpectSameRun(const ConvRun& got, const ConvRun& want,
+                   const std::string& label) {
+  ExpectBitEqual(got.out, want.out, label + " output");
+  ExpectBitEqual(got.input_grad, want.input_grad, label + " input grad");
+  ExpectBitEqual(got.weight_grad, want.weight_grad, label + " weight grad");
+  ExpectBitEqual(got.bias_grad, want.bias_grad, label + " bias grad");
+}
+
+// Every conv layer of PPN and EIIE at batch 9 (rows that fill whole 8x8
+// register tiles and leave an edge), on every dispatch path and with the
+// OpenMP loops on 1 and 4 threads: the time convs at dilation 1/2/4, the
+// correlational conv (CCONV) at m = 11 and 16, Conv4 (VALID 1 x 30) and
+// EIIE's VALID 1x3, over the paper's channel counts and an odd one.
+TEST(Conv2dLayoutTest, MatchesCompositionAtPaperShapesBitForBit) {
+  struct Layer {
+    const char* name;
+    Conv2dGeometry g;
+    int64_t assets;
+  };
+  const Layer layers[] = {
+      {"time d=1", nn::CausalTimeConvGeometry(3, 1), 11},
+      {"time d=2", nn::CausalTimeConvGeometry(3, 2), 11},
+      {"time d=4", nn::CausalTimeConvGeometry(3, 4), 11},
+      {"CCONV m=11", nn::CorrelationalConvGeometry(11), 11},
+      {"CCONV m=16", nn::CorrelationalConvGeometry(16), 16},
+      {"Conv4", nn::ValidTimeConvGeometry(30), 11},
+      {"EIIE 1x3", nn::ValidTimeConvGeometry(3), 11}};
+  const int64_t batch = 9, time = 30;
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  const int thread_counts[] = {1, 4};
+#else
+  const int thread_counts[] = {1};
+#endif
+  for (const Layer& layer : layers) {
+    for (const int64_t c_in : {4, 8, 16}) {
+      for (const int64_t c_out : {5, 8, 16}) {
+        const Conv2dGeometry& g = layer.g;
+        Rng rng(1000 * c_in + c_out);
+        const Tensor input =
+            RandomUniform({batch, layer.assets, time, c_in}, -1.0f, 1.0f, &rng);
+        const Tensor weight = RandomUniform(
+            {c_out, c_in, g.kernel_h, g.kernel_w}, -1.0f, 1.0f, &rng);
+        const Tensor bias = RandomUniform({c_out}, -1.0f, 1.0f, &rng);
+        const Tensor grad_out = RandomUniform(
+            {batch, g.OutH(layer.assets), g.OutW(time), c_out}, -1.0f, 1.0f,
+            &rng);
+        const ConvRun want = RunComposition(input, weight, bias, grad_out, g);
+        ForEachPath([&](const char* path) {
+          for (const int threads : thread_counts) {
+#ifdef _OPENMP
+            omp_set_num_threads(threads);
+#endif
+            ExpectSameRun(RunConv2d(input, weight, bias, grad_out, g), want,
+                          std::string(layer.name) + " C_in=" +
+                              std::to_string(c_in) + " C_out=" +
+                              std::to_string(c_out) + " " + path +
+                              " threads=" + std::to_string(threads));
+          }
+        });
+      }
+    }
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+// Padding taps still multiply their zeros. A causal 1x3 conv at dilation 4
+// over 6 periods: tap kx = 0 reads period t - 8, so it reads only padding,
+// and tap kx = 1 reads padding at the first four outputs.
+TEST(Conv2dLayoutTest, NonFiniteValuesAtPaddingMatchComposition) {
+  const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 4);
+  const int64_t batch = 2, assets = 3, time = 6, c_in = 3, c_out = 4;
+  Rng rng(77);
+  const Tensor input =
+      RandomUniform({batch, assets, time, c_in}, -1.0f, 1.0f, &rng);
+  const Tensor bias = RandomUniform({c_out}, -1.0f, 1.0f, &rng);
+  const Tensor finite_weight =
+      RandomUniform({c_out, c_in, 1, 3}, -1.0f, 1.0f, &rng);
+  const Tensor finite_grad =
+      RandomUniform({batch, assets, time, c_out}, -1.0f, 1.0f, &rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  ForEachPath([&](const char* path) {
+    SCOPED_TRACE(path);
+    // An Inf weight on the padding-only tap of output channel 1: 0 * Inf
+    // makes every output of that channel NaN and no other, and since the
+    // tap never reads an input element, the input gradient stays finite.
+    Tensor weight = finite_weight.Clone();
+    weight.MutableData()[((1 * c_in + 2) * 1 + 0) * 3 + 0] = inf;
+    ConvRun run = RunConv2d(input, weight, bias, finite_grad, g);
+    ExpectSameRun(run, RunComposition(input, weight, bias, finite_grad, g),
+                  "Inf weight");
+    for (int64_t i = 0; i < run.out.numel(); ++i) {
+      EXPECT_EQ(std::isnan(run.out.Data()[i]), i % c_out == 1) << i;
+    }
+    for (int64_t i = 0; i < run.input_grad.numel(); ++i) {
+      EXPECT_TRUE(std::isfinite(run.input_grad.Data()[i])) << i;
+    }
+    // An Inf output gradient at a boundary output (the first period) meets
+    // the zeros that taps kx = 0 and 1 read there: NaN in dW.
+    Tensor grad = finite_grad.Clone();
+    grad.MutableData()[((1 * assets + 2) * time + 0) * c_out + 3] = inf;
+    run = RunConv2d(input, finite_weight, bias, grad, g);
+    ExpectSameRun(run, RunComposition(input, finite_weight, bias, grad, g),
+                  "Inf output gradient");
+    for (int64_t ch = 0; ch < c_in; ++ch) {
+      for (int64_t kx = 0; kx < 2; ++kx) {
+        EXPECT_TRUE(std::isnan(run.weight_grad.Data()[(3 * c_in + ch) * 3 +
+                                                      kx]))
+            << "channel " << ch << " tap " << kx;
+      }
+    }
+  });
+}
+
+TEST(Conv2dDeathTest, KernelAndDilationMustBeAtLeastOne) {
+  Var x = Constant(Tensor({1, 2, 5, 1}));
+  Conv2dGeometry empty_kernel;
+  empty_kernel.kernel_w = 0;
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({1, 1, 1, 0})), nullptr,
+                      empty_kernel),
+               "conv kernel and dilation must be >= 1");
+  Conv2dGeometry no_dilation;
+  no_dilation.dilation_h = 0;
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({1, 1, 1, 1})), nullptr,
+                      no_dilation),
+               "conv kernel and dilation must be >= 1");
+}
+
+TEST(Conv2dDeathTest, PadsMustBeNonNegative) {
+  Var x = Constant(Tensor({1, 2, 5, 1}));
+  Conv2dGeometry g;
+  g.kernel_w = 3;
+  g.pad_left = -1;
+  g.pad_right = 3;
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({1, 1, 1, 3})), nullptr, g),
+               "conv pads must be >= 0");
+}
+
+TEST(Conv2dDeathTest, WeightMustMatchInput) {
+  Var x = Constant(Tensor({1, 2, 5, 3}));
+  Conv2dGeometry g;
+  g.kernel_w = 3;
+  // C_in 2 against an input of 3 channels, and a 1x2 kernel against 1x3.
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({4, 2, 1, 3})), nullptr, g),
+               "conv weight \\[4, 2, 1, 3\\] does not match input");
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({4, 3, 1, 2})), nullptr, g),
+               "does not match input");
+}
+
+TEST(Conv2dDeathTest, OutputMustBeNonEmpty) {
+  Var x = Constant(Tensor({1, 2, 3, 1}));
+  const Conv2dGeometry g = nn::ValidTimeConvGeometry(5);
+  EXPECT_DEATH(Conv2d(x, Constant(Tensor({1, 1, 1, 5})), nullptr, g),
+               "conv output is empty");
+}
+
+// The mask loop tests integer draws against ceil(p * 2^53); it must drop
+// exactly the elements Rng::Bernoulli(p) drops, and leave the generator
+// where that many Bernoulli draws leave it.
+TEST(DropoutTest, MaskEqualsBernoulliStream) {
+  for (const float p : {1e-7f, 0.1f, 0.2f, 1.0f / 3.0f, 0.5f, 0.9999999f}) {
+    for (const int64_t n : {1, 7, 8, 9, 84480}) {
+      Rng rng(static_cast<uint64_t>(n) * 31 + 7);
+      Rng reference = rng;
+      Var y = Dropout(Constant(Tensor::Full({n}, 1.0f)), p,
+                      /*training=*/true, &rng);
+      const float scale = 1.0f / (1.0f - p);
+      Tensor want = Tensor::Uninitialized({n});
+      for (int64_t i = 0; i < n; ++i) {
+        want.MutableData()[i] = reference.Bernoulli(p) ? 0.0f : scale;
+      }
+      ExpectBitEqual(y->value(), want,
+                     "p=" + std::to_string(p) + " n=" + std::to_string(n));
+      EXPECT_EQ(rng.NextUint64(), reference.NextUint64())
+          << "p=" << p << " n=" << n;
+    }
   }
 }
 

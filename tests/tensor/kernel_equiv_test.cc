@@ -76,8 +76,8 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b) {
 
 // Channels-last conv lowering, written out: image [N, H, W, C], one
 // column row per output pixel (n, oy, ox), patch entries in (channel, ky,
-// kx) order. Col2Im visits pixels in the same order, so each image
-// element sums its taps in ascending output-pixel order.
+// kx) order. The scatter back visits pixels in the same order, so each
+// image element sums its taps in ascending output-pixel order.
 struct NaiveConvIndex {
   const std::vector<int64_t>& shape;
   const Conv2dGeometry& g;
@@ -351,7 +351,7 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
   }
 }
 
-// Row reductions and the conv lowering across paths, including odd
+// Row reductions and the conv kernels across paths, including odd
 // column tails and the conv geometries the paper's network uses.
 TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   for (const int64_t n : {1LL, 7LL, 8LL, 9LL, 17LL, 100LL}) {
@@ -375,11 +375,12 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
       ExpectBitIdentical(AddRowVector(a, b), want_arv, "AddRowVector");
     });
   }
-  // Im2Col/Col2Im against the channels-last loops above: the dilated
-  // causal time conv (kernel 1x3, dilation 2, left pad 4: boundary AND
-  // interior gather pixels), the SAME correlational conv across all
-  // assets, a VALID time conv and a symmetric 3x3, over channel counts
-  // around the 8-lane width and odd widths.
+  // The three conv kernels against the column-matrix composition written
+  // out above (naive columns, the naive GEMMs, the naive scatter): the
+  // dilated causal time conv (kernel 1x3, dilation 2, left pad 4: boundary
+  // AND interior pixels), the SAME correlational conv across all assets, a
+  // VALID time conv and a symmetric 3x3, over channel counts around the
+  // 8-lane width, odd widths and two output channel counts.
   struct Geo {
     Conv2dGeometry g;
     const char* label;
@@ -409,22 +410,44 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
   for (const Geo& geo : geos) {
     for (const int64_t channels : {1LL, 3LL, 8LL, 16LL}) {
       for (const int64_t width : {7LL, 13LL}) {
-        Rng rng(100 * channels + width);
-        const Tensor image =
-            RandomUniform({2, assets, width, channels}, -2.0f, 2.0f, &rng);
-        const Tensor want_cols = NaiveIm2ColChannelsLast(image, geo.g);
-        const Tensor grad_cols =
-            RandomUniform(want_cols.shape(), -2.0f, 2.0f, &rng);
-        const Tensor want_img =
-            NaiveCol2ImChannelsLast(grad_cols, image.shape(), geo.g);
-        ForEachPath([&](const char* path) {
-          SCOPED_TRACE(testing::Message() << path << " " << geo.label
-                                          << " C=" << channels
-                                          << " W=" << width);
-          ExpectBitIdentical(Im2Col(image, geo.g), want_cols, "Im2Col");
-          ExpectBitIdentical(Col2Im(grad_cols, image.shape(), geo.g),
-                             want_img, "Col2Im");
-        });
+        for (const int64_t c_out : {5LL, 8LL}) {
+          Rng rng(100 * channels + 10 * width + c_out);
+          const Tensor image =
+              RandomUniform({2, assets, width, channels}, -2.0f, 2.0f, &rng);
+          const Tensor weight =
+              RandomUniform({c_out, channels, geo.g.kernel_h, geo.g.kernel_w},
+                            -2.0f, 2.0f, &rng);
+          const Tensor bias = RandomUniform({c_out}, -2.0f, 2.0f, &rng);
+          const Tensor cols = NaiveIm2ColChannelsLast(image, geo.g);
+          const int64_t rows = cols.dim(0);
+          const Tensor weight_matrix = weight.Reshaped({c_out, cols.dim(1)});
+          Tensor want_out = NaiveMatMulTransB(cols, weight_matrix);
+          for (int64_t r = 0; r < rows; ++r) {
+            for (int64_t o = 0; o < c_out; ++o) {
+              want_out.MutableData()[r * c_out + o] += bias.Data()[o];
+            }
+          }
+          const std::vector<int64_t> out_shape = {
+              2, geo.g.OutH(assets), geo.g.OutW(width), c_out};
+          const Tensor grad = RandomUniform(out_shape, -2.0f, 2.0f, &rng);
+          const Tensor grad_matrix = grad.Reshaped({rows, c_out});
+          const Tensor want_dx = NaiveCol2ImChannelsLast(
+              NaiveMatMul(grad_matrix, weight_matrix), image.shape(), geo.g);
+          const Tensor want_dw =
+              NaiveMatMulTransA(grad_matrix, cols).Reshaped(weight.shape());
+          ForEachPath([&](const char* path) {
+            SCOPED_TRACE(testing::Message()
+                         << path << " " << geo.label << " C=" << channels
+                         << " W=" << width << " C_out=" << c_out);
+            ExpectBitIdentical(ConvForward(image, weight, &bias, geo.g),
+                               want_out.Reshaped(out_shape), "ConvForward");
+            ExpectBitIdentical(
+                ConvInputGrad(grad, weight, image.shape(), geo.g), want_dx,
+                "ConvInputGrad");
+            ExpectBitIdentical(ConvWeightGrad(image, grad, geo.g), want_dw,
+                               "ConvWeightGrad");
+          });
+        }
       }
     }
   }

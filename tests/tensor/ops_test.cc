@@ -156,25 +156,38 @@ TEST(RandomTensorTest, UniformBoundsAndDeterminism) {
   }
 }
 
-// ------------------------------------------------------------ im2col ----
-// Images are channels-last, [N, H, W, C].
+// ------------------------------------------------------ conv kernels ----
+// Images are channels-last, [N, H, W, C]. A bank of one-hot filters, one
+// per patch entry, makes ConvForward's output the conv's column matrix:
+// output channel p of output pixel r is cols(r, p), patch entries in
+// (channel, ky, kx) order.
 
-TEST(Im2ColTest, Identity1x1) {
+Tensor ColumnMatrix(const Tensor& input, const Conv2dGeometry& g) {
+  const int64_t patch = input.dim(3) * g.kernel_h * g.kernel_w;
+  Tensor one_hot({patch, input.dim(3), g.kernel_h, g.kernel_w});
+  for (int64_t p = 0; p < patch; ++p) {
+    one_hot.MutableData()[p * patch + p] = 1.0f;
+  }
+  const Tensor out = ConvForward(input, one_hot, nullptr, g);
+  return out.Reshaped({out.numel() / patch, patch});
+}
+
+TEST(ConvColumnsTest, Identity1x1) {
   Tensor input({1, 2, 2, 1}, {1, 2, 3, 4});
   Conv2dGeometry g;  // 1x1 kernel.
-  Tensor cols = Im2Col(input, g);
+  Tensor cols = ColumnMatrix(input, g);
   EXPECT_EQ(cols.dim(0), 4);
   EXPECT_EQ(cols.dim(1), 1);
   EXPECT_TRUE(cols.AllClose(Tensor({4, 1}, {1, 2, 3, 4})));
 }
 
-TEST(Im2ColTest, CausalPaddingReadsZeros) {
+TEST(ConvColumnsTest, CausalPaddingReadsZeros) {
   // 1x3 causal kernel along width with pad_left=2 keeps width.
   Tensor input({1, 1, 3, 1}, {1, 2, 3});
   Conv2dGeometry g;
   g.kernel_w = 3;
   g.pad_left = 2;
-  Tensor cols = Im2Col(input, g);
+  Tensor cols = ColumnMatrix(input, g);
   ASSERT_EQ(cols.dim(0), 3);
   ASSERT_EQ(cols.dim(1), 3);
   // Output position 0 sees [0, 0, 1]; position 2 sees [1, 2, 3].
@@ -182,26 +195,27 @@ TEST(Im2ColTest, CausalPaddingReadsZeros) {
       Tensor({3, 3}, {0, 0, 1, 0, 1, 2, 1, 2, 3})));
 }
 
-TEST(Im2ColTest, DilationSkipsTaps) {
+TEST(ConvColumnsTest, DilationSkipsTaps) {
   Tensor input({1, 1, 5, 1}, {1, 2, 3, 4, 5});
   Conv2dGeometry g;
   g.kernel_w = 2;
   g.dilation_w = 2;
   // out_w = 5 - 2 = 3: positions see (1,3), (2,4), (3,5).
-  Tensor cols = Im2Col(input, g);
+  Tensor cols = ColumnMatrix(input, g);
   EXPECT_TRUE(cols.AllClose(Tensor({3, 2}, {1, 3, 2, 4, 3, 5})));
 }
 
-TEST(Im2ColTest, MultiChannelLayout) {
+TEST(ConvColumnsTest, MultiChannelLayout) {
   // 2 channels, 1x1 kernel: each row is one pixel's [c0, c1].
   Tensor input({1, 1, 2, 2}, {1, 10, 2, 20});
   Conv2dGeometry g;
-  Tensor cols = Im2Col(input, g);
+  Tensor cols = ColumnMatrix(input, g);
   EXPECT_TRUE(cols.AllClose(Tensor({2, 2}, {1, 10, 2, 20})));
 }
 
-TEST(Col2ImTest, AdjointOfIm2Col) {
-  // <Im2Col(x), y> == <x, Col2Im(y)> for random x, y (adjoint property).
+TEST(ConvColumnsTest, GradientsAreAdjointsOfTheForward) {
+  // <conv(x; w), y> == <x, ConvInputGrad(y; w)> == <w, ConvWeightGrad(x, y)>
+  // for random x, w, y (the adjoint property of both gradients).
   Rng rng(9);
   Tensor x = RandomNormal({2, 4, 5, 3}, 0.0f, 1.0f, &rng);
   Conv2dGeometry g;
@@ -210,14 +224,18 @@ TEST(Col2ImTest, AdjointOfIm2Col) {
   g.dilation_w = 2;
   g.pad_top = 1;
   g.pad_left = 2;
-  Tensor cols = Im2Col(x, g);
-  Tensor y = RandomNormal(cols.shape(), 0.0f, 1.0f, &rng);
-  Tensor back = Col2Im(y, x.shape(), g);
-  double lhs = 0.0;
-  for (int64_t i = 0; i < cols.numel(); ++i) lhs += cols[i] * y[i];
-  double rhs = 0.0;
-  for (int64_t i = 0; i < x.numel(); ++i) rhs += x[i] * back[i];
-  EXPECT_NEAR(lhs, rhs, 1e-2);
+  Tensor w = RandomNormal({4, 3, 2, 3}, 0.0f, 1.0f, &rng);
+  Tensor out = ConvForward(x, w, nullptr, g);
+  Tensor y = RandomNormal(out.shape(), 0.0f, 1.0f, &rng);
+  Tensor dx = ConvInputGrad(y, w, x.shape(), g);
+  Tensor dw = ConvWeightGrad(x, y, g);
+  const auto dot = [](const Tensor& a, const Tensor& b) {
+    double total = 0.0;
+    for (int64_t i = 0; i < a.numel(); ++i) total += a[i] * b[i];
+    return total;
+  };
+  EXPECT_NEAR(dot(out, y), dot(x, dx), 1e-2);
+  EXPECT_NEAR(dot(out, y), dot(w, dw), 1e-2);
 }
 
 TEST(Conv2dGeometryTest, OutputSizes) {

@@ -89,20 +89,25 @@ TEST_P(TensorProperty, SumAllIsLinear) {
   EXPECT_NEAR(SumAll(MulScalar(a, 3.0f)), 3.0 * SumAll(a), 1e-3);
 }
 
-TEST_P(TensorProperty, Im2ColPreservesEnergyFor1x1Kernel) {
-  // A 1x1 kernel lowering is a pure permutation of the input values.
+TEST_P(TensorProperty, IdentityFilter1x1ConvPreservesEnergy) {
+  // A 1x1 conv whose filter is the identity over channels copies the input.
   Tensor input = RandomNormal(
       {1 + rng_.UniformInt(3), 1 + rng_.UniformInt(3),
        1 + rng_.UniformInt(5), 1 + rng_.UniformInt(5)},
       0.0f, 1.0f, &rng_);
+  const int64_t channels = input.dim(3);
+  Tensor identity({channels, channels, 1, 1});
+  for (int64_t c = 0; c < channels; ++c) {
+    identity.MutableData()[c * channels + c] = 1.0f;
+  }
   Conv2dGeometry geometry;  // 1x1, no padding/dilation.
-  Tensor cols = Im2Col(input, geometry);
-  EXPECT_EQ(cols.numel(), input.numel());
+  Tensor out = ConvForward(input, identity, nullptr, geometry);
+  EXPECT_EQ(out.shape(), input.shape());
   double energy_in = 0.0;
   double energy_out = 0.0;
   for (int64_t i = 0; i < input.numel(); ++i) {
     energy_in += input[i] * input[i];
-    energy_out += cols[i] * cols[i];
+    energy_out += out[i] * out[i];
   }
   EXPECT_NEAR(energy_in, energy_out, 1e-3);
 }
