@@ -42,6 +42,22 @@ void BM_MatMulTransB(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulTransB)->Arg(48)->Arg(192);
 
+// The LSTM's weight gradients in a batch-32 train step (32 x 11 sequences
+// of k = 30, so T·N = 10560 rows, hidden 16): w_ih [4, 64] = x_tmᵀ·dz and
+// w_hh [16, 64] = h_prevᵀ·dz. Items are FLOPs.
+void BM_MatMulTransA(benchmark::State& state) {
+  const int64_t rows = 10560;
+  const int64_t in = state.range(0);
+  Rng rng(1);
+  Tensor a = RandomNormal({rows, in}, 0.0f, 1.0f, &rng);
+  Tensor dz = RandomNormal({rows, 64}, 0.0f, 1.0f, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMulTransA(a, dz));
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * in * 64);
+}
+BENCHMARK(BM_MatMulTransA)->Arg(4)->Arg(16);
+
 // The three conv kernels at the block-2 correlational conv of a batch-32
 // train step: input [32, 11, 30, 16], 16 -> 16 channels, kernel 11 x 1.
 struct BlockTwoCconv {

@@ -47,6 +47,11 @@ void MaybeAccumulate(const Var& parent, const Tensor& delta) {
   if (parent->requires_grad()) parent->AccumulateGrad(delta);
 }
 
+// A temporary delta is handed over, not copied (Node::AccumulateGrad).
+void MaybeAccumulate(const Var& parent, Tensor&& delta) {
+  if (parent->requires_grad()) parent->AccumulateGrad(std::move(delta));
+}
+
 }  // namespace
 
 Var Add(const Var& a, const Var& b) {
@@ -128,7 +133,7 @@ Var Tanh(const Var& a) {
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx =
         ppn::EltwiseBinary(vec::BinaryOp::kTanhBwd, self->grad(), self->value());
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -137,7 +142,7 @@ Var Sigmoid(const Var& a) {
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSigmoidBwd, self->grad(),
                                    self->value());
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -146,7 +151,7 @@ Var Relu(const Var& a) {
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kReluBwd, self->grad(),
                                    self->parents[0]->value());
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -155,7 +160,7 @@ Var Abs(const Var& a) {
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kAbsBwd, self->grad(),
                                    self->parents[0]->value());
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -164,7 +169,7 @@ Var Sqrt(const Var& a) {
   return MakeOp(std::move(out), {a}, [](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSqrtBwd, self->grad(),
                                    self->value());
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -174,7 +179,7 @@ Var Clamp(const Var& a, float lo, float hi) {
   return MakeOp(std::move(out), {a}, [lo, hi](Node* self) {
     Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kClampBwd, self->grad(),
                                    self->parents[0]->value(), lo, hi);
-    MaybeAccumulate(self->parents[0], dx);
+    MaybeAccumulate(self->parents[0], std::move(dx));
   });
 }
 
@@ -227,7 +232,7 @@ Var BroadcastScalar(const Var& scalar, std::vector<int64_t> shape) {
   return MakeOp(std::move(out), {scalar}, [](Node* self) {
     Tensor g({1});
     g.MutableData()[0] = static_cast<float>(ppn::SumAll(self->grad()));
-    MaybeAccumulate(self->parents[0], g);
+    MaybeAccumulate(self->parents[0], std::move(g));
   });
 }
 
@@ -275,7 +280,7 @@ Var NarrowVar(const Var& a, int axis, int64_t start, int64_t length) {
     if (!parent->requires_grad()) return;
     Tensor padded(parent->shape());
     ppn::NarrowInto(&padded, self->grad(), norm_axis, start);
-    parent->AccumulateGrad(padded);
+    parent->AccumulateGrad(std::move(padded));
   });
 }
 
@@ -316,7 +321,7 @@ Var SoftmaxRows(const Var& a) {
         dx_row[j] = y_row[j] * (dy_row[j] - inner);
       }
     }
-    parent->AccumulateGrad(dx);
+    parent->AccumulateGrad(std::move(dx));
   });
 }
 

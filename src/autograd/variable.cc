@@ -24,6 +24,16 @@ void Node::AccumulateGrad(const Tensor& delta) {
   for (int64_t i = 0; i < grad_.numel(); ++i) pg[i] += pd[i];
 }
 
+void Node::AccumulateGrad(Tensor&& delta) {
+  // Adding, copying a shared buffer and the shape check stay in one place.
+  if (grad_allocated_ || !delta.SoleOwner() || !SameShape(delta, value_)) {
+    AccumulateGrad(static_cast<const Tensor&>(delta));
+    return;
+  }
+  grad_ = std::move(delta);
+  grad_allocated_ = true;
+}
+
 void Node::ZeroGrad() {
   if (grad_allocated_) {
     grad_.Fill(0.0f);

@@ -51,6 +51,14 @@ class Node {
   /// Adds `delta` into the gradient accumulator (allocates on first use).
   void AccumulateGrad(const Tensor& delta);
 
+  /// Same, but the first accumulation takes over `delta`'s buffer instead
+  /// of copying it when `delta` is its sole owner (a fresh op output). A
+  /// delta that shares its buffer, such as the `Reshaped` view of a child's
+  /// gradient that Reshape's backward passes, is still copied: later
+  /// accumulations and the optimizers' in-place gradient clipping write
+  /// into this buffer, and must not reach the child's gradient.
+  void AccumulateGrad(Tensor&& delta);
+
   /// True once any gradient has been accumulated (or ZeroGrad called).
   bool has_grad() const { return grad_allocated_; }
 

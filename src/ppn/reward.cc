@@ -1,6 +1,7 @@
 #include "ppn/reward.h"
 
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 
@@ -32,19 +33,28 @@ ag::Var CostSensitiveReward(const ag::Var& actions, const RewardInputs& inputs,
   std::vector<double> prev_row(width);
   int64_t solver_iterations = 0;
   for (int64_t t = 0; t < periods; ++t) {
+    bool finite_row = true;
     for (int64_t i = 0; i < width; ++i) {
       action_row[i] = actions->value()[t * width + i];
       prev_row[i] = inputs.prev_hat[t * width + i];
+      finite_row = finite_row && std::isfinite(action_row[i]);
     }
-    const backtest::NetWealthSolve solve =
-        backtest::SolveNetWealthFactorDetailed(prev_row, action_row, costs);
-    PPN_CHECK(solve.converged)
-        << "net-wealth fixed point did not converge after " << solve.iterations
-        << " iterations";
-    solver_iterations += solve.iterations;
-    if (omegas != nullptr) omegas->push_back(solve.omega);
+    // A non-finite action (say, from a non-finite input window) is no
+    // portfolio and has no fixed point: its ω is NaN, which makes the
+    // reward NaN, and the trainer skips such a step.
+    double omega = std::numeric_limits<double>::quiet_NaN();
+    if (finite_row) {
+      const backtest::NetWealthSolve solve =
+          backtest::SolveNetWealthFactorDetailed(prev_row, action_row, costs);
+      PPN_CHECK(solve.converged)
+          << "net-wealth fixed point did not converge after "
+          << solve.iterations << " iterations";
+      solver_iterations += solve.iterations;
+      omega = solve.omega;
+    }
+    if (omegas != nullptr) omegas->push_back(omega);
     for (int64_t i = 0; i < width; ++i) {
-      omega_rows.MutableData()[t * width + i] = static_cast<float>(solve.omega);
+      omega_rows.MutableData()[t * width + i] = static_cast<float>(omega);
     }
   }
 

@@ -138,7 +138,21 @@ double PolicyGradientTrainer::TrainStep() {
   ag::Var loss = ag::Neg(reward);
   ag::Backward(loss);
   const double grad_norm = optimizer_->ClipGradNorm(config_.grad_clip);
-  optimizer_->Step();
+  // A non-finite loss or gradient norm would reach every weight through
+  // Adam's moments. Such a step changes nothing: no update, no PVM
+  // refresh, no tail-mean term; it is only counted.
+  const bool finite =
+      std::isfinite(ag::ScalarValue(loss)) && std::isfinite(grad_norm);
+  if (finite) {
+    optimizer_->Step();
+  } else {
+    ++nonfinite_steps_;
+    if (obs::Enabled()) {
+      static thread_local obs::Counter& nonfinite =
+          obs::GetCounter("trainer.nonfinite_steps");
+      nonfinite.Add(1.0);
+    }
+  }
 
   // Staleness of the recursive a_{t-1} inputs this batch consumed: how
   // many steps ago each row's PVM entry was last rewritten (reads the
@@ -153,13 +167,15 @@ double PolicyGradientTrainer::TrainStep() {
   }
 
   // Refresh the portfolio vector memory with the new actions.
-  for (int64_t b = 0; b < batch; ++b) {
-    std::vector<double> action(num_assets_ + 1);
-    for (int64_t i = 0; i <= num_assets_; ++i) {
-      action[i] = actions->value()[b * (num_assets_ + 1) + i];
+  if (finite) {
+    for (int64_t b = 0; b < batch; ++b) {
+      std::vector<double> action(num_assets_ + 1);
+      for (int64_t i = 0; i <= num_assets_; ++i) {
+        action[i] = actions->value()[b * (num_assets_ + 1) + i];
+      }
+      pvm_.Set(t0 + b, std::move(action));
+      pvm_write_step_[static_cast<size_t>(t0 + b)] = steps_done_;
     }
-    pvm_.Set(t0 + b, std::move(action));
-    pvm_write_step_[static_cast<size_t>(t0 + b)] = steps_done_;
   }
   if (obs::Enabled()) {
     static thread_local obs::Counter& steps =
@@ -170,7 +186,7 @@ double PolicyGradientTrainer::TrainStep() {
   // members so the indicator is part of the checkpointed state.
   const int64_t tail_start =
       config_.steps - std::max<int64_t>(config_.steps / 10, 1);
-  if (steps_done_ >= tail_start && steps_done_ < config_.steps) {
+  if (finite && steps_done_ >= tail_start && steps_done_ < config_.steps) {
     tail_sum_ += breakdown.total;
     ++tail_count_;
   }

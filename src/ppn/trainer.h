@@ -60,6 +60,8 @@ class PolicyGradientTrainer {
                         TrainerConfig config);
 
   /// Runs one gradient step on a sampled batch; returns the reward value.
+  /// A step whose loss or pre-clip gradient norm is not finite updates
+  /// nothing (see `nonfinite_steps()`).
   double TrainStep();
 
   /// Runs steps until `steps_done() == config.steps` (all of them on a
@@ -69,6 +71,12 @@ class PolicyGradientTrainer {
 
   /// Gradient steps taken so far (survives checkpoint/restore).
   int64_t steps_done() const { return steps_done_; }
+
+  /// Steps of this trainer object whose loss or pre-clip gradient norm was
+  /// not finite. Such a step counts in `steps_done()` but updates no weight,
+  /// PVM row or tail mean (also counted as `trainer.nonfinite_steps`). Not
+  /// checkpointed.
+  int64_t nonfinite_steps() const { return nonfinite_steps_; }
 
   /// Mean reward over the completed tail-window steps (0 before any).
   double tail_mean() const {
@@ -125,6 +133,7 @@ class PolicyGradientTrainer {
   std::unique_ptr<nn::Adam> optimizer_;
   /// Steps taken so far; indexes the obs reward-breakdown trace ring.
   int64_t steps_done_ = 0;
+  int64_t nonfinite_steps_ = 0;
   /// Running sum/count of rewards inside the final-10% tail window; kept as
   /// members (not Train() locals) so the convergence indicator survives a
   /// checkpoint/restore cycle.

@@ -405,10 +405,16 @@ vec::ConvArgs CheckConv(const std::vector<int64_t>& input_shape,
   return args;
 }
 
+// Orders of a conv's patch entries p. The forward sums over p, so it keeps
+// the column matrix's (channel, ky, kx) order. The weight gradient only
+// places its results by p: tap-major (ky, kx, channel) puts adjacent
+// channels of one tap, one run of the channels-last input, in a tile.
+enum class PatchOrder { kChannelMajor, kTapMajor };
+
 // The implicit-column view of a conv over `input` (vec::ConvArgs): the
 // input itself, or its zero-padded copy [N, H + pad_top + pad_bottom,
 // W + pad_left + pad_right, C] when the geometry pads, a base offset per
-// output row and an offset per tap in (channel, ky, kx) order.
+// output row and an offset per patch entry in `order`.
 struct ColumnView {
   vec::ConvArgs shape;
   Tensor columns;
@@ -426,7 +432,7 @@ struct ColumnView {
 };
 
 ColumnView MakeColumnView(const Tensor& input, const vec::ConvArgs& args,
-                          const Conv2dGeometry& g) {
+                          const Conv2dGeometry& g, PatchOrder order) {
   ColumnView view;
   view.shape = args;
   const int64_t padded_h = args.h + g.pad_top + g.pad_bottom;
@@ -454,12 +460,16 @@ ColumnView MakeColumnView(const Tensor& input, const vec::ConvArgs& args,
       }
     }
   }
-  view.tap.reserve(static_cast<size_t>(args.c * g.kernel_h * g.kernel_w));
+  const int64_t taps = g.kernel_h * g.kernel_w;
+  view.tap.resize(static_cast<size_t>(args.c * taps));
   for (int64_t ch = 0; ch < args.c; ++ch) {
     for (int64_t ky = 0; ky < g.kernel_h; ++ky) {
       for (int64_t kx = 0; kx < g.kernel_w; ++kx) {
-        view.tap.push_back(
-            (ky * g.dilation_h * padded_w + kx * g.dilation_w) * args.c + ch);
+        const int64_t t = ky * g.kernel_w + kx;
+        const int64_t p =
+            order == PatchOrder::kChannelMajor ? ch * taps + t : t * args.c + ch;
+        view.tap[static_cast<size_t>(p)] =
+            (ky * g.dilation_h * padded_w + kx * g.dilation_w) * args.c + ch;
       }
     }
   }
@@ -480,7 +490,8 @@ Tensor ConvForward(const Tensor& input, const Tensor& weight,
   const int64_t patch = args.c * g.kernel_h * g.kernel_w;
   RecordMatMul(rows, args.c_out, patch);
   obs::Span span("tensor.conv.forward", /*min_duration_us=*/20.0);
-  const ColumnView view = MakeColumnView(input, args, g);
+  const ColumnView view =
+      MakeColumnView(input, args, g, PatchOrder::kChannelMajor);
   const Tensor weight_t = Transpose2D(weight.Reshaped({args.c_out, patch}));
   Tensor out = Tensor::Uninitialized({args.n, args.out_h, args.out_w,
                                       args.c_out});
@@ -536,15 +547,27 @@ Tensor ConvWeightGrad(const Tensor& input, const Tensor& grad,
   const int64_t patch = args.c * g.kernel_h * g.kernel_w;
   RecordMatMul(c_out, patch, rows);
   obs::Span span("tensor.conv.weight_grad", /*min_duration_us=*/20.0);
-  const ColumnView view = MakeColumnView(input, args, g);
-  // dW^T [patch, C_out] has one row block per 8 patch entries, so every
-  // thread gets work even when C_out is 8.
-  Tensor weight_grad_t = Tensor::Uninitialized({patch, c_out});
+  const ColumnView view = MakeColumnView(input, args, g, PatchOrder::kTapMajor);
+  // dW^T [kh·kw·C_in, C_out], patch entries tap-major: one tile row per
+  // patch entry, so every thread gets work even when C_out is 8.
+  Tensor tap_grad = Tensor::Uninitialized({patch, c_out});
   dispatch::Kernels().conv_weight_grad(view.Args(), grad.Data(),
-                                       weight_grad_t.MutableData(),
+                                       tap_grad.MutableData(),
                                        InnerParallelEnabled());
-  return Transpose2D(weight_grad_t)
-      .Reshaped({c_out, args.c, g.kernel_h, g.kernel_w});
+  // [kh·kw, C_in, C_out] -> [C_out, C_in, kh, kw].
+  const int64_t taps = g.kernel_h * g.kernel_w;
+  Tensor weight_grad =
+      Tensor::Uninitialized({c_out, args.c, g.kernel_h, g.kernel_w});
+  const float* pt = tap_grad.Data();
+  float* pw = weight_grad.MutableData();
+  for (int64_t o = 0; o < c_out; ++o) {
+    for (int64_t ch = 0; ch < args.c; ++ch) {
+      for (int64_t t = 0; t < taps; ++t) {
+        pw[(o * args.c + ch) * taps + t] = pt[(t * args.c + ch) * c_out + o];
+      }
+    }
+  }
+  return weight_grad;
 }
 
 }  // namespace ppn

@@ -71,6 +71,11 @@ class Tensor {
   /// Mutable flat data pointer (writes are visible to all shallow copies).
   float* MutableData() { return data_.get(); }
 
+  /// True when no other tensor (shallow copy or `Reshaped` view) shares
+  /// this one's buffer, so a write through it is seen nowhere else. An
+  /// empty tensor has no buffer and counts as the sole owner.
+  bool SoleOwner() const { return data_.use_count() <= 1; }
+
   /// Element access by flat index.
   float operator[](int64_t flat_index) const;
 

@@ -57,12 +57,15 @@ enum class BinaryOp : int {
 /// kernel_w] and the output [n, out_h, out_w, c_out] (tensor/ops.cc fills
 /// it; kernels never recompute shapes). Its column matrix cols [rows,
 /// patch] (rows = n·out_h·out_w in (n, oy, ox) order, patch =
-/// c·kernel_h·kernel_w in (channel, ky, kx) order, zero at padding taps) is
-/// never built: it is the implicit-column view
+/// c·kernel_h·kernel_w entries, zero at padding taps) is never built: it
+/// is the implicit-column view
 ///   cols(r, p) = columns[row[r] + tap[p]],
 /// where `columns` is x itself, or its zero-padded copy when the geometry
 /// pads, `row[r]` is output row r's first tap and `tap[p]` patch entry p's
-/// offset from it. The input-gradient gather reads only the shape fields.
+/// offset from it. The caller picks the patch order through `tap`: the
+/// forward's is (channel, ky, kx), the filter's layout; the weight
+/// gradient's is tap-major, (ky, kx, channel). The input-gradient gather
+/// reads only the shape fields.
 struct ConvArgs {
   int64_t n, h, w, c;        ///< input [N, H, W, C]
   int64_t out_h, out_w, c_out;
@@ -81,7 +84,11 @@ struct KernelTable {
   /// contiguous. Single ascending-k accumulator per output element.
   void (*matmul)(const float* a, int64_t lda, const float* b, int64_t ldb,
                  float* out, int64_t m, int64_t n, int64_t k, bool parallel_ok);
-  /// Same with A(i,p) = a[p*lda+i] (transposed-A layout).
+  /// Same with A(i,p) = a[p*lda+i] (transposed-A layout): out = aᵀ·b, the
+  /// weight gradient of a dense layer. The weight-gradient body: tiles of
+  /// up to 6 output rows × 16 columns, accumulators in registers, OpenMP
+  /// over (row block × column tile), so a 4-row output still uses every
+  /// thread. Each element still sums its k products ascending from +0.
   void (*matmul_ta)(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* out, int64_t m, int64_t n, int64_t k,
                     bool parallel_ok);
@@ -92,7 +99,10 @@ struct KernelTable {
   void (*conv_forward)(const ConvArgs& args, const float* weight_t,
                        const float* bias, float* out, bool parallel_ok);
   /// Conv weight gradient, transposed: out [patch, c_out] = colsᵀ · grad
-  /// for grad [rows, c_out]. The `matmul` body again, A = colsᵀ.
+  /// for grad [rows, c_out], patch entries in the order of `args.tap`
+  /// (tap-major, so a tile's rows are adjacent channels of one tap). The
+  /// `matmul_ta` body with A = the view; each element sums its output rows
+  /// r ascending from +0.
   void (*conv_weight_grad)(const ConvArgs& args, const float* grad,
                            float* out, bool parallel_ok);
   /// Conv input gradient: dx [N,H,W,C] = the adjoint of cols applied to

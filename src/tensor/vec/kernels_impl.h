@@ -457,22 +457,120 @@ void MatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
                      parallel_ok);
 }
 
+// ---------------------------------------------------------------------------
+// Weight gradients: out [m, n] = Aᵀ·G, out[i, j] = Σ_r A(i, r)·G[r, j] over
+// the k rows r of G [k, n] (rows `g + r * ldg`). A tile is up to
+// kWeightGradRows output rows × two vectors of columns, so each broadcast
+// of A feeds two multiply-adds; its accumulators stay in registers (the
+// tile height is a template parameter and the loops over it unroll), a
+// column tail runs the same lane ops under a partial mask, and every
+// element sums its products over r ascending from +0 into one accumulator,
+// as the naive loop does. OpenMP splits the (row block × column tile)
+// grid, so the LSTM's 4- and 16-row weight gradients still spread over
+// every thread. Six rows × two vectors is 12 accumulators, which with the
+// two G vectors and a broadcast fits the 16 AVX2 registers.
+// ---------------------------------------------------------------------------
+
+constexpr int64_t kWeightGradRows = 6;
+
+template <class Vec, int64_t kRows, int64_t kVecs, class AOperand>
+inline void WeightGradTile(AOperand a, const float* g, int64_t ldg,
+                           float* out, int64_t ldo, int64_t k, int64_t cols) {
+  // Lanes of the last vector: all of them except at the column tail.
+  const int64_t last = cols - (kVecs - 1) * Vec::kWidth;
+  Vec acc[kRows][kVecs];
+#pragma GCC unroll 8
+  for (int64_t i = 0; i < kRows; ++i) {
+#pragma GCC unroll 2
+    for (int64_t v = 0; v < kVecs; ++v) acc[i][v] = Vec::Zero();
+  }
+  for (int64_t r = 0; r < k; ++r) {
+    const float* g_row = g + r * ldg;
+    Vec g_vec[kVecs];
+    if constexpr (kVecs == 2) g_vec[0] = Vec::LoadU(g_row);
+    g_vec[kVecs - 1] =
+        LoadLanes<Vec>(g_row + (kVecs - 1) * Vec::kWidth, last);
+#pragma GCC unroll 8
+    for (int64_t i = 0; i < kRows; ++i) {
+      const Vec a_ir = Vec::Broadcast(a(i, r));
+#pragma GCC unroll 2
+      for (int64_t v = 0; v < kVecs; ++v) {
+        acc[i][v] = Vec::MulAdd(a_ir, g_vec[v], acc[i][v]);
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int64_t i = 0; i < kRows; ++i) {
+    if constexpr (kVecs == 2) acc[i][0].StoreU(out + i * ldo);
+    StoreLanes(acc[i][kVecs - 1], out + i * ldo + (kVecs - 1) * Vec::kWidth,
+               last);
+  }
+}
+
+// A tile of `rows` <= kWeightGradRows rows, each height its own
+// instantiation.
+template <class Vec, int64_t kVecs, class AOperand>
+inline void WeightGradTileRows(AOperand a, const float* g, int64_t ldg,
+                               float* out, int64_t ldo, int64_t k,
+                               int64_t rows, int64_t cols) {
+  static_assert(kWeightGradRows == 6, "one case per tile height");
+  switch (rows) {
+    case 1: return WeightGradTile<Vec, 1, kVecs>(a, g, ldg, out, ldo, k, cols);
+    case 2: return WeightGradTile<Vec, 2, kVecs>(a, g, ldg, out, ldo, k, cols);
+    case 3: return WeightGradTile<Vec, 3, kVecs>(a, g, ldg, out, ldo, k, cols);
+    case 4: return WeightGradTile<Vec, 4, kVecs>(a, g, ldg, out, ldo, k, cols);
+    case 5: return WeightGradTile<Vec, 5, kVecs>(a, g, ldg, out, ldo, k, cols);
+    default:
+      return WeightGradTile<Vec, 6, kVecs>(a, g, ldg, out, ldo, k, cols);
+  }
+}
+
+template <class Vec, class AOperand>
+void WeightGrad(AOperand a, const float* g, int64_t ldg, float* out,
+                int64_t m, int64_t n, int64_t k, bool parallel_ok) {
+  constexpr int64_t kCols = 2 * Vec::kWidth;
+  const int64_t col_tiles = (n + kCols - 1) / kCols;
+  const int64_t tiles =
+      (m + kWeightGradRows - 1) / kWeightGradRows * col_tiles;
+  // Every output element is computed wholly inside one tile, so any thread
+  // count gives the same bits.
+#ifdef _OPENMP
+#pragma omp parallel for if (parallel_ok && m * n * k > 65536) schedule(static)
+#else
+  (void)parallel_ok;
+#endif
+  for (int64_t t = 0; t < tiles; ++t) {
+    const int64_t i0 = t / col_tiles * kWeightGradRows;
+    const int64_t j0 = t % col_tiles * kCols;
+    const int64_t rows = m - i0 < kWeightGradRows ? m - i0 : kWeightGradRows;
+    const int64_t cols = n - j0 < kCols ? n - j0 : kCols;
+    float* out_tile = out + i0 * n + j0;
+    if (cols > Vec::kWidth) {
+      WeightGradTileRows<Vec, 2>(a.RowsFrom(i0), g + j0, ldg, out_tile, n, k,
+                                 rows, cols);
+    } else {
+      WeightGradTileRows<Vec, 1>(a.RowsFrom(i0), g + j0, ldg, out_tile, n, k,
+                                 rows, cols);
+    }
+  }
+}
+
 template <class Vec>
 void MatMulTransA(const float* a, int64_t lda, const float* b, int64_t ldb,
                   float* out, int64_t m, int64_t n, int64_t k,
                   bool parallel_ok) {
-  BlockedMatMul<Vec>(TransposedA{a, lda}, b, ldb, out, m, n, k, nullptr,
-                     parallel_ok);
+  WeightGrad<Vec>(TransposedA{a, lda}, b, ldb, out, m, n, k, parallel_ok);
 }
 
 // ---------------------------------------------------------------------------
-// Convolution without column matrices (DESIGN.md §2.8). The forward and
-// the weight gradient are the blocked matmul over the implicit-column
-// view, so each output element sums exactly the products the column-matrix
-// GEMM summed, in its order: the forward over patch entries p ascending, the
-// weight gradient over output rows r ascending (col * grad where the GEMM
-// had grad * col; IEEE multiplication commutes). Padding taps read the
-// padded copy's +0.0f, so 0 * Inf is NaN as before.
+// Convolution without column matrices (DESIGN.md §2.8). The forward is the
+// blocked matmul and the weight gradient the weight-gradient body, both over
+// the implicit-column view, so each output element sums exactly the products
+// the column-matrix GEMM summed, in its order: the forward over patch
+// entries p ascending, the weight gradient over output rows r ascending
+// (col * grad where the GEMM had grad * col; IEEE multiplication commutes).
+// The weight gradient's patch order only decides where each sum is stored.
+// Padding taps read the padded copy's +0.0f, so 0 * Inf is NaN as before.
 // ---------------------------------------------------------------------------
 
 template <class Vec>
@@ -489,8 +587,8 @@ void ConvWeightGrad(const ConvArgs& g, const float* grad, float* out,
                     bool parallel_ok) {
   const int64_t rows = g.n * g.out_h * g.out_w;
   const int64_t patch = g.c * g.kernel_h * g.kernel_w;
-  BlockedMatMul<Vec>(ColumnsTA{g.columns, g.row, g.tap}, grad, g.c_out, out,
-                     patch, g.c_out, rows, nullptr, parallel_ok);
+  WeightGrad<Vec>(ColumnsTA{g.columns, g.row, g.tap}, grad, g.c_out, out,
+                  patch, g.c_out, rows, parallel_ok);
 }
 
 // The input gradient is the column gradient grad · filter scattered back

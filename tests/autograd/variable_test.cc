@@ -1,8 +1,11 @@
 #include "autograd/variable.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "nn/optimizer.h"
 
 namespace ppn::ag {
 namespace {
@@ -36,6 +39,47 @@ TEST(VariableTest, AccumulateGradAddsUp) {
 TEST(VariableTest, AccumulateGradShapeMismatchAborts) {
   Var p = Parameter(Tensor({2}));
   EXPECT_DEATH(p->AccumulateGrad(Tensor({3})), "gradient shape");
+}
+
+TEST(VariableTest, FirstAccumulationTakesOverASoleOwnedTemporary) {
+  Var p = Parameter(Tensor({2}));
+  Tensor delta({2}, {1.0f, 2.0f});
+  const float* buffer = delta.Data();
+  p->AccumulateGrad(std::move(delta));
+  EXPECT_EQ(p->grad().Data(), buffer);
+  EXPECT_TRUE(p->grad().AllClose(Tensor({2}, {1.0f, 2.0f})));
+}
+
+TEST(VariableTest, FirstAccumulationCopiesASharedTemporary) {
+  Var p = Parameter(Tensor({2, 2}));
+  const Tensor owner({4}, {1.0f, 2.0f, 3.0f, 4.0f});
+  p->AccumulateGrad(owner.Reshaped({2, 2}));
+  EXPECT_NE(p->grad().Data(), owner.Data());
+  p->AccumulateGrad(Tensor::Full({2, 2}, 1.0f));
+  EXPECT_TRUE(owner.AllClose(Tensor({4}, {1.0f, 2.0f, 3.0f, 4.0f})));
+}
+
+// Reshape's backward hands its input a `Reshaped` view of the Reshape
+// node's own gradient. The input must copy it: a second delta into the
+// input, and gradient clipping (which scales the input's gradient in
+// place), must leave the Reshape node's gradient as it was.
+TEST(VariableTest, ReshapeChildGradientSurvivesParentUpdates) {
+  Var x = Parameter(Tensor({2, 3}, {1.0f, -2.0f, 3.0f, -4.0f, 5.0f, -6.0f}));
+  Var y = Reshape(x, {3, 2});
+  Backward(SumAll(Mul(y, y)));  // dy = 2y
+  const Tensor want = Tensor({3, 2}, {2.0f, -4.0f, 6.0f, -8.0f, 10.0f, -12.0f});
+  ASSERT_TRUE(y->grad().AllClose(want, 0.0f));
+  EXPECT_NE(x->grad().Data(), y->grad().Data());
+
+  x->AccumulateGrad(Tensor::Full({2, 3}, 1.0f));
+  EXPECT_TRUE(x->grad().AllClose(
+      Tensor({2, 3}, {3.0f, -3.0f, 7.0f, -7.0f, 11.0f, -11.0f}), 0.0f));
+  EXPECT_TRUE(y->grad().AllClose(want, 0.0f));
+
+  nn::Sgd optimizer({x}, /*learning_rate=*/0.1f);
+  EXPECT_GT(optimizer.ClipGradNorm(1.0), 1.0);
+  EXPECT_LT(std::fabs(x->grad()[0]), 1.0f);
+  EXPECT_TRUE(y->grad().AllClose(want, 0.0f));
 }
 
 TEST(VariableTest, ZeroGradClears) {

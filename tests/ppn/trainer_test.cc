@@ -1,6 +1,7 @@
 #include "ppn/trainer.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -112,6 +113,57 @@ TEST(TrainerTest, AdversarialEpsilonZeroIsBitIdenticalToLegacy) {
   EXPECT_EQ(legacy, run(0.0));
   // A live adversary perturbs the relatives, so the stream must diverge.
   EXPECT_NE(legacy, run(0.05));
+}
+
+bool AllWeightsFinite(PolicyModule* policy) {
+  for (const ag::Var& p : policy->Parameters()) {
+    for (int64_t i = 0; i < p->numel(); ++i) {
+      if (!std::isfinite(p->value()[i])) return false;
+    }
+  }
+  return true;
+}
+
+// A NaN high price at period 8 lies inside the windows of decisions 10..18
+// (window 10). It is the denominator of none of them, and price relatives
+// read only closes, so the trainer builds; every batch that covers one of
+// those decisions has a NaN loss. Those steps must leave the weights alone.
+TEST(TrainerTest, NonFiniteStepsSkipTheUpdate) {
+  market::SyntheticMarketConfig config;
+  config.num_assets = 4;
+  config.num_periods = 80;
+  config.seed = 9;
+  config.late_listing_fraction = 0.0;
+  market::MarketDataset dataset =
+      market::SyntheticMarketGenerator(config).GenerateDataset("nan", 0.8);
+  dataset.panel.SetPrice(8, 1, market::kHigh,
+                         std::numeric_limits<double>::quiet_NaN());
+  Rng init(1);
+  Rng dropout(2);
+  auto policy = MakePolicy(SmallPolicyConfig(4), &init, &dropout);
+  PolicyGradientTrainer trainer(policy.get(), dataset, SmallTrainerConfig());
+  int64_t nonfinite_rewards = 0;
+  for (int step = 0; step < 30; ++step) {
+    if (!std::isfinite(trainer.TrainStep())) ++nonfinite_rewards;
+    ASSERT_TRUE(AllWeightsFinite(policy.get())) << "step " << step;
+  }
+  EXPECT_GT(trainer.nonfinite_steps(), 0);
+  EXPECT_EQ(trainer.nonfinite_steps(), nonfinite_rewards);
+  EXPECT_LT(trainer.nonfinite_steps(), 30);
+  EXPECT_TRUE(std::isfinite(trainer.tail_mean()));
+  for (int64_t t = trainer.first_period(); t < trainer.last_period(); ++t) {
+    EXPECT_TRUE(IsOnSimplex(trainer.pvm().Get(t), 1e-5)) << "t=" << t;
+  }
+}
+
+TEST(TrainerTest, FiniteRunCountsNoNonFiniteSteps) {
+  market::MarketDataset dataset = SmallDataset();
+  Rng init(1);
+  Rng dropout(2);
+  auto policy = MakePolicy(SmallPolicyConfig(4), &init, &dropout);
+  PolicyGradientTrainer trainer(policy.get(), dataset, SmallTrainerConfig());
+  for (int step = 0; step < 5; ++step) trainer.TrainStep();
+  EXPECT_EQ(trainer.nonfinite_steps(), 0);
 }
 
 TEST(TrainerDeathTest, AdversarialEpsilonOutOfRangeAborts) {

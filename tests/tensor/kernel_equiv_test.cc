@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "common/random.h"
 #include "for_each_path.h"
 #include "tensor/dispatch.h"
@@ -448,6 +452,92 @@ TEST(KernelEquivalenceTest, RowAndConvKernelsBitIdenticalAcrossPaths) {
                                "ConvWeightGrad");
           });
         }
+      }
+    }
+  }
+}
+
+// Runs `fn(label)` on every dispatch path at 1, 2, 3 and 4 OpenMP threads
+// (one thread only in a build without OpenMP), restoring the thread count.
+template <typename Fn>
+void ForEachPathAndThreadCount(Fn fn) {
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+  const int thread_counts[] = {1, 2, 3, 4};
+#else
+  const int thread_counts[] = {1};
+#endif
+  for (const int threads : thread_counts) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    ForEachPath([&](const char* path) {
+      fn(testing::Message() << path << " threads=" << threads);
+    });
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+// The weight-gradient kernel behind MatMulTransA and ConvWeightGrad tiles
+// its output by up to 6 rows × two 8-lane vectors and splits the tiles over
+// OpenMP. Every tile height (m = 1..6 alone, then 6 + 1, 6 + 2 and
+// 6 + 6 + 1 rows), column tails below one vector (n = 1, 7) and past it
+// (n = 9), and four full tiles (n = 64), over the LSTM's k = T·N = 10,560
+// rows.
+TEST(KernelEquivalenceTest, MatMulTransATileHeightsAndTailsAcrossThreads) {
+  constexpr int64_t kRows = 10560;
+  for (const int64_t m : {1, 2, 3, 4, 5, 6, 7, 8, 13}) {
+    for (const int64_t n : {1, 7, 9, 64}) {
+      const Tensor a = TestMatrix(kRows, m, 700 + m);
+      const Tensor b = TestMatrix(kRows, n, 800 + n);
+      const Tensor want = NaiveMatMulTransA(a, b);
+      ForEachPathAndThreadCount([&](const testing::Message& label) {
+        SCOPED_TRACE(testing::Message(label) << " m=" << m << " n=" << n);
+        ExpectBitIdentical(MatMulTransA(a, b), want, "MatMulTransA");
+      });
+    }
+  }
+}
+
+// ConvWeightGrad enumerates its patch tap-major, (ky, kx, channel), so with
+// C = 3 or 4 a 6-row tile spans two taps; the result is then
+// permuted to [C_out, C_in, kh, kw]. Checked against the naive column
+// matrix, whose patch is channel-major, at sizes that take the OpenMP
+// branch (every case has patch · C_out · rows > 65,536), for C_out with and
+// without a column tail.
+TEST(KernelEquivalenceTest, ConvWeightGradAcrossTapsAndThreads) {
+  const int64_t assets = 5;
+  Conv2dGeometry causal;
+  causal.kernel_w = 3;
+  causal.dilation_w = 2;
+  causal.pad_left = 4;
+  Conv2dGeometry correlational;
+  correlational.kernel_h = assets;
+  correlational.pad_top = (assets - 1) / 2;
+  correlational.pad_bottom = (assets - 1) - correlational.pad_top;
+  for (const Conv2dGeometry& g : {causal, correlational}) {
+    for (const int64_t channels : {3, 4}) {
+      for (const int64_t c_out : {5, 16}) {
+        Rng rng(1000 * channels + 10 * c_out + g.kernel_h);
+        const Tensor image =
+            RandomUniform({16, assets, 30, channels}, -2.0f, 2.0f, &rng);
+        const Tensor cols = NaiveIm2ColChannelsLast(image, g);
+        const int64_t rows = cols.dim(0);
+        const std::vector<int64_t> out_shape = {16, g.OutH(assets),
+                                                g.OutW(30), c_out};
+        const Tensor grad = RandomUniform(out_shape, -2.0f, 2.0f, &rng);
+        const Tensor want =
+            NaiveMatMulTransA(grad.Reshaped({rows, c_out}), cols)
+                .Reshaped({c_out, channels, g.kernel_h, g.kernel_w});
+        ForEachPathAndThreadCount([&](const testing::Message& label) {
+          SCOPED_TRACE(testing::Message(label)
+                       << " kernel " << g.kernel_h << "x" << g.kernel_w
+                       << " C=" << channels << " C_out=" << c_out);
+          ExpectBitIdentical(ConvWeightGrad(image, grad, g), want,
+                             "ConvWeightGrad");
+        });
       }
     }
   }
