@@ -1,7 +1,8 @@
 // Engineering microbenchmarks (google-benchmark): throughput of the hot
 // kernels underneath training — matmul, the three conv kernels, conv2d
-// forward and backward, dropout masks, LSTM steps, softmax, the
-// transaction-cost fixed point, and a full policy forward pass.
+// forward and backward, dropout masks, a conv layer's train step, LSTM
+// steps, softmax, the transaction-cost fixed point, and a full policy
+// forward pass.
 
 #include <benchmark/benchmark.h>
 
@@ -99,18 +100,37 @@ void BM_ConvWeightGrad(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvWeightGrad);
 
-// One dropout mask (and its multiply) over the block-2 activations.
+// One dropout mask over the block-2 activations, drawn alone (the conv's
+// store does the multiply).
 void BM_DropoutMask(benchmark::State& state) {
   Rng rng(1);
-  const ag::Var input =
-      ag::Constant(RandomNormal({32, 11, 30, 16}, 0.0f, 1.0f, &rng));
+  const std::vector<int64_t> shape = {32, 11, 30, 16};
   for (auto _ : state) {
-    ag::Var out = ag::Dropout(input, 0.2f, /*training=*/true, &rng);
-    benchmark::DoNotOptimize(out->value().Data());
+    benchmark::DoNotOptimize(DropoutMask(shape, 0.2f, &rng).Data());
   }
-  state.SetItemsProcessed(state.iterations() * input->numel());
+  state.SetItemsProcessed(state.iterations() * 32 * 11 * 30 * 16);
 }
 BENCHMARK(BM_DropoutMask);
+
+// The block-2 CCONV as PPN trains it: one conv op with dropout 0.2 and the
+// ReLU in its output pass, forward and backward.
+void BM_ConvLayerTrainStep(benchmark::State& state) {
+  const BlockTwoCconv conv;
+  Rng dropout_rng(2);
+  const ag::Var weight = ag::Parameter(conv.weight);
+  const ag::Var bias = ag::Parameter(conv.bias);
+  const ConvOutputPass pass{.dropout = 0.2f, .rng = &dropout_rng, .relu = true};
+  for (auto _ : state) {
+    weight->ZeroGrad();
+    bias->ZeroGrad();
+    const ag::Var in = ag::Parameter(conv.input);
+    const ag::Var out = ag::Conv2d(in, weight, bias, conv.g, pass);
+    ag::Backward(ag::SumAll(out));
+    benchmark::DoNotOptimize(in->grad().Data());
+  }
+  state.SetItemsProcessed(state.iterations() * 3 * conv.flops);
+}
+BENCHMARK(BM_ConvLayerTrainStep);
 
 void BM_Conv2dForward(benchmark::State& state) {
   Rng rng(1);

@@ -1,6 +1,5 @@
 #include "autograd/ops.h"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -325,33 +324,6 @@ Var SoftmaxRows(const Var& a) {
   });
 }
 
-Var Dropout(const Var& a, float p, bool training, Rng* rng) {
-  PPN_CHECK(p >= 0.0f && p < 1.0f);
-  if (!training || p == 0.0f) return a;
-  PPN_CHECK(rng != nullptr);
-  const float scale = 1.0f / (1.0f - p);
-  // Element i is dropped iff draw i has Uniform() < p, as Rng::Bernoulli
-  // decides. Uniform() is q·2^-53 for the integer q = u >> 11, exact in
-  // double, so the test is q < ceil(p·2^53), which is exact too. The mask
-  // element is `scale`'s bits ANDed with all ones or all zeros (+0.0f):
-  // no branch on the draw.
-  const uint64_t threshold =
-      static_cast<uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p53));
-  const uint32_t scale_bits = std::bit_cast<uint32_t>(scale);
-  Tensor mask = Tensor::Uninitialized(a->shape());
-  float* pm = mask.MutableData();
-  Rng stream = *rng;  // a local copy keeps the xoshiro state in registers
-  for (int64_t i = 0; i < mask.numel(); ++i) {
-    const uint32_t keep = (stream.NextUint64() >> 11) >= threshold;
-    pm[i] = std::bit_cast<float>(scale_bits & (0u - keep));
-  }
-  *rng = stream;
-  Tensor out = ppn::Mul(a->value(), mask);
-  return MakeOp(std::move(out), {a}, [mask](Node* self) {
-    MaybeAccumulate(self->parents[0], ppn::Mul(self->grad(), mask));
-  });
-}
-
 namespace {
 
 // [d0, d1, d2] -> [d1, d0, d2]: moves whole rows of d2 floats.
@@ -479,12 +451,16 @@ Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
 }
 
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
-           const Conv2dGeometry& geometry) {
+           const Conv2dGeometry& geometry, const ConvOutputPass& pass) {
+  PPN_CHECK(pass.dropout == 0.0f || pass.relu)
+      << "conv dropout needs the ReLU: the backward reads the mask off the "
+         "output";
   obs::Span span("nn.conv2d.forward", /*min_duration_us=*/20.0);
-  // ConvForward checks the geometry and every shape before any work.
+  // ConvForward checks the rate, the geometry and every shape before any
+  // work.
   Tensor out = ConvForward(input->value(), weight->value(),
                            bias != nullptr ? &bias->value() : nullptr,
-                           geometry);
+                           geometry, pass);
   const int64_t rows = out.dim(0) * out.dim(1) * out.dim(2);
   const int64_t c_out = out.dim(3);
   if (obs::Enabled()) {
@@ -504,22 +480,39 @@ Var Conv2d(const Var& input, const Var& weight, const Var& bias,
   std::vector<Var> parents = {input, weight};
   if (bias != nullptr) parents.push_back(bias);
   const bool has_bias = bias != nullptr;
+  const bool relu = pass.relu;
+  // 0 when no mask was drawn: the backward then skips the multiply.
+  const float scale = pass.dropout > 0.0f ? 1.0f / (1.0f - pass.dropout) : 0.0f;
   return MakeOp(
       std::move(out), std::move(parents),
-      [geometry, rows, c_out, has_bias](Node* self) {
+      [geometry, rows, c_out, has_bias, relu, scale](Node* self) {
         const Var& input = self->parents[0];
         const Var& weight = self->parents[1];
+        // dZ, the gradient of the conv's own output z. Where y > 0 the
+        // ReLU passed z·mask > 0, so that mask element was `scale`; where
+        // y = 0, dY·0 is a signed zero or NaN, and multiplying it by scale
+        // or by the mask's +0 keeps it (the mask is never negative). So
+        // today's (dY·[z·mask > 0])·mask is (dY·[y > 0])·scale.
+        Tensor relu_grad;
+        if (relu) {
+          relu_grad =
+              scale != 0.0f
+                  ? ppn::EltwiseBinary(vec::BinaryOp::kReluScaleBwd,
+                                       self->grad(), self->value(), scale)
+                  : ppn::EltwiseBinary(vec::BinaryOp::kReluBwd, self->grad(),
+                                       self->value());
+        }
+        const Tensor& dz = relu ? relu_grad : self->grad();
         if (input->requires_grad()) {
-          input->AccumulateGrad(ConvInputGrad(self->grad(), weight->value(),
+          input->AccumulateGrad(ConvInputGrad(dz, weight->value(),
                                               input->shape(), geometry));
         }
         if (weight->requires_grad()) {
-          weight->AccumulateGrad(
-              ConvWeightGrad(input->value(), self->grad(), geometry));
+          weight->AccumulateGrad(ConvWeightGrad(input->value(), dz, geometry));
         }
         if (has_bias) {
           MaybeAccumulate(self->parents[2],
-                          ppn::SumRows(self->grad().Reshaped({rows, c_out})));
+                          ppn::SumRows(dz.Reshaped({rows, c_out})));
         }
       });
 }

@@ -74,13 +74,6 @@ Var NarrowVar(const Var& a, int axis, int64_t start, int64_t length);
 /// Row-wise softmax of a 2-D tensor [m,n].
 Var SoftmaxRows(const Var& a);
 
-/// Inverted-dropout: during training each element is zeroed with
-/// probability `p` and survivors are scaled by 1/(1-p); identity when
-/// `training` is false. Requires 0 <= p < 1. Element i is dropped exactly
-/// when the i-th `rng->Bernoulli(p)` would return true, and `rng` ends
-/// where that loop would leave it; the mask loop itself is branchless.
-Var Dropout(const Var& a, float p, bool training, Rng* rng);
-
 /// Single-layer LSTM over a whole sequence, as ONE tape node: x
 /// [N, T, I], w_ih [I, 4H], w_hh [H, 4H], bias [4H], gate order
 /// (i, f, g, o), zero initial state; returns the last hidden state h_T
@@ -95,15 +88,22 @@ Var LstmSequence(const Var& x, const Var& w_ih, const Var& w_hh,
 
 /// 2-D convolution, stride 1, channels-last: input [N, H, W, C_in], weight
 /// [C_out, C_in, kh, kw], optional bias [C_out] (pass nullptr to skip),
-/// geometry describing dilation and asymmetric zero padding. Output
-/// [N, OutH, OutW, C_out]. The forward and both gradients are
-/// `ConvForward`, `ConvInputGrad` and `ConvWeightGrad` (tensor/ops.h): no
-/// column matrix is built or kept on the tape, and every value has the
-/// bits of the column-matrix GEMMs. Aborts with a named message on a
-/// kernel size or dilation below 1, a negative pad, a weight that does
-/// not match the input, or an empty output.
+/// geometry describing dilation and asymmetric zero padding, then the
+/// layer's output pass (tensor/ops.h): inverted dropout at rate
+/// `pass.dropout` (the caller passes 0 outside training) and a ReLU. Output
+/// [N, OutH, OutW, C_out]. ONE tape node with the bits of Conv2d →
+/// Dropout → Relu as separate nodes, keeping only its parents and output
+/// y: the backward forms dZ = (dY·[y > 0])·scale in one pass (`· scale`
+/// only when a mask was drawn; DESIGN.md §2.8), then runs `ConvInputGrad`,
+/// `ConvWeightGrad` and the bias sum. No column matrix is built or kept,
+/// and every value has the bits of the column-matrix GEMMs. Element i of
+/// the mask is dropped exactly when the i-th `pass.rng->Bernoulli(p)`
+/// would return true, and the stream ends where that loop would leave it.
+/// Aborts with a named message on a kernel size or dilation below 1, a
+/// negative pad, a weight that does not match the input, an empty output,
+/// or dropout without the ReLU (the backward reads the mask off y).
 Var Conv2d(const Var& input, const Var& weight, const Var& bias,
-           const Conv2dGeometry& geometry);
+           const Conv2dGeometry& geometry, const ConvOutputPass& pass = {});
 
 }  // namespace ppn::ag
 

@@ -1,5 +1,6 @@
 #include "common/random.h"
 
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -16,11 +17,81 @@ uint64_t SplitMix64(uint64_t& x) {
   return z ^ (z >> 31);
 }
 
+// xoshiro256's state update uses only shifts, rotations and XORs, so it is
+// linear over GF(2): with the state as a 256-bit vector (bit 64·w + b is
+// bit b of word w), one step maps s to T·s. A bit matrix is kept by
+// columns, column j being the image of unit vector j.
+struct BitMatrix {
+  uint64_t col[256][4];
+};
+
+// M·v: the XOR of the columns at v's set bits.
+void Apply(const BitMatrix& m, uint64_t v[4]) {
+  uint64_t r[4] = {0, 0, 0, 0};
+  for (int w = 0; w < 4; ++w) {
+    for (uint64_t bits = v[w]; bits != 0; bits &= bits - 1) {
+      const uint64_t* c = m.col[64 * w + std::countr_zero(bits)];
+      for (int k = 0; k < 4; ++k) r[k] ^= c[k];
+    }
+  }
+  for (int k = 0; k < 4; ++k) v[k] = r[k];
+}
+
+// M·M. Every column is M applied to a column of M, through a table of M
+// applied to each 4-bit group: 64 lookups per column instead of ~128 XORs.
+void Square(const BitMatrix& m, BitMatrix* out) {
+  std::vector<uint64_t> table(64 * 16 * 4);
+  for (int q = 0; q < 64; ++q) {
+    uint64_t* group = table.data() + q * 16 * 4;
+    for (int x = 1; x < 16; ++x) {
+      const uint64_t* rest = group + (x & (x - 1)) * 4;
+      const uint64_t* c = m.col[4 * q + std::countr_zero(unsigned(x))];
+      for (int k = 0; k < 4; ++k) group[x * 4 + k] = rest[k] ^ c[k];
+    }
+  }
+  for (int j = 0; j < 256; ++j) {
+    uint64_t r[4] = {0, 0, 0, 0};
+    for (int q = 0; q < 64; ++q) {
+      const uint64_t x = (m.col[j][q / 16] >> (4 * (q % 16))) & 15;
+      const uint64_t* entry = table.data() + (q * 16 + x) * 4;
+      for (int k = 0; k < 4; ++k) r[k] ^= entry[k];
+    }
+    for (int k = 0; k < 4; ++k) out->col[j][k] = r[k];
+  }
+}
+
+// T^(2^i) for i = 0..63, built on first use (thread-safe static).
+const std::vector<BitMatrix>& StepPowers() {
+  static const std::vector<BitMatrix> powers = [] {
+    std::vector<BitMatrix> p(64);
+    for (int j = 0; j < 256; ++j) {
+      Rng::State unit;
+      unit.words[j / 64] = uint64_t{1} << (j % 64);
+      Rng rng;
+      rng.SetState(unit);
+      rng.NextUint64();
+      const Rng::State image = rng.GetState();
+      for (int k = 0; k < 4; ++k) p[0].col[j][k] = image.words[k];
+    }
+    for (int i = 1; i < 64; ++i) Square(p[i - 1], &p[i]);
+    return p;
+  }();
+  return powers;
+}
+
 }  // namespace
 
 Rng::Rng(uint64_t seed) {
   uint64_t sm = seed;
   for (auto& s : state_) s = SplitMix64(sm);
+}
+
+void Rng::Discard(uint64_t n) {
+  if (n == 0) return;
+  const std::vector<BitMatrix>& powers = StepPowers();
+  for (uint64_t bits = n; bits != 0; bits &= bits - 1) {
+    Apply(powers[std::countr_zero(bits)], state_);
+  }
 }
 
 double Rng::Uniform() {

@@ -34,6 +34,14 @@ class Rng {
     return result;
   }
 
+  /// Jumps ahead: afterwards the state is where `n` calls of `NextUint64`
+  /// would leave it, in time logarithmic in n (the step is linear over
+  /// GF(2), so a jump applies powers of its 256×256 bit matrix; the 64
+  /// powers, 512 KB, are built once on the first nonzero call). The
+  /// Box–Muller spare is untouched. Lets each thread of a parallel loop
+  /// start at its own offset of one stream.
+  void Discard(uint64_t n);
+
   /// Uniform double in [0, 1).
   double Uniform();
 

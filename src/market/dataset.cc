@@ -65,12 +65,22 @@ bool OhlcPanel::IsComplete() const {
 bool OhlcPanel::IsValid() const {
   for (int64_t t = 0; t < num_periods_; ++t) {
     for (int64_t a = 0; a < num_assets_; ++a) {
-      if (IsMissing(t, a)) continue;
       if (!Tradeable(t, a)) continue;
       const double open = Price(t, a, kOpen);
       const double high = Price(t, a, kHigh);
       const double low = Price(t, a, kLow);
       const double close = Price(t, a, kClose);
+      // An unobserved bar is NaN in every field; one NaN field among
+      // observed ones, or an infinite one, is corrupt (every comparison
+      // below is false on NaN, so it would pass them).
+      if (std::isnan(open) && std::isnan(high) && std::isnan(low) &&
+          std::isnan(close)) {
+        continue;
+      }
+      if (!std::isfinite(open) || !std::isfinite(high) ||
+          !std::isfinite(low) || !std::isfinite(close)) {
+        return false;
+      }
       if (!(low > 0.0)) return false;
       if (low > open || low > close) return false;
       if (high < open || high < close) return false;

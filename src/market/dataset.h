@@ -69,11 +69,14 @@ class OhlcPanel {
   /// True if no bar in the panel is NaN.
   bool IsComplete() const;
 
-  /// Verifies OHLC sanity on non-missing bars: low <= open, close <= high
-  /// and all prices positive. Returns false on the first violation.
-  /// Non-tradeable bars are exempt — a halted or delisted asset's quotes
-  /// are decorative (its value is frozen and it cannot be traded), so a
-  /// stress pack that drives a masked price to zero stays valid.
+  /// Verifies OHLC sanity on observed bars: every field finite, low <=
+  /// open, close <= high and all prices positive. Returns false on the
+  /// first violation. A bar that is NaN in all four fields is unobserved
+  /// (a gap `FlatFillMissing` fills) and exempt; one NaN among finite
+  /// fields is not. Non-tradeable bars are exempt — a halted or delisted
+  /// asset's quotes are decorative (its value is frozen and it cannot be
+  /// traded), so a stress pack that drives a masked price to zero, or to
+  /// NaN, stays valid.
   bool IsValid() const;
 
  private:

@@ -19,8 +19,9 @@ Conv2dLayer::Conv2dLayer(int64_t in_channels, int64_t out_channels,
   bias_ = RegisterParameter("bias", ZeroInit({out_channels}));
 }
 
-ag::Var Conv2dLayer::Forward(const ag::Var& input) const {
-  return ag::Conv2d(input, weight_, bias_, geometry_);
+ag::Var Conv2dLayer::Forward(const ag::Var& input,
+                             const ConvOutputPass& pass) const {
+  return ag::Conv2d(input, weight_, bias_, geometry_, pass);
 }
 
 Conv2dGeometry CausalTimeConvGeometry(int64_t kernel_w, int64_t dilation) {

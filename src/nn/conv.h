@@ -25,9 +25,11 @@ class Conv2dLayer : public Module {
   Conv2dLayer(int64_t in_channels, int64_t out_channels,
               const Conv2dGeometry& geometry, Rng* rng);
 
-  /// Applies the convolution to a [N, H, W, C_in] input; returns
-  /// [N, OutH, OutW, C_out].
-  ag::Var Forward(const ag::Var& input) const;
+  /// Applies the convolution, then `pass` (dropout and ReLU folded into
+  /// the output's store; the default is a plain conv), to a [N, H, W, C_in]
+  /// input; returns [N, OutH, OutW, C_out]. One tape node.
+  ag::Var Forward(const ag::Var& input,
+                  const ConvOutputPass& pass = {}) const;
 
   const Conv2dGeometry& geometry() const { return geometry_; }
   const ag::Var& weight() const { return weight_; }

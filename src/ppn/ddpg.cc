@@ -41,8 +41,8 @@ ag::Var CriticNetwork::Forward(const ag::Var& windows,
                                const ag::Var& prev_actions,
                                const ag::Var& actions) const {
   const int64_t batch = windows->value().dim(0);
-  ag::Var h = ag::Relu(conv1_->Forward(windows));
-  h = ag::Relu(conv2_->Forward(h));  // [B, m, 1, C2].
+  ag::Var h = conv1_->Forward(windows, {.relu = true});
+  h = conv2_->Forward(h, {.relu = true});  // [B, m, 1, C2].
   ag::Var state = ag::Reshape(h, {batch, state_features_});  // Asset-major.
   // Dueling-style split: V(s) + A(s, a_{t-1}, a).
   ag::Var value =

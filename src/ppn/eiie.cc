@@ -23,8 +23,8 @@ EiieNetwork::EiieNetwork(const PolicyConfig& config, Rng* init_rng)
 
 ag::Var EiieNetwork::ExtractFeatures(const ag::Var& centered) const {
   const int64_t batch = centered->value().dim(0);
-  ag::Var h = ag::Relu(conv1_->Forward(centered));  // [B,m,k-2,C1].
-  h = ag::Relu(conv2_->Forward(h));                 // [B,m,1,C2].
+  ag::Var h = conv1_->Forward(centered, {.relu = true});  // [B,m,k-2,C1].
+  h = conv2_->Forward(h, {.relu = true});                 // [B,m,1,C2].
   return ag::Reshape(h, {batch, config().num_assets, hidden_channels_});
 }
 

@@ -51,14 +51,13 @@ TemporalConvBlock::TemporalConvBlock(int64_t in_channels, int64_t out_channels,
 }
 
 ag::Var TemporalConvBlock::Forward(const ag::Var& input) const {
-  ag::Var h = ag::Relu(
-      ag::Dropout(dconv1_.Forward(input), dropout_, training(), dropout_rng_));
-  h = ag::Relu(
-      ag::Dropout(dconv2_.Forward(h), dropout_, training(), dropout_rng_));
-  if (correlational_) {
-    h = ag::Relu(
-        ag::Dropout(cconv_->Forward(h), dropout_, training(), dropout_rng_));
-  }
+  // Each conv → dropout → ReLU is one conv op with its output pass.
+  const ConvOutputPass pass{.dropout = training() ? dropout_ : 0.0f,
+                            .rng = dropout_rng_,
+                            .relu = true};
+  ag::Var h = dconv1_.Forward(input, pass);
+  h = dconv2_.Forward(h, pass);
+  if (correlational_) h = cconv_->Forward(h, pass);
   return h;
 }
 
@@ -104,7 +103,7 @@ ag::Var CorrelationInfoNet::Forward(const ag::Var& windows) const {
   PPN_CHECK_EQ(windows->value().dim(2), window_);
   PPN_CHECK(conv4_ != nullptr)
       << "Forward requires collapse_time; use ForwardSequence instead";
-  ag::Var h = ag::Relu(conv4_->Forward(ForwardSequence(windows)));
+  ag::Var h = conv4_->Forward(ForwardSequence(windows), {.relu = true});
   return ag::Reshape(h, {batch, num_assets_, channels2_});  // [B, m, 1, C2].
 }
 

@@ -44,7 +44,8 @@ class SequentialInfoNet : public nn::Module {
 
 /// One temporal (correlational) convolution block: two dilated causal
 /// convolutions along time, then (TCCB only) one m×1 correlational
-/// convolution across assets. Each conv is followed by dropout + ReLU.
+/// convolution across assets. Each conv runs dropout + ReLU as its output
+/// pass (one tape node per conv).
 class TemporalConvBlock : public nn::Module {
  public:
   TemporalConvBlock(int64_t in_channels, int64_t out_channels,

@@ -1,7 +1,12 @@
 #include "tensor/ops.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -360,6 +365,54 @@ Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev,
   return out;
 }
 
+Tensor DropoutMask(const std::vector<int64_t>& shape, float p, Rng* rng) {
+  PPN_CHECK(p >= 0.0f && p < 1.0f) << "dropout rate must be in [0, 1):" << p;
+  PPN_CHECK(rng != nullptr);
+  // Element i is dropped iff draw i has Uniform() < p, as Rng::Bernoulli
+  // decides. Uniform() is q·2^-53 for the integer q = u >> 11, exact in
+  // double, so the test is q < ceil(p·2^53), which is exact too. The mask
+  // element is `scale`'s bits ANDed with all ones or all zeros (+0.0f):
+  // no branch on the draw.
+  const uint64_t threshold =
+      static_cast<uint64_t>(std::ceil(static_cast<double>(p) * 0x1.0p53));
+  const uint32_t scale_bits = std::bit_cast<uint32_t>(1.0f / (1.0f - p));
+  Tensor mask = Tensor::Uninitialized(shape);
+  float* pm = mask.MutableData();
+  const int64_t n = mask.numel();
+  const Rng start = *rng;
+  // Draws elements [begin, end) from the stream's draw `begin` on, and
+  // stores the stream's state after them in `*end_state` when non-null.
+  const auto draw = [&](int64_t begin, int64_t end, Rng* end_state) {
+    Rng jumped = start;
+    jumped.Discard(static_cast<uint64_t>(begin));
+    Rng stream = jumped;  // never address-taken, so it stays in registers
+    for (int64_t i = begin; i < end; ++i) {
+      const uint32_t keep = (stream.NextUint64() >> 11) >= threshold;
+      pm[i] = std::bit_cast<float>(scale_bits & (0u - keep));
+    }
+    if (end_state != nullptr) *end_state = stream;
+  };
+#ifdef _OPENMP
+  // Below this many elements a mask is drawn on one thread: a jump costs
+  // about 2 µs, what ~1k draws do, plus the team's start-up.
+  constexpr int64_t kParallelMaskDraws = 32768;
+  if (InnerParallelEnabled() && n >= kParallelMaskDraws &&
+      omp_get_max_threads() > 1) {
+#pragma omp parallel
+    {
+      const int64_t t = omp_get_thread_num();
+      const int64_t threads = omp_get_num_threads();
+      // The last chunk ends at draw n, where the serial loop ends.
+      draw(n * t / threads, n * (t + 1) / threads,
+           t == threads - 1 ? rng : nullptr);
+    }
+    return mask;
+  }
+#endif
+  draw(0, n, rng);
+  return mask;
+}
+
 namespace {
 
 // Checks a conv's geometry and shapes, each with a named message, and
@@ -479,25 +532,36 @@ ColumnView MakeColumnView(const Tensor& input, const vec::ConvArgs& args,
 }  // namespace
 
 Tensor ConvForward(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias, const Conv2dGeometry& g) {
+                   const Tensor* bias, const Conv2dGeometry& g,
+                   const ConvOutputPass& pass) {
   const vec::ConvArgs args = CheckConv(input.shape(), weight.shape(), g);
   if (bias != nullptr) {
     PPN_CHECK(bias->ndim() == 1 && bias->dim(0) == args.c_out)
         << "conv bias" << ShapeToString(bias->shape())
         << "does not match weight" << ShapeToString(weight.shape());
   }
+  PPN_CHECK(pass.dropout >= 0.0f && pass.dropout < 1.0f)
+      << "dropout rate must be in [0, 1):" << pass.dropout;
   const int64_t rows = args.n * args.out_h * args.out_w;
   const int64_t patch = args.c * g.kernel_h * g.kernel_w;
+  const std::vector<int64_t> out_shape = {args.n, args.out_h, args.out_w,
+                                          args.c_out};
+  // Nothing else draws from `pass.rng` here, so drawing the mask before
+  // the GEMM leaves the stream as a Dropout after the conv did.
+  const Tensor mask = pass.dropout > 0.0f
+                          ? DropoutMask(out_shape, pass.dropout, pass.rng)
+                          : Tensor();
   RecordMatMul(rows, args.c_out, patch);
   obs::Span span("tensor.conv.forward", /*min_duration_us=*/20.0);
   const ColumnView view =
       MakeColumnView(input, args, g, PatchOrder::kChannelMajor);
   const Tensor weight_t = Transpose2D(weight.Reshaped({args.c_out, patch}));
-  Tensor out = Tensor::Uninitialized({args.n, args.out_h, args.out_w,
-                                      args.c_out});
-  dispatch::Kernels().conv_forward(
-      view.Args(), weight_t.Data(), bias != nullptr ? bias->Data() : nullptr,
-      out.MutableData(), InnerParallelEnabled());
+  Tensor out = Tensor::Uninitialized(out_shape);
+  const vec::ConvStore store{bias != nullptr ? bias->Data() : nullptr,
+                             pass.dropout > 0.0f ? mask.Data() : nullptr,
+                             pass.relu};
+  dispatch::Kernels().conv_forward(view.Args(), weight_t.Data(), store,
+                                   out.MutableData(), InnerParallelEnabled());
   return out;
 }
 

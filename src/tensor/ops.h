@@ -104,6 +104,15 @@ Tensor RandomUniform(std::vector<int64_t> shape, float lo, float hi, Rng* rng);
 Tensor RandomNormal(std::vector<int64_t> shape, float mean, float stddev,
                     Rng* rng);
 
+/// Inverted-dropout mask: element i is +0.0f when the i-th
+/// `rng->Bernoulli(p)` of a serial loop would return true, else
+/// 1/(1 - p), and `rng` ends where that loop would leave it. Requires
+/// 0 <= p < 1. With `InnerParallelEnabled()` and enough elements, thread
+/// t of T draws elements [n·t/T, n·(t+1)/T) from a copy of `rng` jumped
+/// ahead by `Rng::Discard`; the mask and the final state do not depend on
+/// the thread count.
+Tensor DropoutMask(const std::vector<int64_t>& shape, float p, Rng* rng);
+
 /// Parameters of a 2-D convolution. Stride is fixed at 1 (the only stride
 /// the paper's architecture uses).
 struct Conv2dGeometry {
@@ -126,6 +135,16 @@ struct Conv2dGeometry {
   }
 };
 
+/// A conv layer's output pass, done as the forward stores each element:
+/// after the bias, inverted dropout (times a `DropoutMask` drawn from `rng`
+/// at rate `dropout`, when `dropout` > 0), then the ReLU x > 0 ? x : 0
+/// (when `relu`). The default does neither: a plain conv.
+struct ConvOutputPass {
+  float dropout = 0.0f;  ///< drop probability p in [0, 1); 0 draws no mask
+  Rng* rng = nullptr;    ///< the mask's stream; required when dropout > 0
+  bool relu = false;
+};
+
 /// The three kernels of a stride-1 convolution over a channels-last input
 /// x [N, H, W, C_in] with filter w [C_out, C_in, kh, kw]. Each is a GEMM
 /// over the conv's column matrix cols [N·OutH·OutW, C_in·kh·kw] (rows in
@@ -137,9 +156,12 @@ struct Conv2dGeometry {
 /// output.
 
 /// Output [N, OutH, OutW, C_out] = cols · w^T (+ bias [C_out] on every
-/// pixel when `bias` is non-null, as `AddRowVector` adds it).
+/// pixel when `bias` is non-null, as `AddRowVector` adds it), then `pass`:
+/// the bits of `AddRowVector`, `Mul` by the mask and `kReluFwd` run one
+/// after another. Draws the mask after every check.
 Tensor ConvForward(const Tensor& input, const Tensor& weight,
-                   const Tensor* bias, const Conv2dGeometry& geometry);
+                   const Tensor* bias, const Conv2dGeometry& geometry,
+                   const ConvOutputPass& pass = {});
 
 /// Input gradient [N, H, W, C_in] for the output gradient `grad`
 /// [N, OutH, OutW, C_out]: the column gradient grad · w scattered back

@@ -50,6 +50,8 @@ enum class BinaryOp : int {
   kAbsBwd,      ///< g * sign(x), sign(0)=0  (b = forward input x)
   kSqrtBwd,     ///< g * (0.5 / max(y,1e-12))(b = sqrt output y)
   kClampBwd,    ///< g * (p0 < x && x < p1 ? 1 : 0)
+  kReluScaleBwd,  ///< (g * (y > 0 ? 1 : 0)) * p0 (b = ReLU output y,
+                  ///< p0 = dropout scale)
 };
 
 /// One stride-1 convolution as the three conv kernels see it: the
@@ -77,6 +79,16 @@ struct ConvArgs {
   const int64_t* tap;        ///< [patch]
 };
 
+/// What the conv forward does to each output element as it stores it, in
+/// this order: acc + bias[j] (the `AddRowVector` expression), times
+/// mask[r, j] (the `kMul` of inverted dropout), then the ReLU select
+/// x > 0 ? x : 0 (`kReluFwd`). Each step is skipped when its field is off.
+struct ConvStore {
+  const float* bias = nullptr;  ///< [c_out], or null
+  const float* mask = nullptr;  ///< [rows, c_out] like the output, or null
+  bool relu = false;
+};
+
 /// One ISA's kernel set. All pointers are always non-null in a built
 /// table. `parallel_ok` mirrors InnerParallelEnabled() at each call.
 struct KernelTable {
@@ -92,12 +104,12 @@ struct KernelTable {
   void (*matmul_ta)(const float* a, int64_t lda, const float* b, int64_t ldb,
                     float* out, int64_t m, int64_t n, int64_t k,
                     bool parallel_ok);
-  /// Conv forward: out [rows, c_out] = cols · weight_t (+ bias[j] on
-  /// every row when `bias` is non-null), weight_t the [patch, c_out]
-  /// transposed filter. The `matmul` body, reading A from the view; the
-  /// bias joins each element as it is stored, acc + b.
+  /// Conv forward: out [rows, c_out] = cols · weight_t, weight_t the
+  /// [patch, c_out] transposed filter, then `store`'s bias, mask and ReLU
+  /// on each element as it is stored. The `matmul` body, reading A from
+  /// the view.
   void (*conv_forward)(const ConvArgs& args, const float* weight_t,
-                       const float* bias, float* out, bool parallel_ok);
+                       const ConvStore& store, float* out, bool parallel_ok);
   /// Conv weight gradient, transposed: out [patch, c_out] = colsᵀ · grad
   /// for grad [rows, c_out], patch entries in the order of `args.tap`
   /// (tap-major, so a tile's rows are adjacent channels of one tap). The

@@ -321,6 +321,16 @@ void BinaryKernel(BinaryOp op, const float* a, const float* b, float* out,
           a, b, out, n);
       return;
     }
+    case BinaryOp::kReluScaleBwd: {
+      // kReluBwd, then the multiply by the dropout scale.
+      const Vec scale = Vec::Broadcast(p0);
+      ApplyBinary<Vec>(
+          [zero, one, scale](Vec g, Vec y) {
+            return (g * Vec::Blend(Vec::Gt(y, zero), one, zero)) * scale;
+          },
+          a, b, out, n);
+      return;
+    }
   }
 }
 
@@ -374,12 +384,15 @@ struct ColumnsTA {
   ColumnsTA RowsFrom(int64_t i0) const { return {columns, row, tap + i0}; }
 };
 
-// `bias`, when non-null, is added to each finished accumulator as it is
-// stored (acc + b, the add_row_vector expression).
+// `store` (kernels.h, ConvStore) is applied to each finished accumulator
+// as it is stored; its pointers are already offset to the block (the mask
+// shares the output's row stride ldo). Every step is the elementwise
+// kernel's own expression, so a fused store has the bits of the separate
+// passes.
 template <class Vec, class AOperand>
 inline void MicroKernel(AOperand a, const float* b, int64_t ldb,
                         float* out, int64_t ldo, int64_t k,
-                        const float* bias) {
+                        const ConvStore& store) {
   Vec acc[kIB];
   for (int64_t i = 0; i < kIB; ++i) acc[i] = Vec::Zero();
   for (int64_t p = 0; p < k; ++p) {
@@ -388,9 +401,20 @@ inline void MicroKernel(AOperand a, const float* b, int64_t ldb,
       acc[i] = Vec::MulAdd(Vec::Broadcast(a(i, p)), b_row, acc[i]);
     }
   }
-  if (bias != nullptr) {
-    const Vec b_vec = Vec::LoadU(bias);
+  if (store.bias != nullptr) {
+    const Vec b_vec = Vec::LoadU(store.bias);
     for (int64_t i = 0; i < kIB; ++i) acc[i] = acc[i] + b_vec;
+  }
+  if (store.mask != nullptr) {
+    for (int64_t i = 0; i < kIB; ++i) {
+      acc[i] = acc[i] * Vec::LoadU(store.mask + i * ldo);
+    }
+  }
+  if (store.relu) {
+    const Vec zero = Vec::Zero();
+    for (int64_t i = 0; i < kIB; ++i) {
+      acc[i] = Vec::Blend(Vec::Gt(acc[i], zero), acc[i], zero);
+    }
   }
   for (int64_t i = 0; i < kIB; ++i) acc[i].StoreU(out + i * ldo);
 }
@@ -401,7 +425,7 @@ inline void MicroKernel(AOperand a, const float* b, int64_t ldb,
 template <class Vec, class AOperand>
 inline void EdgeBlock(AOperand a, const float* b, int64_t ldb,
                       float* out, int64_t ldo, int64_t k, int64_t ib,
-                      int64_t jb, const float* bias) {
+                      int64_t jb, const ConvStore& store) {
   float acc[kIB][Vec::kWidth] = {};
   for (int64_t p = 0; p < k; ++p) {
     const float* b_row = b + p * ldb;
@@ -412,15 +436,28 @@ inline void EdgeBlock(AOperand a, const float* b, int64_t ldb,
   }
   for (int64_t i = 0; i < ib; ++i) {
     for (int64_t j = 0; j < jb; ++j) {
-      out[i * ldo + j] = bias != nullptr ? acc[i][j] + bias[j] : acc[i][j];
+      float v = acc[i][j];
+      if (store.bias != nullptr) v = v + store.bias[j];
+      if (store.mask != nullptr) v = v * store.mask[i * ldo + j];
+      if (store.relu) v = v > 0.0f ? v : 0.0f;
+      out[i * ldo + j] = v;
     }
   }
 }
 
-// out [m, n] = A · b (+ bias), b rows `b + p * ldb` contiguous.
+// `store` offset to the block at row i0, column j0 of an output with row
+// stride ldo.
+inline ConvStore StoreAt(const ConvStore& store, int64_t i0, int64_t j0,
+                         int64_t ldo) {
+  return {store.bias != nullptr ? store.bias + j0 : nullptr,
+          store.mask != nullptr ? store.mask + i0 * ldo + j0 : nullptr,
+          store.relu};
+}
+
+// out [m, n] = A · b, then `store`, b rows `b + p * ldb` contiguous.
 template <class Vec, class AOperand>
 void BlockedMatMul(AOperand a, const float* b, int64_t ldb, float* out,
-                   int64_t m, int64_t n, int64_t k, const float* bias,
+                   int64_t m, int64_t n, int64_t k, const ConvStore& store,
                    bool parallel_ok) {
   constexpr int64_t kJB = Vec::kWidth;
   // OpenMP splits row blocks; every output element is computed wholly by
@@ -439,13 +476,13 @@ void BlockedMatMul(AOperand a, const float* b, int64_t ldb, float* out,
     if (ib == kIB) {
       for (; j0 + kJB <= n; j0 += kJB) {
         MicroKernel<Vec>(a_block, b + j0, ldb, out_block + j0, n, k,
-                         bias != nullptr ? bias + j0 : nullptr);
+                         StoreAt(store, i0, j0, n));
       }
     }
     for (; j0 < n; j0 += kJB) {
       const int64_t jb = n - j0 < kJB ? n - j0 : kJB;
       EdgeBlock<Vec>(a_block, b + j0, ldb, out_block + j0, n, k, ib, jb,
-                     bias != nullptr ? bias + j0 : nullptr);
+                     StoreAt(store, i0, j0, n));
     }
   }
 }
@@ -453,7 +490,7 @@ void BlockedMatMul(AOperand a, const float* b, int64_t ldb, float* out,
 template <class Vec>
 void MatMul(const float* a, int64_t lda, const float* b, int64_t ldb,
             float* out, int64_t m, int64_t n, int64_t k, bool parallel_ok) {
-  BlockedMatMul<Vec>(DenseA{a, lda}, b, ldb, out, m, n, k, nullptr,
+  BlockedMatMul<Vec>(DenseA{a, lda}, b, ldb, out, m, n, k, ConvStore{},
                      parallel_ok);
 }
 
@@ -574,12 +611,12 @@ void MatMulTransA(const float* a, int64_t lda, const float* b, int64_t ldb,
 // ---------------------------------------------------------------------------
 
 template <class Vec>
-void ConvForward(const ConvArgs& g, const float* weight_t, const float* bias,
-                 float* out, bool parallel_ok) {
+void ConvForward(const ConvArgs& g, const float* weight_t,
+                 const ConvStore& store, float* out, bool parallel_ok) {
   const int64_t rows = g.n * g.out_h * g.out_w;
   const int64_t patch = g.c * g.kernel_h * g.kernel_w;
   BlockedMatMul<Vec>(ColumnsA{g.columns, g.row, g.tap}, weight_t, g.c_out,
-                     out, rows, g.c_out, patch, bias, parallel_ok);
+                     out, rows, g.c_out, patch, store, parallel_ok);
 }
 
 template <class Vec>

@@ -4,6 +4,7 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -577,58 +578,301 @@ TEST(Conv2dDeathTest, OutputMustBeNonEmpty) {
                "conv output is empty");
 }
 
-// The mask loop tests integer draws against ceil(p * 2^53); it must drop
-// exactly the elements Rng::Bernoulli(p) drops, and leave the generator
-// where that many Bernoulli draws leave it.
+TEST(Conv2dDeathTest, DropoutNeedsTheReluAndARate) {
+  Rng rng(1);
+  Var x = Constant(Tensor::Full({1, 2, 5, 1}, 1.0f));
+  Var w = Constant(Tensor::Full({1, 1, 1, 1}, 1.0f));
+  const Conv2dGeometry g;
+  EXPECT_DEATH(Conv2d(x, w, nullptr, g, {.dropout = 0.2f, .rng = &rng}),
+               "conv dropout needs the ReLU");
+  EXPECT_DEATH(Conv2d(x, w, nullptr, g,
+                      {.dropout = 1.0f, .rng = &rng, .relu = true}),
+               "dropout rate must be in \\[0, 1\\)");
+  EXPECT_DEATH(Conv2d(x, w, nullptr, g,
+                      {.dropout = -0.5f, .rng = &rng, .relu = true}),
+               "dropout rate must be in \\[0, 1\\)");
+}
+
+#ifdef _OPENMP
+constexpr int kMaxTestThreads = 4;
+#else
+constexpr int kMaxTestThreads = 1;
+#endif
+
+// Runs `fn(threads)` with the OpenMP team at 1 to 4 threads (1 without
+// OpenMP), restoring the caller's count afterwards.
+template <typename Fn>
+void ForEachThreadCount(Fn fn) {
+#ifdef _OPENMP
+  const int saved_threads = omp_get_max_threads();
+#endif
+  for (int threads = 1; threads <= kMaxTestThreads; ++threads) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    fn(threads);
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved_threads);
+#endif
+}
+
+// The mask tests integer draws against ceil(p * 2^53); it must drop exactly
+// the elements Rng::Bernoulli(p) drops, and leave the generator where that
+// many Bernoulli draws leave it, on any number of threads. 84480 and 84481
+// draw in parallel chunks (84481 splits unevenly at 2, 3 and 4 threads).
 TEST(DropoutTest, MaskEqualsBernoulliStream) {
-  for (const float p : {1e-7f, 0.1f, 0.2f, 1.0f / 3.0f, 0.5f, 0.9999999f}) {
-    for (const int64_t n : {1, 7, 8, 9, 84480}) {
-      Rng rng(static_cast<uint64_t>(n) * 31 + 7);
-      Rng reference = rng;
-      Var y = Dropout(Constant(Tensor::Full({n}, 1.0f)), p,
-                      /*training=*/true, &rng);
-      const float scale = 1.0f / (1.0f - p);
-      Tensor want = Tensor::Uninitialized({n});
-      for (int64_t i = 0; i < n; ++i) {
-        want.MutableData()[i] = reference.Bernoulli(p) ? 0.0f : scale;
+  ForEachThreadCount([](int threads) {
+    for (const float p : {1e-7f, 0.1f, 0.2f, 1.0f / 3.0f, 0.5f, 0.9999999f}) {
+      for (const int64_t n : {1, 7, 8, 9, 84480, 84481}) {
+        Rng rng(static_cast<uint64_t>(n) * 31 + 7);
+        Rng reference = rng;
+        const Tensor mask = DropoutMask({n}, p, &rng);
+        const float scale = 1.0f / (1.0f - p);
+        Tensor want = Tensor::Uninitialized({n});
+        for (int64_t i = 0; i < n; ++i) {
+          want.MutableData()[i] = reference.Bernoulli(p) ? 0.0f : scale;
+        }
+        const std::string label = "p=" + std::to_string(p) + " n=" +
+                                  std::to_string(n) + " threads=" +
+                                  std::to_string(threads);
+        ExpectBitEqual(mask, want, label);
+        EXPECT_EQ(rng.NextUint64(), reference.NextUint64()) << label;
       }
-      ExpectBitEqual(y->value(), want,
-                     "p=" + std::to_string(p) + " n=" + std::to_string(n));
-      EXPECT_EQ(rng.NextUint64(), reference.NextUint64())
-          << "p=" << p << " n=" << n;
+    }
+  });
+}
+
+TEST(DropoutTest, DropFractionNearP) {
+  Rng rng(11);
+  const Tensor mask = DropoutMask({20000}, 0.3f, &rng);
+  int64_t zeros = 0;
+  for (int64_t i = 0; i < mask.numel(); ++i) {
+    if (mask.Data()[i] == 0.0f) ++zeros;
+  }
+  EXPECT_NEAR(static_cast<double>(zeros) / mask.numel(), 0.3, 0.02);
+}
+
+// A 1x1 conv with weight 1 over ones outputs the mask itself: where it is
+// zero the input gradient must be zero, where it is 2 (the inverted-dropout
+// scale) the gradient must be 2.
+TEST(DropoutTest, MaskIsConsistentBetweenForwardAndBackward) {
+  Rng rng(3);
+  Var x = Parameter(Tensor::Full({1, 1, 1000, 1}, 1.0f));
+  Var w = Constant(Tensor::Full({1, 1, 1, 1}, 1.0f));
+  Var y = Conv2d(x, w, nullptr, Conv2dGeometry(),
+                 {.dropout = 0.5f, .rng = &rng, .relu = true});
+  Backward(SumAll(y));
+  for (int64_t i = 0; i < 1000; ++i) {
+    EXPECT_TRUE(y->value()[i] == 0.0f || y->value()[i] == 2.0f) << i;
+    EXPECT_EQ(x->grad()[i], y->value()[i]) << i;
+  }
+}
+
+// Today's conv layer as three tape nodes, test-local: the plain conv, then
+// the dropout node (a serial Bernoulli mask, multiplied in forward and
+// backward), then the ReLU. `mask` receives the mask (empty when none is
+// drawn).
+Var ThreeNodeLayer(const Var& x, const Var& w, const Var& b,
+                   const Conv2dGeometry& g, float p, bool training, Rng* rng,
+                   Tensor* mask) {
+  Var z = Conv2d(x, w, b, g);
+  *mask = Tensor();
+  if (training && p > 0.0f) {
+    const float scale = 1.0f / (1.0f - p);
+    *mask = Tensor::Uninitialized(z->shape());
+    for (int64_t i = 0; i < mask->numel(); ++i) {
+      mask->MutableData()[i] = rng->Bernoulli(p) ? 0.0f : scale;
+    }
+    z = Mul(z, Constant(mask->Clone()));
+  }
+  return Relu(z);
+}
+
+struct LayerRun {
+  ConvRun conv;
+  uint64_t next_draw;  // the dropout stream's next draw after the layer
+  Tensor mask;         // ThreeNodeLayer's mask, for picking elements
+};
+
+// One forward and backward of the layer with output gradient `grad_out`,
+// the dropout stream seeded with `seed`: the fused op, or ThreeNodeLayer.
+LayerRun RunLayer(bool fused, const Tensor& input, const Tensor& weight,
+                  const Tensor& bias, const Tensor& grad_out,
+                  const Conv2dGeometry& g, float p, bool training,
+                  uint64_t seed) {
+  Rng rng(seed);
+  Var x = Parameter(input.Clone());
+  Var w = Parameter(weight.Clone());
+  Var b = Parameter(bias.Clone());
+  LayerRun run;
+  Var y = fused ? Conv2d(x, w, b, g,
+                         {.dropout = training ? p : 0.0f,
+                          .rng = &rng,
+                          .relu = true})
+                : ThreeNodeLayer(x, w, b, g, p, training, &rng, &run.mask);
+  Backward(SumAll(Mul(y, Constant(grad_out.Clone()))));
+  run.conv = {y->value(), x->grad(), w->grad(), b->grad()};
+  run.next_draw = rng.NextUint64();
+  return run;
+}
+
+void ExpectSameLayerRun(const LayerRun& got, const LayerRun& want,
+                        const std::string& label) {
+  ExpectSameRun(got.conv, want.conv, label);
+  EXPECT_EQ(got.next_draw, want.next_draw) << label << " next draw";
+}
+
+// The fused conv → dropout → ReLU equals the three nodes bit for bit:
+// output, dX, dW, db and where the dropout stream ends, at every conv
+// geometry of PPN, p in {0, 0.2}, training on and off, on every dispatch
+// path at 1-4 threads. Batch 9 fills whole 8x8 tiles and leaves a row
+// edge; C_out = 5 adds a column edge; the time convs and CCONVs draw their
+// masks in parallel chunks (>= 32768 elements).
+TEST(ConvOutputPassTest, EqualsConvDropoutReluNodesBitForBit) {
+  struct Layer {
+    const char* name;
+    Conv2dGeometry g;
+    int64_t assets;
+  };
+  const Layer layers[] = {
+      {"time d=1", nn::CausalTimeConvGeometry(3, 1), 11},
+      {"time d=2", nn::CausalTimeConvGeometry(3, 2), 11},
+      {"time d=4", nn::CausalTimeConvGeometry(3, 4), 11},
+      {"CCONV m=11", nn::CorrelationalConvGeometry(11), 11},
+      {"CCONV m=16", nn::CorrelationalConvGeometry(16), 16},
+      {"Conv4", nn::ValidTimeConvGeometry(30), 11}};
+  const int64_t batch = 9, time = 30;
+  for (const Layer& layer : layers) {
+    for (const auto& [c_in, c_out] : {std::pair<int64_t, int64_t>{8, 16},
+                                     std::pair<int64_t, int64_t>{3, 5}}) {
+      const Conv2dGeometry& g = layer.g;
+      Rng rng(100 * c_in + c_out + layer.assets);
+      const Tensor input =
+          RandomUniform({batch, layer.assets, time, c_in}, -1.0f, 1.0f, &rng);
+      const Tensor weight = RandomUniform(
+          {c_out, c_in, g.kernel_h, g.kernel_w}, -1.0f, 1.0f, &rng);
+      const Tensor bias = RandomUniform({c_out}, -1.0f, 1.0f, &rng);
+      const Tensor grad_out = RandomUniform(
+          {batch, g.OutH(layer.assets), g.OutW(time), c_out}, -1.0f, 1.0f,
+          &rng);
+      for (const float p : {0.0f, 0.2f}) {
+        for (const bool training : {false, true}) {
+          ForEachPath([&](const char* path) {
+            const LayerRun want = RunLayer(false, input, weight, bias,
+                                           grad_out, g, p, training, 5);
+            ForEachThreadCount([&](int threads) {
+              ExpectSameLayerRun(
+                  RunLayer(true, input, weight, bias, grad_out, g, p,
+                           training, /*seed=*/5),
+                  want,
+                  std::string(layer.name) + " C_in=" + std::to_string(c_in) +
+                      " C_out=" + std::to_string(c_out) +
+                      " p=" + std::to_string(p) +
+                      (training ? " training " : " eval ") + path +
+                      " threads=" + std::to_string(threads));
+            });
+          });
+        }
+      }
     }
   }
 }
 
-TEST(DropoutGradTest, MaskIsConsistentBetweenForwardAndBackward) {
-  Rng rng(3);
-  Var x = Parameter(Tensor::Full({1000}, 1.0f));
-  Var y = Dropout(x, 0.5f, /*training=*/true, &rng);
-  Var loss = SumAll(y);
-  Backward(loss);
-  // Where the output is zero the gradient must be zero; where it is 2 (the
-  // inverted-dropout scale) the gradient must be 2.
-  for (int64_t i = 0; i < 1000; ++i) {
-    EXPECT_FLOAT_EQ(x->grad()[i], y->value()[i]);
+// Non-finite values meet the mask and the ReLU the same way in both forms.
+// An Inf weight on an interior tap makes pre-activations ±Inf and, where
+// +Inf meets -Inf, NaN (the ReLU zeroes it); Inf and NaN output gradients
+// land on elements the mask dropped and on elements the ReLU zeroed, where
+// the three nodes form (dY·0)·mask and the fused op (dY·0)·scale.
+TEST(ConvOutputPassTest, NonFiniteValuesMatchTheThreeNodes) {
+  const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 2);
+  const int64_t batch = 9, assets = 11, time = 30, c_in = 8, c_out = 16;
+  const float p = 0.2f;
+  Rng rng(91);
+  const Tensor input =
+      RandomUniform({batch, assets, time, c_in}, -1.0f, 1.0f, &rng);
+  const Tensor finite_weight =
+      RandomUniform({c_out, c_in, 1, 3}, -1.0f, 1.0f, &rng);
+  const Tensor bias = RandomUniform({c_out}, -1.0f, 1.0f, &rng);
+  const Tensor finite_grad =
+      RandomUniform({batch, assets, time, c_out}, -1.0f, 1.0f, &rng);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+
+  // Inf on tap kx = 2 (the current period) of channel 0 -> output channel 3,
+  // and -Inf on channel 1 of the same tap: inputs of both signs give ±Inf,
+  // and where both terms are infinite with opposite signs, NaN.
+  Tensor weight = finite_weight.Clone();
+  weight.MutableData()[((3 * c_in + 0) * 1 + 0) * 3 + 2] = inf;
+  weight.MutableData()[((3 * c_in + 1) * 1 + 0) * 3 + 2] = -inf;
+  const LayerRun inf_plain =
+      RunLayer(false, input, weight, bias, finite_grad, g, p, true, 17);
+  bool saw_nan = false;
+  for (int64_t i = 0; i < inf_plain.conv.input_grad.numel(); ++i) {
+    saw_nan |= std::isnan(inf_plain.conv.input_grad.Data()[i]);
   }
+  EXPECT_TRUE(saw_nan) << "the Inf weight should reach dX as NaN";
+
+  // Output gradients: +Inf and NaN on two elements the mask dropped, -Inf
+  // and NaN on two kept elements the ReLU zeroed.
+  const LayerRun plain =
+      RunLayer(false, input, finite_weight, bias, finite_grad, g, p, true, 17);
+  Tensor grad = finite_grad.Clone();
+  int dropped = 0, zeroed = 0;
+  for (int64_t i = 0; i < grad.numel(); ++i) {
+    const bool kept = plain.mask.Data()[i] != 0.0f;
+    const bool relu_zero = plain.conv.out.Data()[i] == 0.0f;
+    if (!kept && dropped < 2) {
+      grad.MutableData()[i] = dropped++ == 0 ? inf : nan;
+    } else if (kept && relu_zero && zeroed < 2) {
+      grad.MutableData()[i] = zeroed++ == 0 ? -inf : nan;
+    }
+  }
+  ASSERT_EQ(dropped, 2);
+  ASSERT_EQ(zeroed, 2);
+  int64_t nan_bias = 0;
+  const LayerRun grad_plain =
+      RunLayer(false, input, finite_weight, bias, grad, g, p, true, 17);
+  for (int64_t o = 0; o < c_out; ++o) {
+    nan_bias += std::isnan(grad_plain.conv.bias_grad.Data()[o]);
+  }
+  EXPECT_GT(nan_bias, 0) << "the planted gradients should reach db as NaN";
+
+  // Against the three nodes on the same path: where two NaNs meet in a sum
+  // the scalar build may keep either payload (DESIGN.md §2.8), so the
+  // paths need not agree with each other here.
+  ForEachPath([&](const char* path) {
+    const LayerRun inf_want =
+        RunLayer(false, input, weight, bias, finite_grad, g, p, true, 17);
+    const LayerRun grad_want =
+        RunLayer(false, input, finite_weight, bias, grad, g, p, true, 17);
+    ForEachThreadCount([&](int threads) {
+      const std::string label =
+          std::string(path) + " threads=" + std::to_string(threads);
+      ExpectSameLayerRun(
+          RunLayer(true, input, weight, bias, finite_grad, g, p, true, 17),
+          inf_want, "Inf weight " + label);
+      ExpectSameLayerRun(
+          RunLayer(true, input, finite_weight, bias, grad, g, p, true, 17),
+          grad_want, "non-finite dY " + label);
+    });
+  });
 }
 
-TEST(DropoutGradTest, EvalModeIsIdentity) {
+// Outside training the op draws nothing: the stream is untouched and the
+// output is the conv's ReLU.
+TEST(ConvOutputPassTest, NoDropoutDrawsNothing) {
   Rng rng(3);
-  Var x = Parameter(Tensor::Full({10}, 3.0f));
-  Var y = Dropout(x, 0.5f, /*training=*/false, &rng);
-  EXPECT_TRUE(y->value().AllClose(x->value()));
-}
-
-TEST(DropoutGradTest, DropFractionNearP) {
-  Rng rng(11);
-  Var x = Constant(Tensor::Full({20000}, 1.0f));
-  Var y = Dropout(x, 0.3f, /*training=*/true, &rng);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y->numel(); ++i) {
-    if (y->value()[i] == 0.0f) ++zeros;
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / y->numel(), 0.3, 0.02);
+  const Rng before = rng;
+  Var x = Constant(RandomUniform({2, 3, 7, 4}, -1.0f, 1.0f, &rng));
+  Var w = Constant(RandomUniform({5, 4, 1, 3}, -1.0f, 1.0f, &rng));
+  const Conv2dGeometry g = nn::CausalTimeConvGeometry(3, 1);
+  Rng dropout_rng = before;
+  Var fused = Conv2d(x, w, nullptr, g, {.rng = &dropout_rng, .relu = true});
+  ExpectBitEqual(fused->value(), Relu(Conv2d(x, w, nullptr, g))->value(),
+                 "eval output");
+  Rng untouched = before;
+  EXPECT_EQ(dropout_rng.NextUint64(), untouched.NextUint64());
 }
 
 }  // namespace

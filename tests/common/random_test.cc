@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -170,6 +172,63 @@ TEST(RngTest, SplitProducesDecorrelatedStreams) {
     if (child1.NextUint64() == child2.NextUint64()) ++equal_count;
   }
   EXPECT_LT(equal_count, 3);
+}
+
+void ExpectSameState(const Rng& a, const Rng& b, const std::string& label) {
+  const Rng::State sa = a.GetState();
+  const Rng::State sb = b.GetState();
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(sa.words[i], sb.words[i]) << label;
+  EXPECT_EQ(sa.has_spare_normal, sb.has_spare_normal) << label;
+  EXPECT_EQ(sa.spare_normal, sb.spare_normal) << label;
+}
+
+// Discard(n) then k draws equals n + k draws: no jump, single matrix
+// powers (1, 64), several (63, 65, 4095), a mask's chunk offset (126720 =
+// 3/4 of the block-2 mask at batch 32) and a wide one (2^20 + 3).
+TEST(RngTest, DiscardEqualsThatManyDraws) {
+  for (const uint64_t n : {uint64_t{0}, uint64_t{1}, uint64_t{63},
+                           uint64_t{64}, uint64_t{65}, uint64_t{4095},
+                           uint64_t{126720}, (uint64_t{1} << 20) + 3}) {
+    Rng jumped(0xD15CA2D);
+    Rng stepped(0xD15CA2D);
+    jumped.Discard(n);
+    for (uint64_t i = 0; i < n; ++i) stepped.NextUint64();
+    ExpectSameState(jumped, stepped, "n=" + std::to_string(n));
+    for (int k = 0; k < 8; ++k) {
+      EXPECT_EQ(jumped.NextUint64(), stepped.NextUint64())
+          << "n=" << n << " draw " << k;
+    }
+  }
+}
+
+// The Box–Muller spare is not part of the xoshiro stream: a jump keeps it.
+TEST(RngTest, DiscardKeepsTheNormalSpare) {
+  Rng jumped(9);
+  jumped.Normal();  // caches the pair's second value
+  Rng stepped = jumped;
+  jumped.Discard(1000);
+  for (int i = 0; i < 1000; ++i) stepped.NextUint64();
+  ExpectSameState(jumped, stepped, "after 1000");
+  EXPECT_TRUE(jumped.GetState().has_spare_normal);
+  EXPECT_EQ(jumped.Normal(), stepped.Normal());
+}
+
+// Jumps compose, up to the top matrix powers: Discard(a); Discard(b)
+// equals Discard(a + b).
+TEST(RngTest, DiscardsCompose) {
+  const uint64_t half = uint64_t{1} << 63;
+  const std::pair<uint64_t, uint64_t> pairs[] = {
+      {3, 5}, {64, 64}, {4095, 1}, {126720, 42240},
+      {uint64_t{1} << 40, uint64_t{1} << 40}, {half - 1, half - 7}};
+  for (const auto& [a, b] : pairs) {
+    Rng twice(77);
+    Rng once(77);
+    twice.Discard(a);
+    twice.Discard(b);
+    once.Discard(a + b);
+    ExpectSameState(twice, once,
+                    "a=" + std::to_string(a) + " b=" + std::to_string(b));
+  }
 }
 
 }  // namespace

@@ -117,6 +117,30 @@ TEST(OhlcPanelTest, ValidityRejectsZeroLow) {
   EXPECT_FALSE(panel.IsValid());
 }
 
+// NaN passes every comparison IsValid makes, and +Inf passes high >= open
+// and close; each non-finite value in each field of a tradeable, observed
+// bar must fail. A halted bar holding NaN, and an unobserved (all-NaN)
+// bar, stay valid.
+TEST(OhlcPanelTest, ValidityRejectsNonFinite) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad :
+       {std::numeric_limits<double>::quiet_NaN(), inf, -inf}) {
+    for (int f = 0; f < kNumPriceFields; ++f) {
+      OhlcPanel panel = MakeSimplePanel(3, 2);
+      panel.SetPrice(1, 1, static_cast<PriceField>(f), bad);
+      EXPECT_FALSE(panel.IsValid()) << "field " << f << " = " << bad;
+      panel.SetTradeable(1, 1, false);
+      EXPECT_TRUE(panel.IsValid()) << "masked field " << f << " = " << bad;
+    }
+  }
+  OhlcPanel gap = MakeSimplePanel(3, 2);
+  for (int f = 0; f < kNumPriceFields; ++f) {
+    gap.SetPrice(2, 0, static_cast<PriceField>(f),
+                 std::numeric_limits<double>::quiet_NaN());
+  }
+  EXPECT_TRUE(gap.IsValid()) << "an unobserved bar is a gap, not corrupt";
+}
+
 TEST(OhlcPanelTest, ValidityRejectsLowAboveOpen) {
   OhlcPanel panel = MakeSimplePanel(3, 1);
   panel.SetPrice(1, 0, kLow, panel.Price(1, 0, kOpen) * 1.5);

@@ -261,6 +261,9 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
                                  -kDenorm, 1e30f, -1e30f, 0.25f, -0.75f};
   const int64_t sizes[] = {0, 1, 7, 8, 9, 16, 17, 100};
   const float lo = -1.0f, hi = 1.0f;
+  // The dropout scale at p = 0.2. Not -1: a compiler may fold the
+  // reference's x * -1.0f into a negation, which flips a NaN's sign.
+  const float kDropoutScale = 1.25f;
   for (const int64_t n : sizes) {
     Tensor a = Tensor::Uninitialized({n});
     Tensor b = Tensor::Uninitialized({n});
@@ -307,6 +310,8 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
           return g * (0.5f / (y > 1e-12f ? y : 1e-12f));
         case vec::BinaryOp::kClampBwd:
           return g * ((y > lo && y < hi) ? 1.0f : 0.0f);
+        case vec::BinaryOp::kReluScaleBwd:  // p0 = kDropoutScale
+          return (g * (y > 0.0f ? 1.0f : 0.0f)) * kDropoutScale;
       }
       return 0.0f;
     };
@@ -341,7 +346,7 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
           vec::BinaryOp::kDiv, vec::BinaryOp::kTanhBwd,
           vec::BinaryOp::kSigmoidBwd, vec::BinaryOp::kReluBwd,
           vec::BinaryOp::kAbsBwd, vec::BinaryOp::kSqrtBwd,
-          vec::BinaryOp::kClampBwd}) {
+          vec::BinaryOp::kClampBwd, vec::BinaryOp::kReluScaleBwd}) {
       Tensor want = Tensor::Uninitialized({n});
       for (int64_t i = 0; i < n; ++i) {
         want.MutableData()[i] = ref_binary(op, a.Data()[i], b.Data()[i]);
@@ -349,7 +354,9 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
       ForEachPath([&](const char* path) {
         SCOPED_TRACE(testing::Message() << path << " n=" << n << " binary op "
                                         << static_cast<int>(op));
-        ExpectBitIdentical(EltwiseBinary(op, a, b, lo, hi), want, "binary");
+        const float p0 =
+            op == vec::BinaryOp::kReluScaleBwd ? kDropoutScale : lo;
+        ExpectBitIdentical(EltwiseBinary(op, a, b, p0, hi), want, "binary");
       });
     }
   }
