@@ -9,10 +9,8 @@
 #include "common/csv.h"
 #include "common/env.h"
 #include "exec/thread_pool.h"
-#include "obs/health.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 
 namespace ppn::bench {
 
@@ -75,29 +73,9 @@ BenchContext::BenchContext(std::string title)
 }
 
 BenchContext::~BenchContext() {
-  if (sampler_ != nullptr) {
-    const std::string stats_path = sampler_->path();
-    if (sampler_->Stop()) {
-      std::fprintf(stderr, "stats stream written to %s\n",
-                   stats_path.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "WARNING: stats stream %s lost writes (queue overflow "
-                   "or I/O error)\n",
-                   stats_path.c_str());
-    }
-  }
   // A bench dtor cannot change the process exit status, but the printed
   // `PPN_HEALTH: PASS|FAIL` token is what run_benches.sh gates on.
-  obs::ReportHealthIfRequested();
-  if (obs::WriteProfileIfRequested()) {
-    std::fprintf(stderr, "profile written to %s\n",
-                 env::StringOr("PPN_PROFILE_JSON", "").c_str());
-  }
-  if (obs::WriteTraceIfRequested()) {
-    std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
-                 env::StringOr("PPN_TRACE_JSON", "").c_str());
-  }
+  obs::FinishRunTelemetry(sampler_.get());
 }
 
 const market::MarketDataset& BenchContext::dataset(market::DatasetId id) {

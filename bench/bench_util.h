@@ -35,10 +35,11 @@ class BenchContext {
   /// Prints the bench header for `title` at the active `PPN_SCALE` tier.
   explicit BenchContext(std::string title);
 
-  /// Stops the periodic stats sampler (if `PPN_STATS_JSONL` started one in
-  /// the constructor), prints the `PPN_HEALTH` verdict when rules are set,
-  /// and writes the merged obs profile to `PPN_PROFILE_JSON` when that
-  /// variable is set (after every spec of the binary has run).
+  /// Ends the run's telemetry (`obs::FinishRunTelemetry`): stops the
+  /// sampler `PPN_STATS_JSONL` started in the constructor, writes the
+  /// profile and trace when `PPN_PROFILE_JSON` / `PPN_TRACE_JSON` are set
+  /// (after every spec of the binary has run), and prints the
+  /// `PPN_HEALTH` verdict when rules are set.
   ~BenchContext();
 
   RunScale scale() const { return scale_; }

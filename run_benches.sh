@@ -2,7 +2,7 @@
 # Runs every bench binary sequentially and records the combined output.
 # Table benches also dump machine-readable per-cell results (one
 # "<slug>.cells.json" per bench) into bench_results/, keyed by the
-# PPN_RESULTS_JSON directory. Each bench additionally runs with
+# PPN_RESULTS_JSON directory. Each table bench additionally runs with
 # PPN_PROFILE_JSON set, so a merged observability profile
 # ("<bench>.profile.json": kernel counters, per-cell wall times, solver
 # iteration stats) is archived next to the results JSON. The per-step
@@ -14,7 +14,9 @@
 # archive their machine-readable report as "<bench>.json" in
 # bench_results/ — the
 # input format of tools/bench_diff.py, which compares two archived runs
-# and flags throughput regressions.
+# and flags throughput regressions. They run with obs OFF: either sink
+# variable would turn the instrumentation on inside the timed loops, and
+# a BENCHMARK_MAIN binary never writes a profile or starts a sampler.
 #
 # Regression gate: PPN_BENCH_GATE=1 turns bench_diff.py into a gate.
 # Before running a gated bench the previous archived report (the newest
@@ -34,10 +36,10 @@
 # gate and any speedup claim noise. For A/B comparisons (e.g.
 # PPN_SIMD=scalar vs avx2) run the two sides back to back.
 #
-# Observability: each bench also runs with PPN_STATS_JSONL set, archiving
-# a periodic ppn.stats.v1 time-series stream ("<bench>.stats.jsonl") next
-# to its profile — inspect live with `ppn_cli top --dir
-# bench_results/<bench>.stats.jsonl`. SLO gate: when PPN_HEALTH is set
+# Observability: each table bench also runs with PPN_STATS_JSONL set,
+# archiving a periodic ppn.stats.v1 time-series stream
+# ("<bench>.stats.jsonl") next to its profile — inspect live with
+# `ppn_cli top --dir bench_results/<bench>.stats.jsonl`. SLO gate: when PPN_HEALTH is set
 # (e.g. PPN_HEALTH='exec.cell.seconds.p99<=2s') each bench prints a
 # PPN_HEALTH: PASS|FAIL verdict at exit; any FAIL in the combined output
 # makes this script exit non-zero.
@@ -60,9 +62,7 @@ gate_status=0
                "/root/repo/bench_results/$name.baseline.json"
             baseline="/root/repo/bench_results/$name.baseline.json"
           fi
-          PPN_PROFILE_JSON="/root/repo/bench_results/$name.profile.json" \
-            PPN_STATS_JSONL="/root/repo/bench_results/$name.stats.jsonl" \
-            "$b" \
+          "$b" \
             --benchmark_repetitions="${PPN_BENCH_REPS:-3}" \
             --benchmark_out="/root/repo/bench_results/$name.json" \
             --benchmark_out_format=json

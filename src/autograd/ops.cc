@@ -76,20 +76,6 @@ Var Mul(const Var& a, const Var& b) {
   });
 }
 
-Var Div(const Var& a, const Var& b) {
-  return MakeOp(ppn::Div(a->value(), b->value()), {a, b}, [](Node* self) {
-    const Var& a = self->parents[0];
-    const Var& b = self->parents[1];
-    // d(a/b)/da = 1/b ; d(a/b)/db = -a/b^2.
-    MaybeAccumulate(a, ppn::Div(self->grad(), b->value()));
-    if (b->requires_grad()) {
-      Tensor b2 = ppn::Mul(b->value(), b->value());
-      Tensor db = ppn::Div(ppn::Mul(self->grad(), a->value()), b2);
-      b->AccumulateGrad(MulScalar(db, -1.0f));
-    }
-  });
-}
-
 Var AddScalar(const Var& a, float s) {
   return MakeOp(ppn::AddScalar(a->value(), s), {a}, [](Node* self) {
     MaybeAccumulate(self->parents[0], self->grad());
@@ -106,18 +92,9 @@ Var Neg(const Var& a) { return MulScalar(a, -1.0f); }
 
 // Every activation forward and fused backward routes through
 // EltwiseUnary/EltwiseBinary and so picks up the dispatched SIMD tables
-// (tensor/dispatch.h). Exp/Log/Tanh/Sigmoid are the kernel table's own
+// (tensor/dispatch.h). Log/Tanh/Sigmoid are the kernel table's own
 // polynomial bodies (vec/kernels_impl.h), not libm: the same bits on every
-// path, within 1-2.5 ULP of the true value (DESIGN.md §2.8). Sqrt is
-// the correctly rounded square root, the same bits as std::sqrt.
-
-Var Exp(const Var& a) {
-  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kExpFwd, a->value());
-  return MakeOp(std::move(out), {a}, [](Node* self) {
-    // d exp(x) = exp(x) dx, and self->value() is exp(x).
-    MaybeAccumulate(self->parents[0], ppn::Mul(self->grad(), self->value()));
-  });
-}
+// path, within 1-2.5 ULP of the true value (DESIGN.md §2.8).
 
 Var Log(const Var& a) {
   Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kLogFwd, a->value());
@@ -163,25 +140,6 @@ Var Abs(const Var& a) {
   });
 }
 
-Var Sqrt(const Var& a) {
-  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kSqrtFwd, a->value());
-  return MakeOp(std::move(out), {a}, [](Node* self) {
-    Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kSqrtBwd, self->grad(),
-                                   self->value());
-    MaybeAccumulate(self->parents[0], std::move(dx));
-  });
-}
-
-Var Clamp(const Var& a, float lo, float hi) {
-  PPN_CHECK_LE(lo, hi);
-  Tensor out = ppn::EltwiseUnary(vec::UnaryOp::kClampFwd, a->value(), lo, hi);
-  return MakeOp(std::move(out), {a}, [lo, hi](Node* self) {
-    Tensor dx = ppn::EltwiseBinary(vec::BinaryOp::kClampBwd, self->grad(),
-                                   self->parents[0]->value(), lo, hi);
-    MaybeAccumulate(self->parents[0], std::move(dx));
-  });
-}
-
 Var MatMul(const Var& a, const Var& b) {
   return MakeOp(ppn::MatMul(a->value(), b->value()), {a, b}, [](Node* self) {
     const Var& a = self->parents[0];
@@ -193,12 +151,6 @@ Var MatMul(const Var& a, const Var& b) {
     if (b->requires_grad()) {
       b->AccumulateGrad(ppn::MatMulTransA(a->value(), self->grad()));
     }
-  });
-}
-
-Var Transpose2D(const Var& a) {
-  return MakeOp(ppn::Transpose2D(a->value()), {a}, [](Node* self) {
-    MaybeAccumulate(self->parents[0], ppn::Transpose2D(self->grad()));
   });
 }
 

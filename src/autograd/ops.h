@@ -20,8 +20,6 @@ Var Add(const Var& a, const Var& b);
 Var Sub(const Var& a, const Var& b);
 /// Elementwise a * b.
 Var Mul(const Var& a, const Var& b);
-/// Elementwise a / b.
-Var Div(const Var& a, const Var& b);
 /// a + s.
 Var AddScalar(const Var& a, float s);
 /// a * s.
@@ -29,10 +27,7 @@ Var MulScalar(const Var& a, float s);
 /// -a.
 Var Neg(const Var& a);
 
-/// Elementwise exp.
-Var Exp(const Var& a);
-/// Elementwise natural log (caller guarantees positivity; combine with
-/// `Clamp` for numerical safety).
+/// Elementwise natural log (caller guarantees positivity).
 Var Log(const Var& a);
 /// Elementwise tanh.
 Var Tanh(const Var& a);
@@ -42,16 +37,9 @@ Var Sigmoid(const Var& a);
 Var Relu(const Var& a);
 /// Elementwise |x| (subgradient 0 at x == 0).
 Var Abs(const Var& a);
-/// Elementwise square root.
-Var Sqrt(const Var& a);
-/// Elementwise clamp into [lo, hi]; gradient passes through strictly
-/// inside the interval and is zero where the clamp is active.
-Var Clamp(const Var& a, float lo, float hi);
 
 /// Matrix product [m,k] x [k,n] -> [m,n].
 Var MatMul(const Var& a, const Var& b);
-/// 2-D transpose.
-Var Transpose2D(const Var& a);
 /// Adds row vector b [n] to each row of a [m,n].
 Var AddRowVector(const Var& a, const Var& b);
 

@@ -24,10 +24,6 @@ const VarInfo kRegistry[] = {
      "Write an aggregated obs profile snapshot to this path at exit"},
     {"PPN_TRACE_JSON", "path", "unset",
      "Write a Chrome trace-event timeline to this path at exit"},
-    {"PPN_TRACE_CAPACITY", "int", "65536",
-     "Per-thread trace ring capacity in events (values <= 0 use default)"},
-    {"PPN_TRACE_MIN_US", "double", "0",
-     "Drop trace spans shorter than this many microseconds"},
     {"PPN_RUNLOG_DIR", "path", "unset",
      "Directory for per-step run logs: one JSONL per trained sweep cell, "
      "or train-seed<seed>.runlog.jsonl from `ppn_cli train`"},

@@ -440,6 +440,36 @@ bool WriteResultsJson(const std::string& path,
   return file.Commit();
 }
 
+CellStep CellPlan::RunOrRestore(const std::string& dir,
+                               const PlannedCell& cell) const {
+  CellStep step;
+  if (!dir.empty()) {
+    if (TryLoadCell(dir, cell, &step.result, &step.load_error)) {
+      step.restored = true;
+      if (obs::Enabled()) {
+        static thread_local obs::Counter& counter =
+            obs::GetCounter("exec.cells.restored");
+        counter.Add(1.0);
+      }
+      return step;
+    }
+    // A missing file is the normal cold path, not an error.
+    if (!std::filesystem::exists(CellCheckpointPath(dir, cell.derived_seed))) {
+      step.load_error.clear();
+    }
+  }
+  step.result = RunCell(cell);
+  if (!dir.empty() && !SaveCell(dir, step.result, &step.save_error)) {
+    step.saved = false;
+    if (obs::Enabled()) {
+      static thread_local obs::Counter& counter =
+          obs::GetCounter("exec.cells.ckpt_write_failed");
+      counter.Add(1.0);
+    }
+  }
+  return step;
+}
+
 ExperimentRunner::ExperimentRunner(int num_workers)
     : num_workers_(num_workers) {
   PPN_CHECK_GE(num_workers, 0);
@@ -473,49 +503,25 @@ std::vector<CellResult> ExperimentRunner::Run(const ExperimentSpec& spec,
   for (const PlannedCell& cell : plan.cells()) {
     pool.Submit([&plan, &spec, &sink, &completed, &restored, &ckpt_failures,
                  &cell] {
-      if (!spec.checkpoint_dir.empty()) {
-        CellResult result;
-        std::string load_error;
-        if (plan.TryLoadCell(spec.checkpoint_dir, cell, &result,
-                             &load_error)) {
-          restored.fetch_add(1, std::memory_order_relaxed);
-          if (obs::Enabled()) {
-            static thread_local obs::Counter& counter =
-                obs::GetCounter("exec.cells.restored");
-            counter.Add(1.0);
-          }
-          sink.Set(cell.index, std::move(result));
-          return;
-        }
-        // Fall through to a fresh run; a missing file is the normal cold
-        // path, anything else is worth a note.
-        const std::string path =
-            CellCheckpointPath(spec.checkpoint_dir, cell.derived_seed);
-        if (std::filesystem::exists(path)) {
-          std::fprintf(stderr, "[exec] ignoring cell checkpoint %s: %s\n",
-                       path.c_str(), load_error.c_str());
-        }
+      CellStep step = plan.RunOrRestore(spec.checkpoint_dir, cell);
+      (step.restored ? restored : completed)
+          .fetch_add(1, std::memory_order_relaxed);
+      if (!step.load_error.empty()) {
+        std::fprintf(stderr, "[exec] ignoring cell checkpoint %s: %s\n",
+                     CellCheckpointPath(spec.checkpoint_dir, cell.derived_seed)
+                         .c_str(),
+                     step.load_error.c_str());
       }
-      CellResult result = plan.RunCell(cell);
-      completed.fetch_add(1, std::memory_order_relaxed);
-      if (!spec.checkpoint_dir.empty()) {
-        std::string save_error;
-        if (!plan.SaveCell(spec.checkpoint_dir, result, &save_error)) {
-          // The cell's in-memory result is intact; only durability is
-          // lost. Count it so the sweep summary can surface the loss —
-          // an fprintf alone disappears into scrollback while a rerun
-          // silently recomputes the cell.
-          ckpt_failures.fetch_add(1, std::memory_order_relaxed);
-          if (obs::Enabled()) {
-            static thread_local obs::Counter& counter =
-                obs::GetCounter("exec.cells.ckpt_write_failed");
-            counter.Add(1.0);
-          }
-          std::fprintf(stderr, "[exec] cell checkpoint write failed: %s\n",
-                       save_error.c_str());
-        }
+      if (!step.saved) {
+        // The cell's in-memory result is intact; only durability is
+        // lost. Count it so the sweep summary can surface the loss — an
+        // fprintf alone disappears into scrollback while a rerun
+        // silently recomputes the cell.
+        ckpt_failures.fetch_add(1, std::memory_order_relaxed);
+        std::fprintf(stderr, "[exec] cell checkpoint write failed: %s\n",
+                     step.save_error.c_str());
       }
-      sink.Set(cell.index, std::move(result));
+      sink.Set(cell.index, std::move(step.result));
     });
   }
   pool.Wait();

@@ -123,6 +123,15 @@ std::vector<PlannedCell> EnumerateCells(const ExperimentSpec& spec);
 std::string CellCheckpointPath(const std::string& dir, uint64_t derived_seed);
 std::string CellRunLogPath(const std::string& dir, uint64_t derived_seed);
 
+/// What one `CellPlan::RunOrRestore` did.
+struct CellStep {
+  CellResult result;
+  bool restored = false;   ///< Loaded from its checkpoint, not computed.
+  bool saved = true;       ///< False when the checkpoint commit failed.
+  std::string load_error;  ///< Why an EXISTING checkpoint was not restored.
+  std::string save_error;  ///< Why the commit failed.
+};
+
 /// Executable view of a spec: the enumerated cells plus lazily resolved
 /// datasets and the single per-cell compute + checkpoint-I/O code path.
 /// Both the in-process `ExperimentRunner` and the multi-process fabric
@@ -160,6 +169,13 @@ class CellPlan {
   /// reason in *error on any write failure (no partial file remains).
   bool SaveCell(const std::string& dir, const CellResult& result,
                 std::string* error) const;
+
+  /// The cell step of the runner and of a fabric worker: restores `cell`
+  /// from its checkpoint under `dir`, or computes it and commits its
+  /// checkpoint there (an empty `dir` only computes). Counts
+  /// `exec.cells.restored` and `exec.cells.ckpt_write_failed`; callers
+  /// report the errors their own way.
+  CellStep RunOrRestore(const std::string& dir, const PlannedCell& cell) const;
 
  private:
   struct DatasetSlot;

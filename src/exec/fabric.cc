@@ -20,7 +20,6 @@
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
-#include "common/json.h"
 #include "common/parse.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
@@ -334,46 +333,25 @@ pid_t SpawnWorker(const FabricOptions& options, const std::string& fabric_dir,
   return pid;
 }
 
-// ------------------------------------------------- profile merging ----
+}  // namespace
 
-/// Folds one worker profile JSON into the coordinator's obs registry:
-/// counters add, gauges take the max — the same merge semantics the
-/// per-thread shards use in-process, lifted across processes. Histogram
-/// detail stays in the per-worker files (log2 buckets cannot be
-/// re-observed exactly). False when the profile cannot be read or
-/// parsed — the caller counts it (`exec.fabric.profile_merge_failed`)
-/// and surfaces it in the sweep summary; a silently dropped profile
-/// understates the merged counters with no trace in the results.
-bool MergeWorkerProfile(const std::string& path) {
-  std::string text;
-  if (!ReadFileToString(path, &text)) {
-    std::fprintf(stderr, "[fabric] skipping unreadable profile %s\n",
-                 path.c_str());
-    return false;
+bool CountFabricQueue(const std::string& fabric_dir, FabricQueueCounts* out) {
+  const fs::path root(fabric_dir);
+  std::error_code ec;
+  if (!fs::is_directory(root / "queue", ec)) return false;
+  auto count = [](const fs::path& dir) {
+    return static_cast<int64_t>(ListDirSorted(dir.string()).size());
+  };
+  *out = FabricQueueCounts{};
+  for (const fs::directory_entry& shard :
+       fs::directory_iterator(root / "queue", ec)) {
+    out->queued += count(shard.path());
   }
-  JsonValue root;
-  std::string error;
-  if (!ParseJson(text, &root, &error) || !root.is_object()) {
-    std::fprintf(stderr, "[fabric] skipping unreadable profile %s: %s\n",
-                 path.c_str(), error.c_str());
-    return false;
-  }
-  const JsonValue* counters = root.Find("counters");
-  if (counters != nullptr && counters->is_object()) {
-    for (const auto& [name, value] : counters->AsObject()) {
-      if (value.is_number()) obs::GetCounter(name).Add(value.AsNumber());
-    }
-  }
-  const JsonValue* gauges = root.Find("gauges");
-  if (gauges != nullptr && gauges->is_object()) {
-    for (const auto& [name, value] : gauges->AsObject()) {
-      if (value.is_number()) obs::GetGauge(name).UpdateMax(value.AsNumber());
-    }
-  }
+  out->running = count(root / "claims");
+  out->done = count(root / "done");
+  out->failed = count(root / "failed");
   return true;
 }
-
-}  // namespace
 
 // =============================================================== worker ==
 
@@ -493,34 +471,9 @@ int FabricWorkerMain(const ExperimentSpec& spec, const std::string& fabric_dir,
     // committing but before marking done, or a straggler's duplicate
     // finished first. Restoring instead of recomputing is what makes
     // elastic rejoin cheap.
-    CellResult result;
-    std::string error;
-    bool persisted = true;
-    if (plan.TryLoadCell(cells_dir, cell, &result, &error)) {
-      ++status.cells_restored;
-      if (obs::Enabled()) {
-        static thread_local obs::Counter& counter =
-            obs::GetCounter("exec.cells.restored");
-        counter.Add(1.0);
-      }
-    } else {
-      result = plan.RunCell(cell);
-      if (!plan.SaveCell(cells_dir, result, &error)) {
-        persisted = false;
-        ++status.ckpt_write_failed;
-        if (obs::Enabled()) {
-          static thread_local obs::Counter& counter =
-              obs::GetCounter("exec.cells.ckpt_write_failed");
-          counter.Add(1.0);
-        }
-        std::fprintf(stderr,
-                     "[fabric] worker %d: cell T%lld checkpoint write "
-                     "failed: %s\n",
-                     worker_slot, static_cast<long long>(task_index),
-                     error.c_str());
-      }
-    }
-    if (persisted) {
+    const CellStep step = plan.RunOrRestore(cells_dir, cell);
+    if (step.restored) ++status.cells_restored;
+    if (step.saved) {
       // The checkpoint is durable; publish completion. An existing done
       // marker (duplicate execution) is replaced with identical content.
       ::rename(claim_path.c_str(),
@@ -528,6 +481,12 @@ int FabricWorkerMain(const ExperimentSpec& spec, const std::string& fabric_dir,
       ++status.cells_done;
       if (stolen) ++status.cells_stolen;
     } else {
+      ++status.ckpt_write_failed;
+      std::fprintf(stderr,
+                   "[fabric] worker %d: cell T%lld checkpoint write "
+                   "failed: %s\n",
+                   worker_slot, static_cast<long long>(task_index),
+                   step.save_error.c_str());
       // The result exists only in this process; hand the cell back so the
       // coordinator can retry it (bounded) somewhere with working disk.
       ::rename(claim_path.c_str(),
@@ -985,9 +944,25 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
         // authoritative count; status files only catch markers lost to
         // a mid-rename kill.
       }
-    } else if (obs::Enabled() && name.rfind(".profile.json") ==
-                                     name.size() - 13) {
-      if (!MergeWorkerProfile(path)) ++stats.profile_merge_failed;
+    } else if (obs::Enabled() && name.ends_with(".profile.json")) {
+      // Counters add and gauges take the max: the shard merge, across
+      // processes, so one report covers the whole sweep. A dropped
+      // profile is counted (`exec.fabric.profile_merge_failed`), never
+      // silent: it would understate the merged counters.
+      obs::Snapshot profile;
+      std::string error;
+      if (!obs::ReadProfileJson(path, &profile, &error)) {
+        std::fprintf(stderr, "[fabric] skipping unreadable profile %s: %s\n",
+                     path.c_str(), error.c_str());
+        ++stats.profile_merge_failed;
+        continue;
+      }
+      for (const auto& [metric, value] : profile.counters) {
+        obs::GetCounter(metric).Add(value);
+      }
+      for (const auto& [metric, value] : profile.gauges) {
+        obs::GetGauge(metric).UpdateMax(value);
+      }
     }
   }
   if (obs::Enabled()) {
@@ -1043,17 +1018,8 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
     }
   }
   if (env::HasValue("PPN_STATS_JSONL")) {
-    std::vector<std::string> streams;
-    for (const std::string& name :
-         ListDirSorted((fs::path(dir) / "obs").string())) {
-      const std::string suffix = ".stats.jsonl";
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(),
-                       suffix) == 0 &&
-          name != "merged.stats.jsonl") {  // a prior merge's own output
-        streams.push_back((fs::path(dir) / "obs" / name).string());
-      }
-    }
+    const std::vector<std::string> streams =
+        obs::FindStatsStreams((fs::path(dir) / "obs").string());
     if (!streams.empty()) {
       const std::string merged =
           (fs::path(dir) / "obs" / "merged.stats.jsonl").string();

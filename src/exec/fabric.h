@@ -159,6 +159,19 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
                                        const FabricOptions& options,
                                        FabricStats* stats = nullptr);
 
+/// Entries in the protocol directories of a fabric dir right now (what
+/// `ppn_cli top` shows, live between sample windows).
+struct FabricQueueCounts {
+  int64_t queued = 0;   ///< Task files across queue/shard-*/.
+  int64_t running = 0;  ///< claims/
+  int64_t done = 0;     ///< done/
+  int64_t failed = 0;   ///< failed/
+};
+
+/// Counts `fabric_dir`'s queue, claims, done and failed entries. False
+/// when it has no queue/ directory (it is not a fabric dir).
+bool CountFabricQueue(const std::string& fabric_dir, FabricQueueCounts* out);
+
 /// Worker entry point (what `ppn_cli sweep-worker` calls after rebuilding
 /// the spec from its flags): claims cells from shard `worker_slot` (then
 /// steals), computes or restores each, commits its checkpoint, and marks

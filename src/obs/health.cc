@@ -13,38 +13,11 @@ namespace ppn::obs {
 
 namespace {
 
-// Histogram stat suffixes a metric name may carry. An exact counter or
-// gauge match takes precedence, so a counter literally named "...count"
-// still resolves as itself.
-struct StatSuffix {
-  const char* suffix;
-  double (*extract)(const HistogramSnapshot&);
-};
-
-const StatSuffix kStatSuffixes[] = {
-    {".count", [](const HistogramSnapshot& h) {
-       return static_cast<double>(h.count);
-     }},
-    {".mean", [](const HistogramSnapshot& h) {
-       return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
-     }},
-    {".min", [](const HistogramSnapshot& h) { return h.min; }},
-    {".max", [](const HistogramSnapshot& h) { return h.max; }},
-    {".p50", [](const HistogramSnapshot& h) { return h.Percentile(0.50); }},
-    {".p95", [](const HistogramSnapshot& h) { return h.Percentile(0.95); }},
-    {".p99", [](const HistogramSnapshot& h) { return h.Percentile(0.99); }},
-};
-
 std::string Trim(const std::string& text) {
   size_t begin = text.find_first_not_of(" \t\r\n");
   if (begin == std::string::npos) return "";
   size_t end = text.find_last_not_of(" \t\r\n");
   return text.substr(begin, end - begin + 1);
-}
-
-bool EndsWith(const std::string& text, const std::string& suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 bool Compare(double value, HealthOp op, double threshold) {
@@ -64,13 +37,13 @@ bool Compare(double value, HealthOp op, double threshold) {
 bool ParseThreshold(const std::string& text, double* out) {
   std::string number = text;
   double scale = 1.0;
-  if (EndsWith(text, "ms")) {
+  if (text.ends_with("ms")) {
     number = text.substr(0, text.size() - 2);
     scale = 1e-3;
-  } else if (EndsWith(text, "us")) {
+  } else if (text.ends_with("us")) {
     number = text.substr(0, text.size() - 2);
     scale = 1e-6;
-  } else if (EndsWith(text, "s") && text.size() > 1) {
+  } else if (text.ends_with("s") && text.size() > 1) {
     // Bare "s" is not a number; require digits before the suffix.
     number = text.substr(0, text.size() - 1);
     scale = 1.0;
@@ -81,18 +54,20 @@ bool ParseThreshold(const std::string& text, double* out) {
   return true;
 }
 
+/// Every operator's spelling. Two-character operators must be probed
+/// before their one-character prefixes, or "<=" would parse as "<" with
+/// threshold "=...".
+struct OpSpelling {
+  const char* text;
+  HealthOp op;
+};
+constexpr OpSpelling kOps[] = {
+    {"<=", HealthOp::kLe}, {">=", HealthOp::kGe}, {"==", HealthOp::kEq},
+    {"!=", HealthOp::kNe}, {"<", HealthOp::kLt},  {">", HealthOp::kGt},
+};
+
 bool ParseOneRule(const std::string& text, HealthRule* rule,
                   std::string* error) {
-  // Two-character operators must be probed before their one-character
-  // prefixes, or "<=" would parse as "<" with threshold "=...".
-  struct OpSpelling {
-    const char* text;
-    HealthOp op;
-  };
-  static const OpSpelling kOps[] = {
-      {"<=", HealthOp::kLe}, {">=", HealthOp::kGe}, {"==", HealthOp::kEq},
-      {"!=", HealthOp::kNe}, {"<", HealthOp::kLt},  {">", HealthOp::kGt},
-  };
   for (const OpSpelling& spelling : kOps) {
     size_t pos = text.find(spelling.text);
     if (pos == std::string::npos) continue;
@@ -124,13 +99,8 @@ bool ParseOneRule(const std::string& text, HealthRule* rule,
 }  // namespace
 
 std::string HealthOpName(HealthOp op) {
-  switch (op) {
-    case HealthOp::kLt: return "<";
-    case HealthOp::kLe: return "<=";
-    case HealthOp::kGt: return ">";
-    case HealthOp::kGe: return ">=";
-    case HealthOp::kEq: return "==";
-    case HealthOp::kNe: return "!=";
+  for (const OpSpelling& spelling : kOps) {
+    if (spelling.op == op) return spelling.text;
   }
   return "?";
 }
@@ -174,9 +144,12 @@ bool ResolveHealthMetric(const Snapshot& snapshot, const std::string& metric,
     *value = gauge->second;
     return true;
   }
-  for (const StatSuffix& stat : kStatSuffixes) {
-    std::string suffix = stat.suffix;
-    if (!EndsWith(metric, suffix) || metric.size() == suffix.size()) continue;
+  // Histogram stat suffixes (`.p99`, `.count`, ...). An exact counter or
+  // gauge match took precedence above, so a counter literally named
+  // "...count" still resolves as itself.
+  for (const HistogramStat& stat : kHistogramStats) {
+    const std::string suffix = std::string(".") + stat.key;
+    if (!metric.ends_with(suffix) || metric.size() == suffix.size()) continue;
     std::string base = metric.substr(0, metric.size() - suffix.size());
     auto hist = snapshot.histograms.find(base);
     // A stat suffix marks the rule as a histogram rule: an absent or
@@ -185,7 +158,7 @@ bool ResolveHealthMetric(const Snapshot& snapshot, const std::string& metric,
     if (hist == snapshot.histograms.end() || hist->second.count <= 0) {
       return false;
     }
-    *value = stat.extract(hist->second);
+    *value = stat.of(hist->second);
     return true;
   }
   // Plain names default to 0: a counter that was never bumped — the

@@ -18,8 +18,9 @@
 /// Each rule compares one METRIC against one THRESHOLD:
 ///
 ///   metric    a counter or gauge name from the registry, or a histogram
-///             name suffixed with `.p50` / `.p95` / `.p99` / `.mean` /
-///             `.min` / `.max` / `.count`. A plain name absent from the
+///             name suffixed with `.` and a `kHistogramStats` key (`.p50`,
+///             `.p95`, `.p99`, `.mean`, `.min`, `.max`, `.count`; obs/stats.h).
+///             A plain name absent from the
 ///             snapshot resolves to 0 (counters start at zero); a
 ///             histogram stat with no observations is SKIPPED for that
 ///             evaluation (no data is not a violation).
@@ -31,7 +32,8 @@
 /// Rules are evaluated in two places: per sample window by the periodic
 /// `obs::StatsSampler` (each window's verdicts are appended as a
 /// structured `health` field on the `ppn.stats.v1` sample line), and once
-/// at process exit by `ReportHealthIfRequested`, which prints a loud
+/// at process exit by `ReportHealthIfRequested` (through
+/// `FinishRunTelemetry`, obs/sampler.h), which prints a loud
 /// PASS/FAIL summary and makes the caller's exit status nonzero on FAIL
 /// (`ppn_cli` and `run_benches.sh` both consume it).
 ///

@@ -9,6 +9,7 @@
 #include <string_view>
 
 #include "common/json.h"
+#include "obs/trace_merge.h"
 
 namespace ppn::obs {
 
@@ -20,6 +21,24 @@ bool Fail(std::string* error, const std::string& message) {
 }
 
 }  // namespace
+
+std::vector<std::string> FilesWithSuffix(const std::string& dir,
+                                         std::string_view suffix,
+                                         std::error_code* ec) {
+  std::vector<std::string> paths;
+  std::error_code list_ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(dir, list_ec)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.size() > suffix.size() &&
+        name.ends_with(suffix)) {
+      paths.push_back(entry.path().string());
+    }
+  }
+  if (ec != nullptr) *ec = list_ec;
+  std::sort(paths.begin(), paths.end());
+  return paths;
+}
 
 bool ReadRunLog(const std::string& path, ParsedRunLog* out,
                 std::string* error) {
@@ -60,15 +79,10 @@ bool ReadRunLog(const std::string& path, ParsedRunLog* out,
       continue;
     }
     RunLogRecord record;
-    record.step = static_cast<int64_t>(value.NumberOr("step", 0.0));
-    record.reward_total = value.NumberOr("reward_total", 0.0);
-    record.reward_log_return = value.NumberOr("reward_log_return", 0.0);
-    record.reward_variance = value.NumberOr("reward_variance", 0.0);
-    record.reward_turnover = value.NumberOr("reward_turnover", 0.0);
-    record.grad_norm = value.NumberOr("grad_norm", 0.0);
-    record.pvm_staleness = value.NumberOr("pvm_staleness", 0.0);
-    record.solver_iterations = value.NumberOr("solver_iterations", 0.0);
-    record.step_seconds = value.NumberOr("step_seconds", 0.0);
+    record.step = static_cast<int64_t>(value.NumberOr(kRunLogStepKey, 0.0));
+    for (const auto& [key, field] : kRunLogFields) {
+      record.*field = value.NumberOr(key, 0.0);
+    }
     out->records.push_back(record);
   }
   if (!saw_header) return Fail(error, path + ": empty file (no header)");
@@ -111,33 +125,22 @@ RunLogSummary SummarizeRunLog(const ParsedRunLog& log, int64_t window) {
 std::vector<RunLogSummary> SummarizeRunLogDir(
     const std::string& dir, int64_t window,
     std::vector<std::string>* errors) {
-  namespace fs = std::filesystem;
-  std::vector<fs::path> files;
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (!entry.is_regular_file()) continue;
-    const std::string name = entry.path().filename().string();
-    constexpr std::string_view kSuffix = ".runlog.jsonl";
-    if (name.size() > kSuffix.size() &&
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(),
-                     kSuffix) == 0) {
-      files.push_back(entry.path());
-    }
-  }
+  const std::vector<std::string> files =
+      FilesWithSuffix(dir, ".runlog.jsonl", &ec);
   if (ec && errors != nullptr) {
     errors->push_back(dir + ": " + ec.message());
   }
-  std::sort(files.begin(), files.end());
   std::vector<RunLogSummary> summaries;
-  for (const fs::path& file : files) {
+  for (const std::string& file : files) {
     ParsedRunLog log;
     std::string error;
-    if (!ReadRunLog(file.string(), &log, &error)) {
+    if (!ReadRunLog(file, &log, &error)) {
       if (errors != nullptr) errors->push_back(error);
       continue;
     }
     RunLogSummary summary = SummarizeRunLog(log, window);
-    summary.file = file.filename().string();
+    summary.file = std::filesystem::path(file).filename().string();
     summaries.push_back(std::move(summary));
   }
   return summaries;
@@ -145,24 +148,12 @@ std::vector<RunLogSummary> SummarizeRunLogDir(
 
 bool SummarizeTrace(const std::string& path, std::vector<SpanStat>* out,
                     std::string* error) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Fail(error, path + ": cannot open");
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  JsonValue root;
-  std::string parse_error;
-  if (!ParseJson(buffer.str(), &root, &parse_error)) {
-    return Fail(error, path + ": " + parse_error);
-  }
-  if (!root.is_object()) return Fail(error, path + ": expected an object");
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    return Fail(error, path + ": missing traceEvents array");
-  }
+  TraceFile trace;
+  if (!ReadTraceFile(path, &trace, error)) return false;
   // Aggregate by name; a vector+find keeps first-seen order out of the
   // result (we sort below), and span-name cardinality is tiny.
   std::vector<SpanStat> stats;
-  for (const JsonValue& event : events->AsArray()) {
+  for (const JsonValue& event : trace.events) {
     if (!event.is_object()) continue;
     if (event.StringOr("ph", "") != "X") continue;
     const std::string name = event.StringOr("name", "");

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "obs/run_log.h"
@@ -16,6 +18,13 @@
 /// instrumented build is useful from any build.
 
 namespace ppn::obs {
+
+/// Paths of the regular files directly inside `dir` whose names end in
+/// `suffix` (and are longer than it), sorted. A directory that cannot be
+/// listed yields what was read, with the failure in `*ec` when non-null.
+std::vector<std::string> FilesWithSuffix(const std::string& dir,
+                                         std::string_view suffix,
+                                         std::error_code* ec = nullptr);
 
 /// One fully parsed run-log file: the header metadata plus every step
 /// record, in file order.

@@ -1,7 +1,5 @@
 #include "obs/run_log.h"
 
-#ifndef PPN_OBS_DISABLED
-
 #include <utility>
 
 #include "common/json.h"
@@ -26,21 +24,10 @@ std::string FormatHeader(const RunLogMeta& meta) {
 }
 
 std::string FormatRecord(const RunLogRecord& record) {
-  std::string line = "{\"step\": " + std::to_string(record.step);
-  const std::pair<const char*, double> fields[] = {
-      {"reward_total", record.reward_total},
-      {"reward_log_return", record.reward_log_return},
-      {"reward_variance", record.reward_variance},
-      {"reward_turnover", record.reward_turnover},
-      {"grad_norm", record.grad_norm},
-      {"pvm_staleness", record.pvm_staleness},
-      {"solver_iterations", record.solver_iterations},
-      {"step_seconds", record.step_seconds},
-  };
-  for (const auto& [name, value] : fields) {
-    line += ", \"";
-    line += name;
-    line += "\": " + JsonNumber(value);
+  std::string line = "{" + JsonString(kRunLogStepKey) + ": " +
+                     std::to_string(record.step);
+  for (const auto& [key, field] : kRunLogFields) {
+    line += ", " + JsonString(key) + ": " + JsonNumber(record.*field);
   }
   line += "}\n";
   return line;
@@ -82,5 +69,3 @@ bool RunLog::Close() {
 }
 
 }  // namespace ppn::obs
-
-#endif  // PPN_OBS_DISABLED

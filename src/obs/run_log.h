@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/atomic_file.h"
 
@@ -36,9 +37,9 @@
 ///
 /// Gating follows the rest of `src/obs`: `Open` returns null when
 /// `obs::Enabled()` is false (training code holds a null-tolerant
-/// pointer), and the whole class is a no-op stub under
-/// -DPPN_OBS_COMPILED=OFF. Determinism contract: a RunLog only observes
-/// values already computed by the trainer; it feeds nothing back.
+/// pointer), which it always is under -DPPN_OBS_COMPILED=OFF.
+/// Determinism contract: a RunLog only observes values already computed
+/// by the trainer; it feeds nothing back.
 
 namespace ppn::obs {
 
@@ -56,6 +57,22 @@ struct RunLogRecord {
   double step_seconds = 0.0;       ///< Wall time of this step.
 };
 
+/// A record's keys in file order: "step" (an integer), then each double
+/// field. The one definition `RunLog::Append` writes and `ReadRunLog`
+/// (obs/report.h) reads.
+inline constexpr char kRunLogStepKey[] = "step";
+inline constexpr std::pair<const char*, double RunLogRecord::*>
+    kRunLogFields[] = {
+        {"reward_total", &RunLogRecord::reward_total},
+        {"reward_log_return", &RunLogRecord::reward_log_return},
+        {"reward_variance", &RunLogRecord::reward_variance},
+        {"reward_turnover", &RunLogRecord::reward_turnover},
+        {"grad_norm", &RunLogRecord::grad_norm},
+        {"pvm_staleness", &RunLogRecord::pvm_staleness},
+        {"solver_iterations", &RunLogRecord::solver_iterations},
+        {"step_seconds", &RunLogRecord::step_seconds},
+};
+
 /// Key/value metadata stamped into the header line (strategy, dataset,
 /// γ/λ/cost-rate, seed, planned steps).
 struct RunLogMeta {
@@ -68,8 +85,6 @@ struct RunLogMeta {
   int64_t seed = 0;
   int64_t steps = 0;
 };
-
-#ifndef PPN_OBS_DISABLED
 
 class RunLog {
  public:
@@ -104,24 +119,6 @@ class RunLog {
   std::unique_ptr<AtomicFileWriter> file_;  ///< Null once closed.
   bool ok_ = true;
 };
-
-#else  // PPN_OBS_DISABLED: the logger compiles to nothing.
-
-class RunLog {
- public:
-  static std::unique_ptr<RunLog> Open(const std::string&,
-                                      const RunLogMeta&) {
-    return nullptr;
-  }
-  void Append(const RunLogRecord&) {}
-  bool Close() { return true; }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
-#endif  // PPN_OBS_DISABLED
 
 }  // namespace ppn::obs
 

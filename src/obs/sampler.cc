@@ -9,8 +9,12 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <functional>
 #include <mutex>
+#include <sstream>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -18,15 +22,40 @@
 #include "common/check.h"
 #include "common/env.h"
 #include "common/json.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 
 namespace ppn::obs {
 
 // ---------------------------------------------------------------------------
 // Stream readers — always compiled (only need common/json).
 
-bool ReadStatsStream(const std::string& path, StatsStream* out,
-                     std::string* error) {
-  *out = StatsStream{};
+namespace {
+
+/// Reads the numeric members of the "counters" and "gauges" objects of a
+/// profile or a sample line; absent sections read empty.
+void ReadScalarSections(const JsonValue& object,
+                        std::map<std::string, double>* counters,
+                        std::map<std::string, double>* gauges) {
+  for (const auto& [key, values] : {std::pair{"counters", counters},
+                                    std::pair{"gauges", gauges}}) {
+    const JsonValue* section = object.Find(key);
+    if (section == nullptr || !section->is_object()) continue;
+    for (const auto& [name, member] : section->AsObject()) {
+      if (member.is_number()) (*values)[name] = member.AsNumber();
+    }
+  }
+}
+
+/// Reads a `ppn.stats.v1` file once: the header into `*header`, then
+/// every sample line that parses as an object, with its raw text, into
+/// `on_sample`. A torn trailing line (sampler mid-write) is expected and
+/// skipped quietly.
+bool ScanStatsStream(
+    const std::string& path, StatsStream* header, std::string* error,
+    const std::function<void(const JsonValue&, const std::string&)>&
+        on_sample) {
+  *header = StatsStream{};
   std::ifstream in(path);
   if (!in) {
     if (error != nullptr) *error = "cannot open " + path;
@@ -37,51 +66,42 @@ bool ReadStatsStream(const std::string& path, StatsStream* out,
     if (error != nullptr) *error = "empty stream " + path;
     return false;
   }
-  JsonValue header;
-  if (!ParseJson(line, &header) || !header.is_object() ||
-      header.StringOr("schema", "") != "ppn.stats.v1") {
+  JsonValue value;
+  if (!ParseJson(line, &value) || !value.is_object() ||
+      value.StringOr("schema", "") != "ppn.stats.v1") {
     if (error != nullptr) {
       *error = "not a ppn.stats.v1 stream: " + path;
     }
     return false;
   }
-  out->process = header.StringOr("process", "");
-  out->sample_ms = static_cast<int64_t>(header.NumberOr("sample_ms", 0.0));
-  out->start_unix_ms =
-      static_cast<int64_t>(header.NumberOr("start_unix_ms", 0.0));
+  header->process = value.StringOr("process", "");
+  header->sample_ms = static_cast<int64_t>(value.NumberOr("sample_ms", 0.0));
+  header->start_unix_ms =
+      static_cast<int64_t>(value.NumberOr("start_unix_ms", 0.0));
   while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    JsonValue value;
-    // A torn trailing line (sampler mid-write) is expected; skip quietly.
-    if (!ParseJson(line, &value) || !value.is_object()) continue;
+    if (ParseJson(line, &value) && value.is_object()) on_sample(value, line);
+  }
+  return true;
+}
+
+}  // namespace
+
+bool ReadStatsStream(const std::string& path, StatsStream* out,
+                     std::string* error) {
+  return ScanStatsStream(path, out, error, [out](const JsonValue& value,
+                                                 const std::string&) {
     StatsSample sample;
     sample.t_ms = value.NumberOr("t_ms", 0.0);
     sample.window_ms = value.NumberOr("window_ms", 0.0);
-    if (const JsonValue* counters = value.Find("counters");
-        counters != nullptr && counters->is_object()) {
-      for (const auto& [name, member] : counters->AsObject()) {
-        if (member.is_number()) sample.counters[name] = member.AsNumber();
-      }
-    }
-    if (const JsonValue* gauges = value.Find("gauges");
-        gauges != nullptr && gauges->is_object()) {
-      for (const auto& [name, member] : gauges->AsObject()) {
-        if (member.is_number()) sample.gauges[name] = member.AsNumber();
-      }
-    }
+    ReadScalarSections(value, &sample.counters, &sample.gauges);
     if (const JsonValue* hists = value.Find("hists");
         hists != nullptr && hists->is_object()) {
       for (const auto& [name, member] : hists->AsObject()) {
         if (!member.is_object()) continue;
-        StatsHistWindow window;
-        window.count = static_cast<int64_t>(member.NumberOr("count", 0.0));
-        window.mean = member.NumberOr("mean", 0.0);
-        window.min = member.NumberOr("min", 0.0);
-        window.max = member.NumberOr("max", 0.0);
-        window.p50 = member.NumberOr("p50", 0.0);
-        window.p95 = member.NumberOr("p95", 0.0);
-        window.p99 = member.NumberOr("p99", 0.0);
-        sample.hists[name] = window;
+        HistogramSummary& summary = sample.hists[name];
+        for (const HistogramStat& stat : kHistogramStats) {
+          summary.*stat.field = member.NumberOr(stat.key, 0.0);
+        }
       }
     }
     if (const JsonValue* health = value.Find("health");
@@ -96,7 +116,26 @@ bool ReadStatsStream(const std::string& path, StatsStream* out,
       }
     }
     out->samples.push_back(std::move(sample));
+  });
+}
+
+bool ReadProfileJson(const std::string& path, Snapshot* out,
+                     std::string* error) {
+  std::ifstream in(path);
+  if (!in.is_open()) {
+    *error = "cannot open";
+    return false;
   }
+  std::stringstream text;
+  text << in.rdbuf();
+  JsonValue root;
+  if (!ParseJson(text.str(), &root, error)) return false;
+  if (!root.is_object()) {
+    *error = "expected an object";
+    return false;
+  }
+  *out = Snapshot{};
+  ReadScalarSections(root, &out->counters, &out->gauges);
   return true;
 }
 
@@ -111,38 +150,30 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
   std::vector<MergedLine> lines;
   std::vector<std::string> processes;
   int skipped_count = 0;
-  size_t order = 0;
   for (const std::string& input : inputs) {
-    StatsStream parsed;
-    if (!ReadStatsStream(input, &parsed)) {
+    StatsStream header;
+    std::vector<std::pair<double, std::string>> samples;  // (t_ms, line)
+    if (!ScanStatsStream(input, &header, nullptr,
+                         [&samples](const JsonValue& value,
+                                    const std::string& line) {
+                           samples.emplace_back(value.NumberOr("t_ms", 0.0),
+                                                line);
+                         })) {
       ++skipped_count;
       continue;
     }
-    // Re-read raw lines so the merged stream preserves each sample's
-    // original bytes (doubles stay bit-exact through the merge).
-    std::ifstream in(input);
-    std::string line;
-    std::getline(in, line);  // Header, already parsed.
-    std::string process = parsed.process.empty() ? input : parsed.process;
-    processes.push_back(process);
-    std::string prefix = "{\"process\": " + JsonString(process);
-    while (std::getline(in, line)) {
-      size_t open = line.find('{');
-      if (open == std::string::npos) continue;
-      JsonValue value;
-      if (!ParseJson(line, &value) || !value.is_object()) continue;
-      double t_ms = value.NumberOr("t_ms", 0.0);
-      double t_unix_ms = static_cast<double>(parsed.start_unix_ms) + t_ms;
-      std::string text =
-          prefix + ", \"t_unix_ms\": " + JsonNumber(t_unix_ms);
-      std::string rest = line.substr(open + 1);
-      size_t body = rest.find_first_not_of(" \t");
-      if (body == std::string::npos || rest[body] == '}') {
-        text += "}";
-      } else {
-        text += ", " + rest;
-      }
-      lines.push_back({t_unix_ms, order++, std::move(text)});
+    processes.push_back(header.process.empty() ? input : header.process);
+    const std::string prefix = "{\"process\": " + JsonString(processes.back());
+    // Each sample keeps its original bytes (doubles stay bit-exact
+    // through the merge) behind the stamped prefix.
+    for (const auto& [t_ms, line] : samples) {
+      const double t_unix_ms = static_cast<double>(header.start_unix_ms) + t_ms;
+      std::string text = prefix + ", \"t_unix_ms\": " + JsonNumber(t_unix_ms);
+      const std::string rest = line.substr(line.find('{') + 1);
+      const size_t body = rest.find_first_not_of(" \t");
+      text += body == std::string::npos || rest[body] == '}' ? "}"
+                                                              : ", " + rest;
+      lines.push_back({t_unix_ms, lines.size(), std::move(text)});
     }
   }
   if (skipped != nullptr) *skipped = skipped_count;
@@ -175,10 +206,16 @@ bool MergeStatsStreams(const std::vector<std::string>& inputs,
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Sampler — compiles out with the rest of the obs write path.
+std::vector<std::string> FindStatsStreams(const std::string& dir) {
+  std::vector<std::string> streams = FilesWithSuffix(dir, ".stats.jsonl");
+  std::erase_if(streams, [](const std::string& path) {
+    return std::filesystem::path(path).filename() == "merged.stats.jsonl";
+  });
+  return streams;
+}
 
-#ifndef PPN_OBS_DISABLED
+// ---------------------------------------------------------------------------
+// Sampler.
 
 namespace {
 
@@ -241,23 +278,18 @@ Snapshot WindowView(const Snapshot& prev, const Snapshot& cur) {
   return window;
 }
 
-void AppendHistogram(std::string* out, const HistogramSnapshot& hist) {
-  *out += "{\"count\": " + std::to_string(hist.count);
-  const std::pair<const char*, double> stats[] = {
-      {"mean", hist.count > 0 ? hist.sum / static_cast<double>(hist.count)
-                              : 0.0},
-      {"min", hist.min},
-      {"max", hist.max},
-      {"p50", hist.Percentile(0.50)},
-      {"p95", hist.Percentile(0.95)},
-      {"p99", hist.Percentile(0.99)},
-  };
-  for (const auto& [name, value] : stats) {
-    *out += ", \"";
-    *out += name;
-    *out += "\": " + JsonNumber(value);
+/// `, "<key>": {"<name>": <rendered value>, ...}`; omitted when empty.
+template <typename Map, typename Render>
+void AppendSection(std::string* line, const char* key, const Map& members,
+                   const Render& render) {
+  if (members.empty()) return;
+  *line += ", " + JsonString(key) + ": {";
+  for (auto it = members.begin(); it != members.end(); ++it) {
+    if (it != members.begin()) *line += ", ";
+    *line += JsonString(it->first) + ": ";
+    render(it->second);
   }
-  *out += "}";
+  *line += "}";
 }
 
 std::string FormatSample(const Snapshot& window, double t_ms,
@@ -265,37 +297,15 @@ std::string FormatSample(const Snapshot& window, double t_ms,
                          const std::vector<HealthEval>& evals) {
   std::string line = "{\"t_ms\": " + JsonNumber(t_ms) +
                      ", \"window_ms\": " + JsonNumber(window_ms);
-  if (!window.counters.empty()) {
-    line += ", \"counters\": {";
-    bool sep = false;
-    for (const auto& [name, value] : window.counters) {
-      if (sep) line += ", ";
-      sep = true;
-      line += JsonString(name) + ": " + JsonNumber(value);
-    }
-    line += "}";
-  }
-  if (!window.gauges.empty()) {
-    line += ", \"gauges\": {";
-    bool sep = false;
-    for (const auto& [name, value] : window.gauges) {
-      if (sep) line += ", ";
-      sep = true;
-      line += JsonString(name) + ": " + JsonNumber(value);
-    }
-    line += "}";
-  }
-  if (!window.histograms.empty()) {
-    line += ", \"hists\": {";
-    bool sep = false;
-    for (const auto& [name, hist] : window.histograms) {
-      if (sep) line += ", ";
-      sep = true;
-      line += JsonString(name) + ": ";
-      AppendHistogram(&line, hist);
-    }
-    line += "}";
-  }
+  const auto number = [&line](double value) { line += JsonNumber(value); };
+  AppendSection(&line, "counters", window.counters, number);
+  AppendSection(&line, "gauges", window.gauges, number);
+  AppendSection(&line, "hists", window.histograms,
+                [&line](const HistogramSnapshot& hist) {
+                  line += "{";
+                  AppendHistogramStats(&line, hist, /*with_sum=*/false);
+                  line += "}";
+                });
   bool any_eval = false;
   for (const HealthEval& eval : evals) {
     if (eval.evaluated) any_eval = true;
@@ -328,14 +338,12 @@ int64_t NowUnixMs() {
 /// their redirected path).
 std::string ProcessFromPath(const std::string& path,
                             const std::string& fallback) {
-  size_t slash = path.find_last_of('/');
+  const size_t slash = path.find_last_of('/');
   std::string base =
       slash == std::string::npos ? path : path.substr(slash + 1);
-  for (const char* suffix : {".stats.jsonl", ".jsonl"}) {
-    size_t len = std::strlen(suffix);
-    if (base.size() > len &&
-        base.compare(base.size() - len, len, suffix) == 0) {
-      return base.substr(0, base.size() - len);
+  for (const std::string_view suffix : {".stats.jsonl", ".jsonl"}) {
+    if (base.size() > suffix.size() && base.ends_with(suffix)) {
+      return base.substr(0, base.size() - suffix.size());
     }
   }
   return fallback.empty() ? base : fallback;
@@ -348,10 +356,7 @@ struct StatsSampler::Impl {
   int64_t sample_ms = 250;
   int fd = -1;
   bool write_ok = true;
-  // Evaluated on the sampling thread, read by `healthy()` / (possibly
-  // live) `HealthSummary()` on the owner thread.
-  mutable std::mutex monitor_mutex;
-  HealthMonitor monitor{{}};
+  HealthMonitor monitor{{}};  ///< Used by the sampling thread only.
   Snapshot prev;
   std::chrono::steady_clock::time_point start;
 
@@ -364,11 +369,7 @@ struct StatsSampler::Impl {
   void SampleOnce(std::chrono::steady_clock::time_point now) {
     Snapshot cur = TakeSnapshot();
     Snapshot window = WindowView(prev, cur);
-    std::vector<HealthEval> evals;
-    {
-      std::lock_guard<std::mutex> lock(monitor_mutex);
-      evals = monitor.Evaluate(window);
-    }
+    const std::vector<HealthEval> evals = monitor.Evaluate(window);
     double t_ms =
         std::chrono::duration<double, std::milli>(now - start).count();
     double window_ms = t_ms - last_t_ms;
@@ -470,16 +471,6 @@ bool StatsSampler::Stop() {
 
 StatsSampler::~StatsSampler() { Stop(); }
 
-bool StatsSampler::healthy() const {
-  std::lock_guard<std::mutex> lock(impl_->monitor_mutex);
-  return impl_->monitor.ok();
-}
-
-std::string StatsSampler::HealthSummary(bool color) const {
-  std::lock_guard<std::mutex> lock(impl_->monitor_mutex);
-  return impl_->monitor.Summary(color);
-}
-
 std::unique_ptr<StatsSampler> StartSamplerFromEnv(
     const std::string& process) {
   std::string path = env::StringOr("PPN_STATS_JSONL", "");
@@ -491,29 +482,29 @@ std::unique_ptr<StatsSampler> StartSamplerFromEnv(
   return StatsSampler::Start(options);
 }
 
-#else  // PPN_OBS_DISABLED
-
-struct StatsSampler::Impl {};
-
-StatsSampler::StatsSampler(std::unique_ptr<Impl> impl)
-    : impl_(std::move(impl)) {}
-
-std::unique_ptr<StatsSampler> StatsSampler::Start(const SamplerOptions&) {
-  return nullptr;
+int FinishRunTelemetry(StatsSampler* sampler) {
+  if (sampler != nullptr) {
+    if (sampler->Stop()) {
+      std::fprintf(stderr, "stats stream written to %s\n",
+                   sampler->path().c_str());
+    } else {
+      std::fprintf(stderr, "WARNING: stats stream %s lost writes\n",
+                   sampler->path().c_str());
+    }
+  }
+  const std::string profile = env::StringOr("PPN_PROFILE_JSON", "");
+  if (!profile.empty() && WriteProfileJson(profile)) {
+    std::fprintf(stderr, "profile written to %s\n", profile.c_str());
+  }
+#ifndef PPN_OBS_DISABLED  // The compiled-out build records no trace.
+  const std::string trace = env::StringOr("PPN_TRACE_JSON", "");
+  if (!trace.empty() && WriteTraceJson(trace)) {
+    std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
+                 trace.c_str());
+  }
+#endif
+  // SLO gate: the caller folds a violated rule into its exit status.
+  return ReportHealthIfRequested();
 }
-
-bool StatsSampler::Stop() { return true; }
-
-StatsSampler::~StatsSampler() = default;
-
-bool StatsSampler::healthy() const { return true; }
-
-std::string StatsSampler::HealthSummary(bool) const { return ""; }
-
-std::unique_ptr<StatsSampler> StartSamplerFromEnv(const std::string&) {
-  return nullptr;
-}
-
-#endif  // PPN_OBS_DISABLED
 
 }  // namespace ppn::obs

@@ -42,8 +42,10 @@
 ///     is observable.
 ///   - `health` appears when `PPN_HEALTH` rules are configured,
 ///     evaluated against the WINDOW view (so a latency rule reads the
-///     rolling percentile). Violations also tally into the monitor
-///     consumed by the end-of-run summary.
+///     rolling percentile). The exit verdict (`FinishRunTelemetry`)
+///     evaluates the rules once more, against the whole run.
+///   - Histogram keys are `kHistogramStats` (obs/stats.h), the same
+///     keys, in the same order, as a profile histogram's.
 ///   - Doubles print through `JsonNumber` (%.17g), so a parse→reprint
 ///     round trip through `common/json` is bit-exact.
 ///
@@ -56,9 +58,8 @@
 ///
 /// The sampler only OBSERVES: it never feeds values back into
 /// computation, so result paths stay bit-identical with sampling on or
-/// off. Under -DPPN_OBS_COMPILED=OFF, `Start` returns null and the whole
-/// implementation compiles out; the stream readers below stay available
-/// (they only need `common/json`).
+/// off. Under -DPPN_OBS_COMPILED=OFF, `Start` returns null (`Enabled()`
+/// is constant false); the stream readers below work in every build.
 
 namespace ppn::obs {
 
@@ -86,13 +87,6 @@ class StatsSampler {
   StatsSampler(const StatsSampler&) = delete;
   StatsSampler& operator=(const StatsSampler&) = delete;
 
-  /// True while every configured health rule has held in every window
-  /// sampled so far (vacuously true without rules).
-  bool healthy() const;
-
-  /// Cumulative PASS/FAIL summary of the per-window health verdicts.
-  std::string HealthSummary(bool color) const;
-
   const std::string& path() const { return path_; }
 
  private:
@@ -110,21 +104,24 @@ class StatsSampler {
 /// slot/generation identity from their redirected path).
 std::unique_ptr<StatsSampler> StartSamplerFromEnv(const std::string& process);
 
-// ---------------------------------------------------------------------------
-// Stream readers (always compiled; used by `ppn_cli top` and the fabric
-// coordinator's stream merge).
+/// The end of a run, for `ppn_cli` and the bench binaries alike: stops
+/// `sampler` (when non-null), writes `$PPN_PROFILE_JSON` and
+/// `$PPN_TRACE_JSON` when set, each with its "... written to" line on
+/// stderr, then prints the `PPN_HEALTH` verdict. Returns
+/// `ReportHealthIfRequested`'s status (0, or 1 when a rule failed).
+int FinishRunTelemetry(StatsSampler* sampler);
 
-/// Reader-side view of one histogram window (the stream stores derived
-/// stats, not buckets).
-struct StatsHistWindow {
-  int64_t count = 0;
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double p50 = 0.0;
-  double p95 = 0.0;
-  double p99 = 0.0;
-};
+// ---------------------------------------------------------------------------
+// Readers (always compiled; used by `ppn_cli top` and the fabric
+// coordinator's stream and profile merges).
+
+/// Reads back the counters and gauges of a profile `WriteProfileJson`
+/// (obs/stats.h) wrote, with the section parser a sample line's go
+/// through; histograms stay empty (a reader gets summary stats, not
+/// buckets). False, with the reason in `*error`, when the file cannot be
+/// read or is not a whole JSON object.
+bool ReadProfileJson(const std::string& path, Snapshot* out,
+                     std::string* error);
 
 /// One parsed sample line.
 struct StatsSample {
@@ -132,7 +129,7 @@ struct StatsSample {
   double window_ms = 0.0;
   std::map<std::string, double> counters;  ///< Window deltas.
   std::map<std::string, double> gauges;
-  std::map<std::string, StatsHistWindow> hists;
+  std::map<std::string, HistogramSummary> hists;
   int health_checked = 0;
   int health_failed = 0;
 };
@@ -159,6 +156,11 @@ bool ReadStatsStream(const std::string& path, StatsStream* out,
 bool MergeStatsStreams(const std::vector<std::string>& inputs,
                        const std::string& out_path, std::string* error,
                        int* skipped = nullptr);
+
+/// The `*.stats.jsonl` streams directly inside `dir`, sorted by path. A
+/// merge's own output (`merged.stats.jsonl`) is not an input stream and
+/// is skipped.
+std::vector<std::string> FindStatsStreams(const std::string& dir);
 
 }  // namespace ppn::obs
 

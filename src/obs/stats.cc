@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -11,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
 #include "common/json.h"
@@ -203,6 +203,13 @@ Registry& GlobalRegistry() {
   return *registry;
 }
 
+/// Every thread's shard so far (a copy of the list, taken under the lock).
+std::vector<Shard*> AllShards() {
+  Registry& registry = GlobalRegistry();
+  std::unique_lock<std::mutex> lock(registry.mutex);
+  return registry.shards;
+}
+
 Shard& LocalShard() {
   thread_local Shard* shard = [] {
     auto* created = new Shard();
@@ -249,12 +256,6 @@ ScopedTimer::ScopedTimer(std::string_view name) {
   start_ = std::chrono::steady_clock::now();
 }
 
-ScopedTimer::ScopedTimer(Histogram* histogram) {
-  if (!Enabled() || histogram == nullptr) return;
-  histogram_ = histogram;
-  start_ = std::chrono::steady_clock::now();
-}
-
 ScopedTimer::~ScopedTimer() {
   if (histogram_ == nullptr) return;
   const double seconds =
@@ -265,13 +266,7 @@ ScopedTimer::~ScopedTimer() {
 
 Snapshot TakeSnapshot() {
   Snapshot snapshot;
-  Registry& registry = GlobalRegistry();
-  std::vector<Shard*> shards;
-  {
-    std::unique_lock<std::mutex> lock(registry.mutex);
-    shards = registry.shards;
-  }
-  for (Shard* shard : shards) {
+  for (Shard* shard : AllShards()) {
     std::unique_lock<std::mutex> lock(shard->mutex);
     for (const auto& [name, counter] : shard->counters) {
       snapshot.counters[name] += counter->value();
@@ -299,13 +294,7 @@ Snapshot TakeSnapshot() {
 }
 
 void ResetAll() {
-  Registry& registry = GlobalRegistry();
-  std::vector<Shard*> shards;
-  {
-    std::unique_lock<std::mutex> lock(registry.mutex);
-    shards = registry.shards;
-  }
-  for (Shard* shard : shards) {
+  for (Shard* shard : AllShards()) {
     std::unique_lock<std::mutex> lock(shard->mutex);
     for (const auto& [name, counter] : shard->counters) counter->Reset();
     for (const auto& [name, gauge] : shard->gauges) gauge->Reset();
@@ -316,7 +305,39 @@ void ResetAll() {
 }
 
 // ---------------------------------------------------------------------------
-// JSON rendering.
+// JSON rendering and reading.
+
+const HistogramStat kHistogramStats[7] = {
+    {"count",
+     [](const HistogramSnapshot& h) { return static_cast<double>(h.count); },
+     &HistogramSummary::count},
+    {"mean",
+     [](const HistogramSnapshot& h) {
+       return h.count > 0 ? h.sum / static_cast<double>(h.count) : 0.0;
+     },
+     &HistogramSummary::mean},
+    {"min", [](const HistogramSnapshot& h) { return h.min; },
+     &HistogramSummary::min},
+    {"max", [](const HistogramSnapshot& h) { return h.max; },
+     &HistogramSummary::max},
+    {"p50", [](const HistogramSnapshot& h) { return h.Percentile(0.50); },
+     &HistogramSummary::p50},
+    {"p95", [](const HistogramSnapshot& h) { return h.Percentile(0.95); },
+     &HistogramSummary::p95},
+    {"p99", [](const HistogramSnapshot& h) { return h.Percentile(0.99); },
+     &HistogramSummary::p99},
+};
+
+void AppendHistogramStats(std::string* out, const HistogramSnapshot& hist,
+                          bool with_sum) {
+  for (const HistogramStat& stat : kHistogramStats) {
+    if (&stat != kHistogramStats) *out += ", ";
+    *out += JsonString(stat.key) + ": " + JsonNumber(stat.of(hist));
+    if (with_sum && &stat == kHistogramStats) {
+      *out += ", \"sum\": " + JsonNumber(hist.sum);
+    }
+  }
+}
 
 namespace {
 
@@ -344,24 +365,8 @@ std::string SnapshotToJson(const Snapshot& snapshot) {
   for (const auto& [name, histogram] : snapshot.histograms) {
     out += first ? "\n    " : ",\n    ";
     first = false;
-    out += JsonString(name) +
-           ": {\"count\": " + std::to_string(histogram.count);
-    const std::pair<const char*, double> stats[] = {
-        {"sum", histogram.sum},
-        {"mean", histogram.count > 0
-                     ? histogram.sum / static_cast<double>(histogram.count)
-                     : 0.0},
-        {"min", histogram.min},
-        {"max", histogram.max},
-        {"p50", histogram.Percentile(0.50)},
-        {"p95", histogram.Percentile(0.95)},
-        {"p99", histogram.Percentile(0.99)},
-    };
-    for (const auto& [key, value] : stats) {
-      out += ", \"";
-      out += key;
-      out += "\": " + JsonNumber(value);
-    }
+    out += JsonString(name) + ": {";
+    AppendHistogramStats(&out, histogram, /*with_sum=*/true);
     out += ", \"buckets\": [";
     bool first_bucket = true;
     for (int i = 0; i < kHistogramBuckets; ++i) {
@@ -378,16 +383,10 @@ std::string SnapshotToJson(const Snapshot& snapshot) {
 }
 
 bool WriteProfileJson(const std::string& path) {
-  std::ofstream out(path);
-  if (!out.is_open()) return false;
-  out << SnapshotToJson(TakeSnapshot());
-  return out.good();
-}
-
-bool WriteProfileIfRequested() {
-  const std::string path = env::StringOr("PPN_PROFILE_JSON", "");
-  if (path.empty()) return false;
-  return WriteProfileJson(path);
+  AtomicFileWriter writer(path);
+  if (!writer.ok()) return false;
+  writer.stream() << SnapshotToJson(TakeSnapshot());
+  return writer.Commit();
 }
 
 }  // namespace ppn::obs

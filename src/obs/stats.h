@@ -152,7 +152,6 @@ Histogram& GetHistogram(std::string_view name);
 class ScopedTimer {
  public:
   explicit ScopedTimer(std::string_view name);
-  explicit ScopedTimer(Histogram* histogram);
   ~ScopedTimer();
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -179,6 +178,38 @@ struct HistogramSnapshot {
   double Percentile(double q) const;
 };
 
+/// A histogram as the text formats carry it: the summary statistics, not
+/// the buckets (what a `ppn.stats.v1` reader gets back per window).
+struct HistogramSummary {
+  double count = 0.0;
+  double mean = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  double p50 = 0.0;
+  double p95 = 0.0;
+  double p99 = 0.0;
+};
+
+/// One summary statistic: its key in every format (a profile histogram,
+/// a `ppn.stats.v1` sample line, a `PPN_HEALTH` rule suffix `.<key>`),
+/// how a writer computes it, and where a reader stores it.
+struct HistogramStat {
+  const char* key;
+  double (*of)(const HistogramSnapshot&);
+  double HistogramSummary::*field;
+};
+
+/// count, mean, min, max, p50, p95, p99, in the order every format
+/// prints them.
+extern const HistogramStat kHistogramStats[7];
+
+/// Appends the `kHistogramStats` members of one histogram object
+/// (`"count": 3, "mean": ...`); `with_sum` puts `"sum"` after the count,
+/// as the profile does. The count prints as an integer: it is exact in
+/// a double, and `JsonNumber` prints an integral double as its digits.
+void AppendHistogramStats(std::string* out, const HistogramSnapshot& hist,
+                          bool with_sum);
+
 /// Name-ordered merge of every shard (locks each shard briefly; call at
 /// report time, not from hot paths).
 struct Snapshot {
@@ -197,15 +228,10 @@ void ResetAll();
 /// only non-empty histogram buckets).
 std::string SnapshotToJson(const Snapshot& snapshot);
 
-/// Takes a snapshot and writes it to `path`; false if the file cannot be
-/// written.
+/// Takes a snapshot and writes it to `path` atomically (a killed writer
+/// leaves no torn profile); false if the file cannot be written.
 bool WriteProfileJson(const std::string& path);
 
-/// Honors `PPN_PROFILE_JSON=<path>`: writes the merged profile there and
-/// returns true on success. No-op (returns false) when the variable is
-/// unset or empty. Called by `bench::BenchContext` at destruction and by
-/// `ppn_cli` before exit.
-bool WriteProfileIfRequested();
 
 }  // namespace ppn::obs
 

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <sstream>
 #include <vector>
 
 #include "common/atomic_file.h"
@@ -14,8 +13,6 @@
 #include "common/json.h"
 
 namespace ppn::obs {
-
-#ifndef PPN_OBS_DISABLED
 
 namespace internal {
 
@@ -55,8 +52,8 @@ struct TraceEvent {
 /// acquire-loads it sees fully written slots; overflow drops (counted)
 /// rather than growing, keeping appends allocation- and lock-free.
 struct TraceBuffer {
-  explicit TraceBuffer(int tid_in, int64_t capacity) : tid(tid_in) {
-    events.resize(static_cast<size_t>(capacity));
+  explicit TraceBuffer(int tid_in) : tid(tid_in) {
+    events.resize(static_cast<size_t>(kTraceCapacity));
   }
 
   const int tid;
@@ -77,30 +74,19 @@ TraceRegistry& GlobalTraceRegistry() {
   return *registry;
 }
 
-int64_t BufferCapacity() {
-  // Strict parse: a malformed capacity aborts instead of silently mapping
-  // to the default; non-positive values still fall back.
-  static const int64_t capacity = [] {
-    const int64_t parsed = env::Int64Or("PPN_TRACE_CAPACITY", 65536);
-    return parsed > 0 ? parsed : static_cast<int64_t>(65536);
-  }();
-  return capacity;
-}
-
-double GlobalMinDurationUs() {
-  static const double min_us = [] {
-    const double parsed = env::DoubleOr("PPN_TRACE_MIN_US", 0.0);
-    return parsed > 0.0 ? parsed : 0.0;
-  }();
-  return min_us;
+/// Every thread's buffer so far (a copy of the list, taken under the lock).
+std::vector<TraceBuffer*> AllBuffers() {
+  TraceRegistry& registry = GlobalTraceRegistry();
+  std::unique_lock<std::mutex> lock(registry.mutex);
+  return registry.buffers;
 }
 
 TraceBuffer& LocalTraceBuffer() {
   thread_local TraceBuffer* buffer = [] {
     TraceRegistry& registry = GlobalTraceRegistry();
     std::unique_lock<std::mutex> lock(registry.mutex);
-    auto* created = new TraceBuffer(
-        static_cast<int>(registry.buffers.size()) + 1, BufferCapacity());
+    auto* created =
+        new TraceBuffer(static_cast<int>(registry.buffers.size()) + 1);
     registry.buffers.push_back(created);
     return created;
   }();
@@ -155,10 +141,12 @@ uint64_t NextFlowId() {
 
 }  // namespace
 
+#ifndef PPN_OBS_DISABLED  // The compiled-out Span is an inline no-op.
+
 Span::Span(std::string_view name, double min_duration_us) {
   if (!TraceEnabled()) return;
   active_ = true;
-  min_duration_us_ = std::max(min_duration_us, GlobalMinDurationUs());
+  min_duration_us_ = min_duration_us;
   name_.assign(name);
   start_us_ = NowUs();
 }
@@ -184,6 +172,8 @@ void Span::AddArg(const char* key, double value) {
   ++num_args_;
 }
 
+#endif  // PPN_OBS_DISABLED
+
 uint64_t BeginFlow(const char* name) {
   if (!TraceEnabled()) return 0;
   const uint64_t id = NextFlowId();
@@ -207,37 +197,15 @@ void EndFlow(uint64_t id, const char* name) {
 }
 
 int64_t TraceDroppedEvents() {
-  TraceRegistry& registry = GlobalTraceRegistry();
-  std::vector<TraceBuffer*> buffers;
-  {
-    std::unique_lock<std::mutex> lock(registry.mutex);
-    buffers = registry.buffers;
-  }
   int64_t dropped = 0;
-  for (const TraceBuffer* buffer : buffers) {
+  for (const TraceBuffer* buffer : AllBuffers()) {
     dropped += buffer->dropped.load(std::memory_order_relaxed);
   }
   return dropped;
 }
 
-namespace {
-
-void AppendUs(std::ostringstream* out, double value) {
-  if (!std::isfinite(value)) value = 0.0;
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  (*out) << buffer;
-}
-
-}  // namespace
-
 std::string TraceToJson() {
-  TraceRegistry& registry = GlobalTraceRegistry();
-  std::vector<TraceBuffer*> buffers;
-  {
-    std::unique_lock<std::mutex> lock(registry.mutex);
-    buffers = registry.buffers;
-  }
+  std::vector<TraceBuffer*> buffers = AllBuffers();
   // Stable file structure: buffers in tid order, events in append order
   // within each. A span appends when it ENDS, so an enclosing span follows
   // the spans it contains and `ts` is not monotone within a thread.
@@ -245,8 +213,7 @@ std::string TraceToJson() {
             [](const TraceBuffer* a, const TraceBuffer* b) {
               return a->tid < b->tid;
             });
-  std::ostringstream out;
-  out << "{\n\"traceEvents\": [";
+  std::string out = "{\n\"traceEvents\": [";
   bool first = true;
   int64_t dropped = 0;
   for (const TraceBuffer* buffer : buffers) {
@@ -254,92 +221,64 @@ std::string TraceToJson() {
     const int64_t count = buffer->count.load(std::memory_order_acquire);
     for (int64_t i = 0; i < count; ++i) {
       const TraceEvent& event = buffer->events[static_cast<size_t>(i)];
-      out << (first ? "\n" : ",\n");
+      out += first ? "\n" : ",\n";
       first = false;
-      out << "{\"name\": " << JsonString(event.name) << ", ";
+      out += "{\"name\": " + JsonString(event.name) + ", ";
       switch (event.phase) {
         case TraceEvent::Phase::kComplete:
-          out << "\"ph\": \"X\", \"ts\": ";
-          AppendUs(&out, event.ts_us);
-          out << ", \"dur\": ";
-          AppendUs(&out, event.dur_us);
+          out += "\"ph\": \"X\", \"ts\": ";
+          AppendTraceUs(&out, event.ts_us);
+          out += ", \"dur\": ";
+          AppendTraceUs(&out, event.dur_us);
           break;
         case TraceEvent::Phase::kFlowStart:
-          out << "\"cat\": \"flow\", \"ph\": \"s\", \"id\": "
-              << event.flow_id << ", \"ts\": ";
-          AppendUs(&out, event.ts_us);
+          out += "\"cat\": \"flow\", \"ph\": \"s\", \"id\": " +
+                 std::to_string(event.flow_id) + ", \"ts\": ";
+          AppendTraceUs(&out, event.ts_us);
           break;
         case TraceEvent::Phase::kFlowFinish:
           // bp:"e" binds the arrow to the ENCLOSING slice, which is the
           // worker-side task span the flow terminates inside.
-          out << "\"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", "
-              << "\"id\": " << event.flow_id << ", \"ts\": ";
-          AppendUs(&out, event.ts_us);
+          out += "\"cat\": \"flow\", \"ph\": \"f\", \"bp\": \"e\", "
+                 "\"id\": " +
+                 std::to_string(event.flow_id) + ", \"ts\": ";
+          AppendTraceUs(&out, event.ts_us);
           break;
       }
-      out << ", \"pid\": 1, \"tid\": " << buffer->tid;
+      out += ", \"pid\": 1, \"tid\": " + std::to_string(buffer->tid);
       if (event.phase == TraceEvent::Phase::kComplete &&
           event.num_args > 0) {
-        out << ", \"args\": {";
+        out += ", \"args\": {";
         for (int a = 0; a < event.num_args; ++a) {
           const auto& [key, value] = event.args[static_cast<size_t>(a)];
-          out << (a == 0 ? "" : ", ") << JsonString(key) << ": "
-              << JsonNumber(value);
+          out += (a == 0 ? "" : ", ") + JsonString(key) + ": " +
+                 JsonNumber(value);
         }
-        out << "}";
+        out += "}";
       }
-      out << "}";
+      out += "}";
     }
   }
-  out << (first ? "" : "\n") << "],\n";
-  out << "\"displayTimeUnit\": \"ms\",\n";
-  out << "\"otherData\": {\"ppn_dropped_events\": " << dropped
-      << ", \"ppn_epoch_unix_us\": " << Anchor().unix_us << "}\n}\n";
-  return out.str();
-}
-
-bool WriteTraceJson(const std::string& path) {
-  AtomicFileWriter writer(path);
-  if (!writer.ok()) return false;
-  writer.stream() << TraceToJson();
-  return writer.Commit();
-}
-
-bool WriteTraceIfRequested() {
-  const std::string path = env::StringOr("PPN_TRACE_JSON", "");
-  if (path.empty()) return false;
-  return WriteTraceJson(path);
+  out += first ? "" : "\n";
+  out += "],\n\"displayTimeUnit\": \"ms\",\n";
+#ifdef PPN_OBS_DISABLED  // Nothing was traced: no epoch to anchor.
+  const int64_t epoch_unix_us = 0;
+#else
+  const int64_t epoch_unix_us = Anchor().unix_us;
+#endif
+  out += "\"otherData\": {\"ppn_dropped_events\": " + std::to_string(dropped) +
+         ", \"ppn_epoch_unix_us\": " + std::to_string(epoch_unix_us) +
+         "}\n}\n";
+  return out;
 }
 
 void ResetTrace() {
-  TraceRegistry& registry = GlobalTraceRegistry();
-  std::vector<TraceBuffer*> buffers;
-  {
-    std::unique_lock<std::mutex> lock(registry.mutex);
-    buffers = registry.buffers;
-  }
-  for (TraceBuffer* buffer : buffers) {
+  for (TraceBuffer* buffer : AllBuffers()) {
     buffer->count.store(0, std::memory_order_release);
     buffer->dropped.store(0, std::memory_order_relaxed);
   }
 }
 
-#else  // PPN_OBS_DISABLED: keep the link surface, do nothing.
-
-bool SetTraceEnabled(bool) { return false; }
-
-uint64_t BeginFlow(const char*) { return 0; }
-
-void EndFlow(uint64_t, const char*) {}
-
-int64_t TraceDroppedEvents() { return 0; }
-
-std::string TraceToJson() {
-  return "{\n\"traceEvents\": [],\n\"displayTimeUnit\": \"ms\",\n"
-         "\"otherData\": {\"ppn_dropped_events\": 0, "
-         "\"ppn_epoch_unix_us\": 0}\n}\n";
-}
-
 bool WriteTraceJson(const std::string& path) {
   AtomicFileWriter writer(path);
   if (!writer.ok()) return false;
@@ -347,10 +286,10 @@ bool WriteTraceJson(const std::string& path) {
   return writer.Commit();
 }
 
-bool WriteTraceIfRequested() { return false; }
-
-void ResetTrace() {}
-
-#endif  // PPN_OBS_DISABLED
+void AppendTraceUs(std::string* out, double us) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.3f", std::isfinite(us) ? us : 0.0);
+  *out += buffer;
+}
 
 }  // namespace ppn::obs

@@ -27,32 +27,25 @@
 /// 2. **Determinism is untouched.** Tracing only reads clocks and copies
 ///    values; it feeds nothing back.
 /// 3. **Inert when off.** `Span` construction is one branch when tracing
-///    is disabled, and the whole layer compiles out with the rest of
-///    `src/obs` under -DPPN_OBS_COMPILED=OFF.
+///    is disabled; under -DPPN_OBS_COMPILED=OFF `Span` is an empty inline
+///    class and `TraceEnabled()` is constant false, so nothing records.
 ///
 /// Runtime enablement: tracing is ON when profiling is on (`Enabled()`)
 /// AND a trace sink is armed — `PPN_TRACE_JSON=<path>` at startup, or
-/// `SetTraceEnabled(true)` from tests. `WriteTraceIfRequested()` (called
-/// by `ppn_cli` and `bench::BenchContext` on exit) writes the merged
-/// Chrome trace-event JSON to the `PPN_TRACE_JSON` path; load it at
-/// https://ui.perfetto.dev or chrome://tracing.
+/// `SetTraceEnabled(true)` from tests. `FinishRunTelemetry` (obs/sampler.h,
+/// called by `ppn_cli` and `bench::BenchContext` on exit) writes the
+/// merged Chrome trace-event JSON to the `PPN_TRACE_JSON` path; load it
+/// at https://ui.perfetto.dev or chrome://tracing.
 ///
-/// Environment knobs:
-///   PPN_TRACE_JSON=<path>   arm tracing + set the export destination
-///   PPN_TRACE_CAPACITY=<n>  per-thread event-buffer capacity (default
-///                           65536; events beyond it are dropped and
-///                           counted in `TraceDroppedEvents()` / the
-///                           export's "ppn_dropped_events" metadata)
-///   PPN_TRACE_MIN_US=<n>    global floor on recorded span duration, in
-///                           microseconds (default 0 = keep everything)
+/// Each thread buffers up to `kTraceCapacity` events; events beyond it
+/// are dropped and counted in `TraceDroppedEvents()` and the export's
+/// "ppn_dropped_events" metadata.
 
 namespace ppn::obs {
 
-#ifndef PPN_OBS_DISABLED
 namespace internal {
 std::atomic<bool>& TraceFlag();
 }  // namespace internal
-#endif
 
 /// True when span/flow recording is active right now.
 inline bool TraceEnabled() {
@@ -65,8 +58,8 @@ inline bool TraceEnabled() {
 }
 
 /// Arms/disarms the trace sink at runtime (tests); returns the previous
-/// value. `Enabled()` must also hold for recording to happen. The
-/// compile-out build ignores the setting.
+/// value. `Enabled()` must also hold for recording to happen, so the
+/// compile-out build never records, whatever the setting.
 bool SetTraceEnabled(bool enabled);
 
 /// RAII trace arming for tests (enables profiling too, since tracing is
@@ -92,6 +85,9 @@ class ScopedTraceEnable {
 /// Maximum numeric args per span.
 inline constexpr int kMaxSpanArgs = 4;
 
+/// Events each thread's trace buffer holds.
+inline constexpr int64_t kTraceCapacity = 65536;
+
 #ifndef PPN_OBS_DISABLED
 
 /// RAII wall-clock slice. Records a Chrome "X" (complete) event into the
@@ -107,7 +103,7 @@ inline constexpr int kMaxSpanArgs = 4;
 ///
 /// `min_duration_us` suppresses recording of spans shorter than the
 /// threshold (useful for per-kernel spans that would otherwise flood the
-/// buffer); the global PPN_TRACE_MIN_US floor applies on top.
+/// buffer).
 class Span {
  public:
   explicit Span(std::string_view name, double min_duration_us = 0.0);
@@ -165,9 +161,9 @@ std::string TraceToJson();
 /// be written.
 bool WriteTraceJson(const std::string& path);
 
-/// Honors `PPN_TRACE_JSON=<path>`: writes the merged trace there and
-/// returns true on success. No-op (returns false) when unset or empty.
-bool WriteTraceIfRequested();
+/// Appends a timestamp or duration in microseconds as trace files carry
+/// it: "%.3f", with a non-finite value written as 0.
+void AppendTraceUs(std::string* out, double us);
 
 /// Clears every thread's event buffer and the drop counter (handles stay
 /// valid). Callers must be quiescent; intended for tests.

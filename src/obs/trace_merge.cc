@@ -12,19 +12,14 @@
 
 #include "common/atomic_file.h"
 #include "common/json.h"
+#include "obs/report.h"
+#include "obs/trace.h"
 
 namespace ppn::obs {
 
 namespace {
 
 namespace fs = std::filesystem;
-
-void AppendUs(std::string* out, double value) {
-  if (!std::isfinite(value)) value = 0.0;
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.3f", value);
-  *out += buffer;
-}
 
 /// One event of the merged timeline, already pid-stamped and time-shifted.
 struct MergedEvent {
@@ -58,10 +53,10 @@ void AppendEventJson(std::string* out, const MergedEvent& event) {
     *out += buffer;
   }
   *out += ", \"ts\": ";
-  AppendUs(out, event.ts);
+  AppendTraceUs(out, event.ts);
   if (event.has_dur) {
     *out += ", \"dur\": ";
-    AppendUs(out, event.dur);
+    AppendTraceUs(out, event.dur);
   }
   *out += ", \"pid\": " + std::to_string(event.pid);
   *out += ", \"tid\": " + std::to_string(event.tid);
@@ -83,34 +78,6 @@ uint64_t FabricFlowId(int64_t index) {
   return (0xffull << 48) | static_cast<uint64_t>(index);
 }
 
-struct ParsedInput {
-  std::string name;
-  std::vector<JsonValue> events;
-  int64_t epoch_unix_us = 0;
-  int64_t dropped = 0;
-};
-
-bool ParseInput(const TraceProcess& input, ParsedInput* out) {
-  std::ifstream in(input.path);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
-  JsonValue root;
-  if (!ParseJson(text.str(), &root) || !root.is_object()) return false;
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || !events->is_array()) return false;
-  out->name = input.name;
-  out->events = events->AsArray();
-  if (const JsonValue* other = root.Find("otherData");
-      other != nullptr && other->is_object()) {
-    out->epoch_unix_us =
-        static_cast<int64_t>(other->NumberOr("ppn_epoch_unix_us", 0.0));
-    out->dropped =
-        static_cast<int64_t>(other->NumberOr("ppn_dropped_events", 0.0));
-  }
-  return true;
-}
-
 /// One side of a cross-process stitch candidate.
 struct SpanRef {
   int pid = 0;
@@ -122,31 +89,63 @@ struct SpanRef {
 
 }  // namespace
 
+bool ReadTraceFile(const std::string& path, TraceFile* out,
+                   std::string* error) {
+  auto fail = [&](const std::string& reason) {
+    if (error != nullptr) *error = path + ": " + reason;
+    return false;
+  };
+  std::ifstream in(path);
+  if (!in.is_open()) return fail("cannot open");
+  std::ostringstream text;
+  text << in.rdbuf();
+  JsonValue root;
+  std::string parse_error;
+  if (!ParseJson(text.str(), &root, &parse_error)) return fail(parse_error);
+  if (!root.is_object()) return fail("expected an object");
+  const JsonValue* events = root.Find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
+    return fail("missing traceEvents array");
+  }
+  *out = TraceFile{};
+  out->events = events->AsArray();
+  if (const JsonValue* other = root.Find("otherData");
+      other != nullptr && other->is_object()) {
+    out->epoch_unix_us =
+        static_cast<int64_t>(other->NumberOr("ppn_epoch_unix_us", 0.0));
+    out->dropped_events =
+        static_cast<int64_t>(other->NumberOr("ppn_dropped_events", 0.0));
+  }
+  return true;
+}
+
 bool MergeChromeTraces(const std::vector<TraceProcess>& inputs,
                        const std::string& out_path, std::string* error,
                        TraceMergeStats* stats) {
   TraceMergeStats local;
-  std::vector<ParsedInput> parsed;
+  // Every exit reports the stats so far; a failure also says why.
+  auto finish = [&](const std::string& failure) {
+    if (stats != nullptr) *stats = local;
+    if (error != nullptr && !failure.empty()) *error = failure;
+    return failure.empty();
+  };
+  std::vector<std::pair<std::string, TraceFile>> parsed;  // (name, file)
   for (const TraceProcess& input : inputs) {
-    ParsedInput one;
-    if (!ParseInput(input, &one)) {
+    TraceFile file;
+    if (!ReadTraceFile(input.path, &file)) {
       ++local.skipped_files;
       continue;
     }
-    parsed.push_back(std::move(one));
+    parsed.emplace_back(input.name, std::move(file));
   }
-  if (parsed.empty()) {
-    if (stats != nullptr) *stats = local;
-    if (error != nullptr) *error = "no readable trace inputs";
-    return false;
-  }
+  if (parsed.empty()) return finish("no readable trace inputs");
   local.processes = static_cast<int>(parsed.size());
 
   // Shared time axis: shift each process by its wall-clock distance from
   // the earliest anchored process. Unanchored inputs stay at offset 0.
   int64_t min_epoch = 0;
   bool have_epoch = false;
-  for (const ParsedInput& input : parsed) {
+  for (const auto& [name, input] : parsed) {
     if (input.epoch_unix_us <= 0) continue;
     if (!have_epoch || input.epoch_unix_us < min_epoch) {
       min_epoch = input.epoch_unix_us;
@@ -160,9 +159,9 @@ bool MergeChromeTraces(const std::vector<TraceProcess>& inputs,
   std::map<int64_t, SpanRef> cells;
 
   for (size_t p = 0; p < parsed.size(); ++p) {
-    const ParsedInput& input = parsed[p];
+    const auto& [name, input] = parsed[p];
     const int pid = static_cast<int>(p) + 1;
-    local.dropped_events += input.dropped;
+    local.dropped_events += input.dropped_events;
     double offset_us = 0.0;
     if (have_epoch && input.epoch_unix_us > 0) {
       offset_us = static_cast<double>(input.epoch_unix_us - min_epoch);
@@ -174,8 +173,8 @@ bool MergeChromeTraces(const std::vector<TraceProcess>& inputs,
     meta.name = "process_name";
     meta.ph = "M";
     meta.metadata = true;
-    meta.args = JsonValue::MakeObject(
-        {{"name", JsonValue::MakeString(input.name)}});
+    meta.args =
+        JsonValue::MakeObject({{"name", JsonValue::MakeString(name)}});
     merged.push_back(std::move(meta));
 
     for (const JsonValue& raw : input.events) {
@@ -274,11 +273,7 @@ bool MergeChromeTraces(const std::vector<TraceProcess>& inputs,
                    });
 
   AtomicFileWriter writer(out_path);
-  if (!writer.ok()) {
-    if (stats != nullptr) *stats = local;
-    if (error != nullptr) *error = "cannot open " + out_path;
-    return false;
-  }
+  if (!writer.ok()) return finish("cannot open " + out_path);
   std::string out = "{\n\"traceEvents\": [";
   bool first = true;
   for (const MergedEvent& event : merged) {
@@ -294,37 +289,26 @@ bool MergeChromeTraces(const std::vector<TraceProcess>& inputs,
                   << local.dropped_events
                   << ", \"ppn_merged_processes\": " << local.processes
                   << ", \"ppn_flow_pairs\": " << local.flow_pairs << "}\n}\n";
-  if (!writer.Commit()) {
-    if (stats != nullptr) *stats = local;
-    if (error != nullptr) *error = "cannot write " + out_path;
-    return false;
-  }
-  if (stats != nullptr) *stats = local;
-  return true;
+  return finish(writer.Commit() ? "" : "cannot write " + out_path);
 }
 
 bool MergeFabricTraces(const std::string& fabric_dir,
                        const std::string& out_path, std::string* error,
                        TraceMergeStats* stats) {
   const fs::path obs_dir = fs::path(fabric_dir) / "obs";
+  const std::string suffix = ".trace.json";
   std::error_code ec;
   std::vector<TraceProcess> workers;
   TraceProcess coordinator;
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(obs_dir, ec)) {
-    const std::string filename = entry.path().filename().string();
-    const std::string suffix = ".trace.json";
-    if (filename.size() <= suffix.size() ||
-        filename.compare(filename.size() - suffix.size(), suffix.size(),
-                         suffix) != 0) {
-      continue;
-    }
+  for (const std::string& path :
+       FilesWithSuffix(obs_dir.string(), suffix, &ec)) {
     TraceProcess process;
-    process.name = filename.substr(0, filename.size() - suffix.size());
+    process.name = fs::path(path).filename().string();
+    process.name.resize(process.name.size() - suffix.size());
     // A prior merge's own output lives in the same directory; re-merging
     // it would double every event and break flow pairing.
     if (process.name == "merged") continue;
-    process.path = entry.path().string();
+    process.path = path;
     if (process.name == "coordinator") {
       coordinator = process;
     } else {
@@ -337,10 +321,6 @@ bool MergeFabricTraces(const std::string& fabric_dir,
     }
     return false;
   }
-  std::sort(workers.begin(), workers.end(),
-            [](const TraceProcess& a, const TraceProcess& b) {
-              return a.name < b.name;
-            });
   std::vector<TraceProcess> inputs;
   if (!coordinator.path.empty()) inputs.push_back(coordinator);
   inputs.insert(inputs.end(), workers.begin(), workers.end());

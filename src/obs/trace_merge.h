@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
+
 /// \file
 /// Cross-process trace stitching: folds the Chrome-trace JSONs written by
 /// a fabric coordinator and its worker generations into ONE
@@ -37,6 +39,20 @@
 /// out: it operates on files, not on the live registry.
 
 namespace ppn::obs {
+
+/// A Chrome trace file as obs writes it (obs/trace.cc, or a merge): its
+/// events plus the `otherData` fields the merge reads (0 when absent).
+struct TraceFile {
+  std::vector<JsonValue> events;
+  int64_t epoch_unix_us = 0;  ///< otherData.ppn_epoch_unix_us
+  int64_t dropped_events = 0;  ///< otherData.ppn_dropped_events
+};
+
+/// The one reader of trace files (`ppn_cli report --trace` and the merge).
+/// False, with "<path>: <reason>" in `*error` when non-null, when the
+/// file cannot be read, does not parse, or has no `traceEvents` array.
+bool ReadTraceFile(const std::string& path, TraceFile* out,
+                   std::string* error = nullptr);
 
 /// One input timeline.
 struct TraceProcess {

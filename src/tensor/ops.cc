@@ -51,19 +51,18 @@ inline void RecordMatMul(int64_t m, int64_t n, int64_t k) {
 
 }  // namespace
 
-Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0, float p1) {
+Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0) {
   Tensor out = Tensor::Uninitialized(a.shape());
-  dispatch::Kernels().unary(op, a.Data(), out.MutableData(), a.numel(), p0,
-                            p1);
+  dispatch::Kernels().unary(op, a.Data(), out.MutableData(), a.numel(), p0);
   return out;
 }
 
 Tensor EltwiseBinary(vec::BinaryOp op, const Tensor& a, const Tensor& b,
-                     float p0, float p1) {
+                     float p0) {
   CheckSameShape(a, b, "EltwiseBinary");
   Tensor out = Tensor::Uninitialized(a.shape());
   dispatch::Kernels().binary(op, a.Data(), b.Data(), out.MutableData(),
-                             a.numel(), p0, p1);
+                             a.numel(), p0);
   return out;
 }
 

@@ -44,17 +44,16 @@ Tensor AddScalar(const Tensor& a, float s);
 /// c = a * s.
 Tensor MulScalar(const Tensor& a, float s);
 
-/// Dispatched elementwise kernel over one input: out_i = op(a_i; p0, p1).
+/// Dispatched elementwise kernel over one input: out_i = op(a_i; p0).
 /// See `vec::UnaryOp` for the op catalogue: every activation forward of
 /// the autograd layer, transcendentals included, is one of its entries.
-Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0 = 0.0f,
-                    float p1 = 0.0f);
+Tensor EltwiseUnary(vec::UnaryOp op, const Tensor& a, float p0 = 0.0f);
 
 /// Dispatched elementwise kernel over two same-shaped inputs:
-/// out_i = op(a_i, b_i; p0, p1). The *Bwd ops fuse an activation
+/// out_i = op(a_i, b_i; p0). The *Bwd ops fuse an activation
 /// derivative with the incoming gradient (a = grad, b = saved tensor).
 Tensor EltwiseBinary(vec::BinaryOp op, const Tensor& a, const Tensor& b,
-                     float p0 = 0.0f, float p1 = 0.0f);
+                     float p0 = 0.0f);
 
 /// Matrix product of a [m,k] and b [k,n] -> [m,n].
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -21,21 +21,19 @@
 
 namespace ppn::vec {
 
-/// Elementwise kernels of one input (plus up to two float parameters).
+/// Elementwise kernels of one input (plus a float parameter).
 enum class UnaryOp : int {
   kAddScalar,  ///< x + p0
   kMulScalar,  ///< x * p0
   kReluFwd,    ///< x > 0 ? x : 0
   kAbsFwd,     ///< |x| (sign bit cleared; NaN payload preserved)
-  kClampFwd,   ///< x < p0 ? p0 : (x > p1 ? p1 : x)
-  kSqrtFwd,    ///< sqrt(x), correctly rounded (same bits as std::sqrt)
   kExpFwd,     ///< e^x             (max error 1 ULP)
   kLogFwd,     ///< ln x            (max error 1 ULP)
   kTanhFwd,    ///< tanh x          (max error 1.5 ULP)
   kSigmoidFwd, ///< 1 / (1 + e^-x)  (max error 2.5 ULP)
 };
 
-/// Elementwise kernels of two inputs (plus up to two float parameters).
+/// Elementwise kernels of two inputs (plus a float parameter).
 /// The *Bwd entries fuse an activation derivative with the incoming
 /// gradient: a = grad, b = the saved forward tensor (output or input,
 /// matching autograd/ops.cc).
@@ -48,8 +46,6 @@ enum class BinaryOp : int {
   kSigmoidBwd,  ///< g * (y * (1 - y))       (b = sigmoid output y)
   kReluBwd,     ///< g * (x > 0 ? 1 : 0)     (b = forward input x)
   kAbsBwd,      ///< g * sign(x), sign(0)=0  (b = forward input x)
-  kSqrtBwd,     ///< g * (0.5 / max(y,1e-12))(b = sqrt output y)
-  kClampBwd,    ///< g * (p0 < x && x < p1 ? 1 : 0)
   kReluScaleBwd,  ///< (g * (y > 0 ? 1 : 0)) * p0 (b = ReLU output y,
                   ///< p0 = dropout scale)
 };
@@ -132,10 +128,9 @@ struct KernelTable {
   void (*add_row_vector)(const float* a, const float* b, float* out, int64_t m,
                          int64_t n);
   /// Enumerated elementwise kernels over flat arrays of n floats.
-  void (*unary)(UnaryOp op, const float* a, float* out, int64_t n, float p0,
-                float p1);
+  void (*unary)(UnaryOp op, const float* a, float* out, int64_t n, float p0);
   void (*binary)(BinaryOp op, const float* a, const float* b, float* out,
-                 int64_t n, float p0, float p1);
+                 int64_t n, float p0);
   /// One LSTM time step over n rows of hidden size h, gate order
   /// (i, f, g, o), with the per-step composition's expression tree:
   ///   z = (xw + hw) + bias            xw, hw [n, 4h]; bias [4h]

@@ -198,8 +198,8 @@ inline Vec SigmoidBody(Vec x) {
 }
 
 template <class Vec>
-void UnaryKernel(UnaryOp op, const float* a, float* out, int64_t n, float p0,
-                 float p1) {
+void UnaryKernel(UnaryOp op, const float* a, float* out, int64_t n,
+                 float p0) {
   const Vec zero = Vec::Zero();
   switch (op) {
     case UnaryOp::kAddScalar: {
@@ -222,23 +222,6 @@ void UnaryKernel(UnaryOp op, const float* a, float* out, int64_t n, float p0,
     case UnaryOp::kAbsFwd:
       ApplyUnary<Vec>([](Vec x) { return Vec::Abs(x); }, a, out, n);
       return;
-    case UnaryOp::kClampFwd: {
-      // x < lo ? lo : (x > hi ? hi : x). Applying the hi-clamp first and
-      // letting the lo-clamp override gives the same value for every
-      // input (lo <= hi), including NaN (both compares false -> x).
-      const Vec lo = Vec::Broadcast(p0);
-      const Vec hi = Vec::Broadcast(p1);
-      ApplyUnary<Vec>(
-          [lo, hi](Vec x) {
-            const Vec capped = Vec::Blend(Vec::Gt(x, hi), hi, x);
-            return Vec::Blend(Vec::Lt(x, lo), lo, capped);
-          },
-          a, out, n);
-      return;
-    }
-    case UnaryOp::kSqrtFwd:
-      ApplyUnary<Vec>([](Vec x) { return Vec::Sqrt(x); }, a, out, n);
-      return;
     case UnaryOp::kExpFwd:
       ApplyUnary<Vec>([](Vec x) { return ExpBody(x); }, a, out, n);
       return;
@@ -256,7 +239,7 @@ void UnaryKernel(UnaryOp op, const float* a, float* out, int64_t n, float p0,
 
 template <class Vec>
 void BinaryKernel(BinaryOp op, const float* a, const float* b, float* out,
-                  int64_t n, float p0, float p1) {
+                  int64_t n, float p0) {
   const Vec zero = Vec::Zero();
   const Vec one = Vec::Broadcast(1.0f);
   switch (op) {
@@ -295,28 +278,6 @@ void BinaryKernel(BinaryOp op, const float* a, const float* b, float* out,
           [zero, one, neg_one](Vec g, Vec x) {
             const Vec negative = Vec::Blend(Vec::Lt(x, zero), neg_one, zero);
             return g * Vec::Blend(Vec::Gt(x, zero), one, negative);
-          },
-          a, b, out, n);
-      return;
-    }
-    case BinaryOp::kSqrtBwd: {
-      const Vec eps = Vec::Broadcast(1e-12f);
-      const Vec half = Vec::Broadcast(0.5f);
-      ApplyBinary<Vec>(
-          [eps, half](Vec g, Vec y) {
-            const Vec floored = Vec::Blend(Vec::Gt(y, eps), y, eps);
-            return g * (half / floored);
-          },
-          a, b, out, n);
-      return;
-    }
-    case BinaryOp::kClampBwd: {
-      const Vec lo = Vec::Broadcast(p0);
-      const Vec hi = Vec::Broadcast(p1);
-      ApplyBinary<Vec>(
-          [zero, one, lo, hi](Vec g, Vec x) {
-            const Vec inside = Vec::And(Vec::Gt(x, lo), Vec::Lt(x, hi));
-            return g * Vec::Blend(inside, one, zero);
           },
           a, b, out, n);
       return;

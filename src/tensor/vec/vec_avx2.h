@@ -108,10 +108,6 @@ class VecAvx2 {
     return VecAvx2(_mm256_or_ps(a.raw_, b.raw_));
   }
 
-  static VecAvx2 Sqrt(const VecAvx2& a) {
-    return VecAvx2(_mm256_sqrt_ps(a.raw_));
-  }
-
   static VecAvx2 Round(const VecAvx2& a) {
     return VecAvx2(
         _mm256_round_ps(a.raw_, _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC));

@@ -181,14 +181,6 @@ class VecScalar {
     return out;
   }
 
-  /// Correctly-rounded square root (vsqrtps; std::sqrt gives the same
-  /// bits, including the default NaN for negative lanes).
-  static VecScalar Sqrt(const VecScalar& a) {
-    VecScalar out;
-    for (int i = 0; i < kWidth; ++i) out.lane_[i] = std::sqrt(a.lane_[i]);
-    return out;
-  }
-
   /// Round to the nearest integer, ties to even (vroundps with
   /// _MM_FROUND_TO_NEAREST_INT; std::nearbyint under the default
   /// rounding mode).

@@ -42,8 +42,7 @@ TEST(EnvRegistryTest, ListsEveryKnownKnob) {
   EXPECT_GE(registry.size(), 12u);
   for (const char* required :
        {"PPN_WORKERS", "PPN_SCALE", "PPN_OBS", "PPN_PROFILE_JSON",
-        "PPN_TRACE_JSON", "PPN_TRACE_CAPACITY", "PPN_TRACE_MIN_US",
-        "PPN_RUNLOG_DIR", "PPN_RESULTS_JSON", "PPN_NO_POOL",
+        "PPN_TRACE_JSON", "PPN_RUNLOG_DIR", "PPN_RESULTS_JSON", "PPN_NO_POOL",
         "PPN_BENCH_GATE", "PPN_BENCH_REPS", "PPN_STATS_JSONL",
         "PPN_SAMPLE_MS", "PPN_HEALTH"}) {
     bool found = false;
@@ -87,21 +86,21 @@ TEST(EnvAccessorTest, FlagSemantics) {
 }
 
 TEST(EnvAccessorTest, Int64FallsBackOnlyWhenUnset) {
-  ScopedEnvVar var("PPN_TRACE_CAPACITY");
+  ScopedEnvVar var("PPN_BENCH_REPS");
   var.Unset();
-  EXPECT_EQ(Int64Or("PPN_TRACE_CAPACITY", 123), 123);
+  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), 123);
   var.Set("4096");
-  EXPECT_EQ(Int64Or("PPN_TRACE_CAPACITY", 123), 4096);
+  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), 4096);
   var.Set("-7");
-  EXPECT_EQ(Int64Or("PPN_TRACE_CAPACITY", 123), -7);
+  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), -7);
 }
 
 TEST(EnvAccessorTest, DoubleFallsBackOnlyWhenUnset) {
-  ScopedEnvVar var("PPN_TRACE_MIN_US");
+  ScopedEnvVar var("PPN_FABRIC_WORKER_TIMEOUT_S");
   var.Unset();
-  EXPECT_DOUBLE_EQ(DoubleOr("PPN_TRACE_MIN_US", 2.5), 2.5);
+  EXPECT_DOUBLE_EQ(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 2.5), 2.5);
   var.Set("0.75");
-  EXPECT_DOUBLE_EQ(DoubleOr("PPN_TRACE_MIN_US", 2.5), 0.75);
+  EXPECT_DOUBLE_EQ(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 2.5), 0.75);
 }
 
 TEST(EnvAccessorTest, StringOrUsesFallbackForEmpty) {
@@ -115,17 +114,18 @@ TEST(EnvAccessorTest, StringOrUsesFallbackForEmpty) {
 }
 
 TEST(EnvDeathTest, MalformedIntAbortsNamingTheVariable) {
-  ScopedEnvVar var("PPN_TRACE_CAPACITY");
+  ScopedEnvVar var("PPN_BENCH_REPS");
   var.Set("not-a-number");
-  EXPECT_DEATH(Int64Or("PPN_TRACE_CAPACITY", 1), "PPN_TRACE_CAPACITY");
+  EXPECT_DEATH(Int64Or("PPN_BENCH_REPS", 1), "PPN_BENCH_REPS");
   var.Set("");  // Set-but-empty is malformed, not "use the fallback".
-  EXPECT_DEATH(Int64Or("PPN_TRACE_CAPACITY", 1), "PPN_TRACE_CAPACITY");
+  EXPECT_DEATH(Int64Or("PPN_BENCH_REPS", 1), "PPN_BENCH_REPS");
 }
 
 TEST(EnvDeathTest, MalformedDoubleAborts) {
-  ScopedEnvVar var("PPN_TRACE_MIN_US");
+  ScopedEnvVar var("PPN_FABRIC_WORKER_TIMEOUT_S");
   var.Set("fast");
-  EXPECT_DEATH(DoubleOr("PPN_TRACE_MIN_US", 0.0), "PPN_TRACE_MIN_US");
+  EXPECT_DEATH(DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 0.0),
+               "PPN_FABRIC_WORKER_TIMEOUT_S");
 }
 
 TEST(EnvDeathTest, MalformedSampleIntervalAborts) {

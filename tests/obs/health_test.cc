@@ -5,12 +5,15 @@
 
 #include "obs/health.h"
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "obs/stats.h"
 
 namespace ppn::obs {
@@ -145,6 +148,36 @@ TEST(HealthResolveTest, HistogramStatSuffixesResolveAndEmptySkips) {
   // ...and a stat suffix on a name with no histogram at all is also a
   // skip (the suffix marks it as a histogram rule).
   EXPECT_FALSE(ResolveHealthMetric(snapshot, "no.such.hist.p95", &value));
+}
+
+// Rules and the profile read one stat table: for every stat, the rule
+// value is the value the profile prints for that histogram, bit for bit.
+TEST(HealthResolveTest, EveryStatResolvesToTheValueTheProfilePrints) {
+  Snapshot snapshot;
+  HistogramSnapshot& hist = snapshot.histograms["lat.seconds"];
+  hist.count = 7;
+  hist.sum = 1.0 / 3.0;
+  hist.min = 0.0015;
+  hist.max = 0.21;
+  hist.buckets[21] = 2;  // [2^-10, 2^-9)
+  hist.buckets[24] = 4;  // [2^-7, 2^-6)
+  hist.buckets[28] = 1;  // [2^-3, 2^-2)
+  JsonValue profile;
+  ASSERT_TRUE(ParseJson(SnapshotToJson(snapshot), &profile));
+  const JsonValue* printed =
+      profile.Find("histograms")->Find("lat.seconds");
+  ASSERT_NE(printed, nullptr);
+  for (const HistogramStat& stat : kHistogramStats) {
+    double value = -1.0;
+    ASSERT_TRUE(ResolveHealthMetric(
+        snapshot, std::string("lat.seconds.") + stat.key, &value))
+        << stat.key;
+    const JsonValue* member = printed->Find(stat.key);
+    ASSERT_NE(member, nullptr) << stat.key;
+    EXPECT_EQ(std::bit_cast<uint64_t>(value),
+              std::bit_cast<uint64_t>(member->AsNumber()))
+        << stat.key;
+  }
 }
 
 TEST(HealthMonitorTest, TalliesViolationsAcrossWindows) {

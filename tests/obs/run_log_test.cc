@@ -7,6 +7,7 @@
 #include "obs/run_log.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -181,6 +182,42 @@ TEST(RunLogTest, WritesHeaderAndRoundTripsRecordsExactly) {
     EXPECT_EQ(parsed.records[i].solver_iterations,
               written[i].solver_iterations);
     EXPECT_EQ(parsed.records[i].step_seconds, written[i].step_seconds);
+  }
+  std::remove(path.c_str());
+}
+
+// The writer and the reader share one field table: a distinct value in
+// every field comes back bit for bit, each from its own key.
+TEST(RunLogTest, EveryTableFieldRoundTripsBitForBit) {
+  ScopedObsEnable enable;
+  SKIP_IF_COMPILED_OUT();
+  const std::string path = FreshPath("runlog_fields.runlog.jsonl");
+  auto log = RunLog::Open(path, RunLogMeta{});
+  ASSERT_NE(log, nullptr);
+  const double values[] = {1.0 / 3.0,     -2.0 / 7.0,         5e-324,
+                           1.7976931348623157e308, 0.1 + 0.2, -1e-300,
+                           12345.678901234567,     6.02214076e23};
+  ASSERT_EQ(std::size(values), std::size(kRunLogFields));
+  RunLogRecord record;
+  record.step = 123456789012;
+  for (size_t i = 0; i < std::size(kRunLogFields); ++i) {
+    record.*kRunLogFields[i].second = values[i];
+  }
+  log->Append(record);
+  ASSERT_TRUE(log->Close());
+
+  ParsedRunLog parsed;
+  std::string error;
+  ASSERT_TRUE(ReadRunLog(path, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.records.size(), 1u);
+  EXPECT_EQ(parsed.records[0].step, record.step);
+  const std::string text = ReadFile(path);
+  for (const auto& [key, field] : kRunLogFields) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.records[0].*field),
+              std::bit_cast<uint64_t>(record.*field))
+        << key;
+    EXPECT_NE(text.find("\"" + std::string(key) + "\": "), std::string::npos)
+        << key;
   }
   std::remove(path.c_str());
 }

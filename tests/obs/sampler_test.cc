@@ -184,9 +184,6 @@ TEST_F(SamplerTest, HealthVerdictsLandOnSampleLines) {
   GetCounter("sampler.test.errs").Add(2.0);
   const bool write_ok = sampler->Stop();
   EXPECT_TRUE(write_ok);
-  EXPECT_FALSE(sampler->healthy());
-  EXPECT_NE(sampler->HealthSummary(false).find("PPN_HEALTH: FAIL"),
-            std::string::npos);
 
   StatsStream stream;
   ASSERT_TRUE(ReadStatsStream(path, &stream));
@@ -200,7 +197,7 @@ TEST_F(SamplerTest, HealthVerdictsLandOnSampleLines) {
 TEST_F(SamplerTest, ConcurrentMetricUpdatesWhileSamplingAreClean) {
   SKIP_IF_COMPILED_OUT();
   // The tsan-lane case: worker threads hammer the registry while the
-  // sampling thread snapshots it and the owner polls health.
+  // sampling thread snapshots it and evaluates a health rule.
   const std::string path = FreshPath("tsan");
   SamplerOptions options;
   options.path = path;
@@ -225,9 +222,7 @@ TEST_F(SamplerTest, ConcurrentMetricUpdatesWhileSamplingAreClean) {
       }
     });
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(sampler->healthy());  // Live read races the sampler.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
   done.store(true);
   for (std::thread& worker : workers) worker.join();
   EXPECT_TRUE(sampler->Stop());

@@ -1,6 +1,8 @@
 #include "obs/stats.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -9,6 +11,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "obs/sampler.h"
 
 namespace ppn::obs {
 namespace {
@@ -292,6 +296,58 @@ TEST_F(ObsStatsTest, WriteProfileJsonWritesReadableFile) {
   buffer << in.rdbuf();
   EXPECT_NE(buffer.str().find("t.file.counter"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// The profile's reader (the fabric's worker-profile merge) recovers
+// every counter and gauge SnapshotToJson printed, bit for bit, and
+// rejects every truncation of the file.
+TEST_F(ObsStatsTest, ReadProfileJsonRecoversScalarsAndRejectsTruncation) {
+  Snapshot snapshot;
+  snapshot.counters = {{"t.read.a", 1.0 / 3.0},
+                       {"t.read.b", 1.7976931348623157e308},
+                       {"t.read.c", 5e-324},
+                       {"t.read.d", 0.0},
+                       {"t.read.\"quoted\"", 12345.678901234567}};
+  snapshot.gauges = {{"t.read.g", -2.0 / 7.0}, {"t.read.h", 6.02214076e23}};
+  HistogramSnapshot& hist = snapshot.histograms["t.read.hist"];
+  hist.count = 2;
+  hist.sum = 0.75;
+  hist.min = 0.25;
+  hist.max = 0.5;
+  hist.buckets[29] = 1;
+  hist.buckets[30] = 1;
+  const std::string json = SnapshotToJson(snapshot);
+  const std::string path =
+      ::testing::TempDir() + "/obs_stats_test_read_profile.json";
+  auto write = [&path](const std::string& text) {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  };
+  auto bits = [](double value) { return std::bit_cast<uint64_t>(value); };
+
+  write(json);
+  Snapshot read;
+  std::string error;
+  ASSERT_TRUE(ReadProfileJson(path, &read, &error)) << error;
+  for (const auto& [want, got] :
+       {std::pair{&snapshot.counters, &read.counters},
+        std::pair{&snapshot.gauges, &read.gauges}}) {
+    ASSERT_EQ(got->size(), want->size());
+    for (const auto& [name, value] : *want) {
+      ASSERT_EQ(got->count(name), 1u) << name;
+      EXPECT_EQ(bits(got->at(name)), bits(value)) << name;
+    }
+  }
+  EXPECT_TRUE(read.histograms.empty());
+
+  // Every prefix that drops the closing brace is a torn write.
+  for (size_t length = 0; length < json.rfind('}'); ++length) {
+    write(json.substr(0, length));
+    EXPECT_FALSE(ReadProfileJson(path, &read, &error)) << length;
+    EXPECT_FALSE(error.empty()) << length;
+  }
+  std::remove(path.c_str());
+  EXPECT_FALSE(ReadProfileJson(path, &read, &error));
 }
 
 }  // namespace

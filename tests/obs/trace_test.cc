@@ -286,8 +286,7 @@ TEST_F(ObsTraceTest, SweepTraceIsValidChromeJsonWithNestingAndFlows) {
 TEST_F(ObsTraceTest, OverflowDropsNewestAndCountsThem) {
   SKIP_IF_COMPILED_OUT();
   ScopedTraceEnable enable;
-  // Fill a FRESH thread's buffer past its capacity (default 65536; the
-  // env override is read at process start, so rely on the default).
+  // Fill a FRESH thread's buffer past its capacity (kTraceCapacity).
   std::thread filler([] {
     for (int i = 0; i < 70000; ++i) {
       Span span("t.flood");

@@ -242,16 +242,16 @@ TEST(KernelEquivalenceTest, NarrowedViewsBitIdenticalAcrossPaths) {
     const vec::KernelTable& scalar = vec::ScalarKernels();
     const vec::KernelTable& avx2 = *vec::Avx2KernelsOrNull();
     scalar.unary(vec::UnaryOp::kMulScalar, x.Data() + 1, ys.MutableData(), 63,
-                 1.5f, 0.0f);
+                 1.5f);
     avx2.unary(vec::UnaryOp::kMulScalar, x.Data() + 1, yv.MutableData(), 63,
-               1.5f, 0.0f);
+               1.5f);
     ExpectBitIdentical(yv, ys, "unary/unaligned");
   }
 }
 
 // Every enumerated elementwise kernel, both paths, against the seed's
 // scalar lambda — over odd tail sizes and a value set that includes
-// +/-0, +/-Inf, NaN, denormals, and the clamp boundaries. The polynomial
+// +/-0, +/-Inf, NaN, denormals, and +/-1. The polynomial
 // transcendentals have no libm twin; their reference is the scalar
 // table (their accuracy is pinned in transcendental_test.cc).
 TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
@@ -260,7 +260,6 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
                                  -2.5f, kInf,    -kInf,  kQNaN, kDenorm,
                                  -kDenorm, 1e30f, -1e30f, 0.25f, -0.75f};
   const int64_t sizes[] = {0, 1, 7, 8, 9, 16, 17, 100};
-  const float lo = -1.0f, hi = 1.0f;
   // The dropout scale at p = 0.2. Not -1: a compiler may fold the
   // reference's x * -1.0f into a negation, which flips a NaN's sign.
   const float kDropoutScale = 1.25f;
@@ -285,8 +284,6 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
         case vec::UnaryOp::kMulScalar: return x * 0.75f;
         case vec::UnaryOp::kReluFwd: return x > 0.0f ? x : 0.0f;
         case vec::UnaryOp::kAbsFwd: return std::fabs(x);
-        case vec::UnaryOp::kClampFwd: return x < lo ? lo : (x > hi ? hi : x);
-        case vec::UnaryOp::kSqrtFwd: return std::sqrt(x);
         case vec::UnaryOp::kExpFwd:
         case vec::UnaryOp::kLogFwd:
         case vec::UnaryOp::kTanhFwd:
@@ -306,10 +303,6 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
         case vec::BinaryOp::kReluBwd: return g * (y > 0.0f ? 1.0f : 0.0f);
         case vec::BinaryOp::kAbsBwd:
           return g * (y > 0.0f ? 1.0f : (y < 0.0f ? -1.0f : 0.0f));
-        case vec::BinaryOp::kSqrtBwd:
-          return g * (0.5f / (y > 1e-12f ? y : 1e-12f));
-        case vec::BinaryOp::kClampBwd:
-          return g * ((y > lo && y < hi) ? 1.0f : 0.0f);
         case vec::BinaryOp::kReluScaleBwd:  // p0 = kDropoutScale
           return (g * (y > 0.0f ? 1.0f : 0.0f)) * kDropoutScale;
       }
@@ -318,18 +311,16 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
     for (const vec::UnaryOp op :
          {vec::UnaryOp::kAddScalar, vec::UnaryOp::kMulScalar,
           vec::UnaryOp::kReluFwd, vec::UnaryOp::kAbsFwd,
-          vec::UnaryOp::kClampFwd, vec::UnaryOp::kSqrtFwd,
           vec::UnaryOp::kExpFwd, vec::UnaryOp::kLogFwd,
           vec::UnaryOp::kTanhFwd, vec::UnaryOp::kSigmoidFwd}) {
-      const float p0 = op == vec::UnaryOp::kClampFwd ? lo : 0.75f;
-      const float p1 = op == vec::UnaryOp::kClampFwd ? hi : 0.0f;
+      const float p0 = 0.75f;
       const bool polynomial =
           op == vec::UnaryOp::kExpFwd || op == vec::UnaryOp::kLogFwd ||
           op == vec::UnaryOp::kTanhFwd || op == vec::UnaryOp::kSigmoidFwd;
       Tensor want = Tensor::Uninitialized({n});
       if (polynomial) {
         dispatch::ScopedForcePath force(dispatch::SimdPath::kScalar);
-        want = EltwiseUnary(op, a, p0, p1);
+        want = EltwiseUnary(op, a, p0);
       } else {
         for (int64_t i = 0; i < n; ++i) {
           want.MutableData()[i] = ref_unary(op, a.Data()[i]);
@@ -338,15 +329,14 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
       ForEachPath([&](const char* path) {
         SCOPED_TRACE(testing::Message() << path << " n=" << n << " unary op "
                                         << static_cast<int>(op));
-        ExpectBitIdentical(EltwiseUnary(op, a, p0, p1), want, "unary");
+        ExpectBitIdentical(EltwiseUnary(op, a, p0), want, "unary");
       });
     }
     for (const vec::BinaryOp op :
          {vec::BinaryOp::kAdd, vec::BinaryOp::kSub, vec::BinaryOp::kMul,
           vec::BinaryOp::kDiv, vec::BinaryOp::kTanhBwd,
           vec::BinaryOp::kSigmoidBwd, vec::BinaryOp::kReluBwd,
-          vec::BinaryOp::kAbsBwd, vec::BinaryOp::kSqrtBwd,
-          vec::BinaryOp::kClampBwd, vec::BinaryOp::kReluScaleBwd}) {
+          vec::BinaryOp::kAbsBwd, vec::BinaryOp::kReluScaleBwd}) {
       Tensor want = Tensor::Uninitialized({n});
       for (int64_t i = 0; i < n; ++i) {
         want.MutableData()[i] = ref_binary(op, a.Data()[i], b.Data()[i]);
@@ -355,8 +345,8 @@ TEST(KernelEquivalenceTest, ElementwiseOpsBitIdenticalAcrossPaths) {
         SCOPED_TRACE(testing::Message() << path << " n=" << n << " binary op "
                                         << static_cast<int>(op));
         const float p0 =
-            op == vec::BinaryOp::kReluScaleBwd ? kDropoutScale : lo;
-        ExpectBitIdentical(EltwiseBinary(op, a, b, p0, hi), want, "binary");
+            op == vec::BinaryOp::kReluScaleBwd ? kDropoutScale : 0.0f;
+        ExpectBitIdentical(EltwiseBinary(op, a, b, p0), want, "binary");
       });
     }
   }

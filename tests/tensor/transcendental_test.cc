@@ -266,25 +266,5 @@ TEST(TranscendentalTest, TailLengthsIdenticalAcrossPaths) {
   }
 }
 
-TEST(TranscendentalTest, SqrtMatchesStdSqrtBitForBit) {
-  std::vector<float> inputs = SpecialInputs();
-  for (int i = 0; i < 1000; ++i) inputs.push_back(0.37f * i - 50.0f);
-  const int64_t n = static_cast<int64_t>(inputs.size());
-  Tensor in = Tensor::Uninitialized({n});
-  std::copy(inputs.begin(), inputs.end(), in.MutableData());
-  ForEachPath([&](const char* path) {
-    const Tensor out = EltwiseUnary(vec::UnaryOp::kSqrtFwd, in);
-    for (int64_t i = 0; i < n; ++i) {
-      const float want = std::sqrt(inputs[i]);
-      if (std::isnan(want)) {
-        EXPECT_TRUE(std::isnan(out.Data()[i])) << path << " x=" << inputs[i];
-      } else {
-        EXPECT_EQ(Bits(out.Data()[i]), Bits(want))
-            << path << " x=" << inputs[i];
-      }
-    }
-  });
-}
-
 }  // namespace
 }  // namespace ppn

@@ -100,12 +100,10 @@
 #include "market/presets.h"
 #include "market/replay_io.h"
 #include "market/stress.h"
-#include "obs/health.h"
 #include "obs/report.h"
 #include "obs/run_log.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
-#include "obs/trace.h"
 #include "obs/trace_merge.h"
 #include "ppn/strategy_adapter.h"
 #include "ppn/trainer.h"
@@ -926,23 +924,12 @@ int CmdReport(const Flags& flags) {
 /// (whose per-worker streams live under obs/).
 std::vector<std::string> CollectStatsStreams(const std::string& target) {
   namespace fs = std::filesystem;
-  std::vector<std::string> paths;
   std::error_code ec;
-  if (fs::is_regular_file(target, ec)) {
-    paths.push_back(target);
-    return paths;
-  }
-  for (const fs::path dir : {fs::path(target), fs::path(target) / "obs"}) {
-    for (const fs::directory_entry& entry : fs::directory_iterator(dir, ec)) {
-      const std::string name = entry.path().filename().string();
-      const std::string suffix = ".stats.jsonl";
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0 &&
-          name.rfind(".workers.jsonl") == std::string::npos) {
-        paths.push_back(entry.path().string());
-      }
-    }
+  if (fs::is_regular_file(target, ec)) return {target};
+  std::vector<std::string> paths = obs::FindStatsStreams(target);
+  for (std::string& path :
+       obs::FindStatsStreams((fs::path(target) / "obs").string())) {
+    paths.push_back(std::move(path));
   }
   std::sort(paths.begin(), paths.end());
   return paths;
@@ -951,7 +938,6 @@ std::vector<std::string> CollectStatsStreams(const std::string& target) {
 /// One refresh of the live monitor: parses every stream and renders a
 /// per-process table plus (for fabric dirs) the queue/claim/done counts.
 std::string RenderTopFrame(const std::string& target) {
-  namespace fs = std::filesystem;
   std::string out;
   const std::vector<std::string> streams = CollectStatsStreams(target);
   TablePrinter table({"process", "up(s)", "dec/s", "feat/dec", "p99(ms)",
@@ -1018,33 +1004,16 @@ std::string RenderTopFrame(const std::string& target) {
 
   // A fabric scratch dir also tells us queue depth and completion
   // directly from the file protocol — live even between sample windows.
-  std::error_code ec;
-  if (fs::is_directory(fs::path(target) / "queue", ec)) {
-    auto count_entries = [](const fs::path& dir) {
-      std::error_code count_ec;
-      int64_t n = 0;
-      for ([[maybe_unused]] const fs::directory_entry& entry :
-           fs::directory_iterator(dir, count_ec)) {
-        ++n;
-      }
-      return n;
-    };
-    int64_t queued = 0;
-    for (const fs::directory_entry& shard :
-         fs::directory_iterator(fs::path(target) / "queue", ec)) {
-      queued += count_entries(shard.path());
-    }
+  exec::FabricQueueCounts fabric;
+  if (exec::CountFabricQueue(target, &fabric)) {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "fabric: %lld done, %lld running, %lld queued, %lld "
                   "failed\n",
-                  static_cast<long long>(
-                      count_entries(fs::path(target) / "done")),
-                  static_cast<long long>(
-                      count_entries(fs::path(target) / "claims")),
-                  static_cast<long long>(queued),
-                  static_cast<long long>(
-                      count_entries(fs::path(target) / "failed")));
+                  static_cast<long long>(fabric.done),
+                  static_cast<long long>(fabric.running),
+                  static_cast<long long>(fabric.queued),
+                  static_cast<long long>(fabric.failed));
     out += line;
   }
   return out;
@@ -1112,28 +1081,9 @@ int main(int argc, char** argv) {
   else if (command == "top") status = CmdTop(flags);
   else if (command == "help-env") status = CmdHelpEnv();
   else Usage();
-  if (sampler != nullptr) {
-    const bool sampler_ok = sampler->Stop();
-    if (sampler_ok) {
-      std::fprintf(stderr, "stats stream written to %s\n",
-                   sampler->path().c_str());
-    } else {
-      std::fprintf(stderr, "WARNING: stats stream %s lost writes\n",
-                   sampler->path().c_str());
-    }
-    sampler.reset();
-  }
-  if (ppn::obs::WriteProfileIfRequested()) {
-    std::fprintf(stderr, "profile written to %s\n",
-                 ppn::env::StringOr("PPN_PROFILE_JSON", "").c_str());
-  }
-  if (ppn::obs::WriteTraceIfRequested()) {
-    std::fprintf(stderr, "trace written to %s (open in ui.perfetto.dev)\n",
-                 ppn::env::StringOr("PPN_TRACE_JSON", "").c_str());
-  }
   // SLO gate: a violated PPN_HEALTH rule makes an otherwise-clean run
   // exit nonzero (consumed by run_benches.sh and CI).
-  const int health_status = ppn::obs::ReportHealthIfRequested();
+  const int health_status = ppn::obs::FinishRunTelemetry(sampler.get());
   if (status == 0 && health_status != 0) status = health_status;
   return status;
 }
