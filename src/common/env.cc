@@ -44,9 +44,9 @@ const VarInfo kRegistry[] = {
      "Kernel SIMD path: auto (CPUID-selected) | avx2 | scalar; all paths "
      "are bit-identical"},
     {"PPN_FABRIC_WORKER_TIMEOUT_S", "double", "300",
-     "Sweep fabric: claims observed unchanged for this many seconds are "
-     "stragglers and get a backup task re-dispatched (capped per cell, "
-     "never fatal)"},
+     "Sweep fabric: a cell in flight this many seconds after it was sent "
+     "gets a backup copy on an idle worker (capped per cell, never "
+     "fatal)"},
     {"PPN_FABRIC_MAX_RESTARTS", "int", "8",
      "Sweep fabric: worker respawns beyond the initial fleet before the "
      "coordinator gives up"},
@@ -54,8 +54,8 @@ const VarInfo kRegistry[] = {
      "Fabric fault injection (tests): worker <slot> SIGKILLs itself after "
      "finishing <cells> cells; stripped from respawned workers"},
     {"PPN_FABRIC_TEST_HANG_AFTER", "slot:cells", "unset",
-     "Fabric fault injection (tests): worker <slot> hangs forever on its "
-     "<cells>-th claim; stripped from respawned workers"},
+     "Fabric fault injection (tests): worker <slot> hangs forever on the "
+     "<cells>-th cell it is sent; stripped from respawned workers"},
     {"PPN_BENCH_GATE", "flag", "off",
      "run_benches.sh: diff gated benches against the archived baseline"},
     {"PPN_BENCH_REPS", "int", "3",

@@ -50,6 +50,12 @@ double JsonValue::NumberOr(const std::string& key, double fallback) const {
   return member != nullptr && member->is_number() ? member->number_ : fallback;
 }
 
+int64_t JsonValue::IntOr(const std::string& key, int64_t fallback) const {
+  if (!is_object()) return fallback;
+  const JsonValue* member = Find(key);
+  return member != nullptr && member->integral_ ? member->integer_ : fallback;
+}
+
 std::string JsonValue::StringOr(const std::string& key,
                                 const std::string& fallback) const {
   if (!is_object()) return fallback;
@@ -68,6 +74,13 @@ JsonValue JsonValue::MakeNumber(double value) {
   JsonValue v;
   v.type_ = Type::kNumber;
   v.number_ = value;
+  return v;
+}
+
+JsonValue JsonValue::MakeNumber(double value, int64_t exact) {
+  JsonValue v = MakeNumber(value);
+  v.integral_ = true;
+  v.integer_ = exact;
   return v;
 }
 
@@ -371,7 +384,13 @@ class Parser {
     char* end = nullptr;
     const double value = std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size()) return Fail("malformed number");
-    *out = JsonValue::MakeNumber(value);
+    // An integer token that fits int64_t also keeps its exact value.
+    int64_t integer = 0;
+    const auto [last, ec] =
+        std::from_chars(token.data(), token.data() + token.size(), integer);
+    *out = ec == std::errc() && last == token.data() + token.size()
+               ? JsonValue::MakeNumber(value, integer)
+               : JsonValue::MakeNumber(value);
     return true;
   }
 

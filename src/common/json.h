@@ -1,6 +1,7 @@
 #ifndef PPN_COMMON_JSON_H_
 #define PPN_COMMON_JSON_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -54,12 +55,17 @@ class JsonValue {
   /// Convenience lookups with fallback: nullptr/absent/mistyped members
   /// yield the fallback instead of aborting.
   double NumberOr(const std::string& key, double fallback) const;
+  /// `key`'s exact value when it is an integer token that fits int64_t
+  /// (a double holds integers exactly only up to 2^53), else `fallback`.
+  int64_t IntOr(const std::string& key, int64_t fallback) const;
   std::string StringOr(const std::string& key,
                        const std::string& fallback) const;
 
   static JsonValue MakeNull() { return JsonValue(); }
   static JsonValue MakeBool(bool value);
   static JsonValue MakeNumber(double value);
+  /// A number read from an integer token: `IntOr` returns `exact`.
+  static JsonValue MakeNumber(double value, int64_t exact);
   static JsonValue MakeString(std::string value);
   static JsonValue MakeArray(std::vector<JsonValue> items);
   static JsonValue MakeObject(
@@ -69,6 +75,8 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  bool integral_ = false;  ///< `integer_` is the token's exact value.
+  int64_t integer_ = 0;
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;

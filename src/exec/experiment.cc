@@ -119,7 +119,7 @@ uint64_t CellSeed(const CellKey& key) {
 //
 // One finished cell is one small checkpoint file named by the cell's
 // derived seed (a pure function of the cell key, so the same cell in a
-// restarted sweep — or a sweep sharded across fabric worker processes —
+// restarted sweep — or a sweep spread across fabric worker processes —
 // maps to the same file regardless of spec ordering or placement). The
 // single "cell" section echoes the full key for validation, then carries
 // the metrics and, optionally, the backtest record.
@@ -165,7 +165,7 @@ std::vector<PlannedCell> EnumerateCells(const ExperimentSpec& spec) {
 }
 
 /// One dataset-axis entry, materialized on first use. Presets generate
-/// lazily under `once` (a fabric worker that only ever claims crypto-a
+/// lazily under `once` (a fabric worker that is only ever sent crypto-a
 /// cells never pays for sp500); custom datasets are referenced in place.
 struct CellPlan::DatasetSlot {
   market::DatasetId preset_id = market::DatasetId::kCryptoA;

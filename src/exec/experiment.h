@@ -112,7 +112,7 @@ struct PlannedCell {
 /// Validates `spec` and enumerates its cells WITHOUT generating any
 /// dataset (preset display names come from the registry, custom names
 /// from the spec). This is the cheap planning step the fabric coordinator
-/// uses: it shards and supervises cells but never runs one.
+/// uses: it hands out and supervises cells but never runs one.
 std::vector<PlannedCell> EnumerateCells(const ExperimentSpec& spec);
 
 /// Canonical per-cell file names, shared by the in-process runner and the

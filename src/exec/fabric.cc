@@ -1,26 +1,27 @@
 #include "exec/fabric.h"
 
 #include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
-#include <sys/stat.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
-#include <fstream>
-#include <map>
 #include <set>
-#include <sstream>
 #include <thread>
 
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
 #include "common/parse.h"
+#include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/stats.h"
 #include "obs/trace.h"
@@ -34,125 +35,25 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr char kTaskMagic[] = "ppnfab1";
+using Clock = std::chrono::steady_clock;
 
-// ------------------------------------------------------- file layout ----
-
-std::string ShardDir(const std::string& fabric_dir, int shard) {
-  return (fs::path(fabric_dir) / "queue" / ("shard-" + std::to_string(shard)))
-      .string();
-}
-
-std::string TaskFileName(int64_t index, int attempt) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "T%lld.a%d.task",
-                static_cast<long long>(index), attempt);
-  return name;
-}
-
-/// True when `name` ends in ".task" — a fully published task file. The
-/// claim scan must never touch anything else: an in-flight temp (e.g. a
-/// "*.task.tmp" from an atomic writer) renamed away mid-write would make
-/// the writer's commit fail and abort the sweep for a phantom reason.
-bool HasTaskSuffix(const std::string& name) {
-  constexpr char kSuffix[] = ".task";
-  constexpr size_t kLen = sizeof(kSuffix) - 1;
-  return name.size() > kLen &&
-         name.compare(name.size() - kLen, kLen, kSuffix) == 0;
-}
-
-/// Parses "T<index>.a<attempt>" from the front of a queue/claim/fail file
-/// name. False when the name is not ours (e.g. editor droppings).
-bool ParseIndexAttempt(const std::string& name, int64_t* index,
-                       int* attempt) {
-  long long idx = 0;
-  int att = 0;
-  if (std::sscanf(name.c_str(), "T%lld.a%d.", &idx, &att) != 2) return false;
-  *index = idx;
-  *attempt = att;
-  return true;
-}
-
-std::string ClaimFileName(int64_t index, int attempt, int slot, int gen) {
-  char name[80];
-  std::snprintf(name, sizeof(name), "T%lld.a%d.s%d.g%d.claim",
-                static_cast<long long>(index), attempt, slot, gen);
-  return name;
-}
-
-std::string FailFileName(int64_t index, int attempt, int slot, int gen) {
-  char name[80];
-  std::snprintf(name, sizeof(name), "T%lld.a%d.s%d.g%d.fail",
-                static_cast<long long>(index), attempt, slot, gen);
-  return name;
-}
-
-/// Parses the owner out of "T<i>.a<k>.s<slot>.g<gen>.claim" (or ".fail").
-bool ParseClaimOwner(const std::string& name, int64_t* index, int* attempt,
-                     int* slot, int* gen) {
-  long long idx = 0;
-  if (std::sscanf(name.c_str(), "T%lld.a%d.s%d.g%d.", &idx, attempt, slot,
-                  gen) != 4) {
-    return false;
-  }
-  *index = idx;
-  return true;
-}
-
-std::string DoneFileName(int64_t index) {
-  return "T" + std::to_string(index) + ".done";
-}
-
-std::string TaskContent(const PlannedCell& cell) {
-  char line[64];
-  std::snprintf(line, sizeof(line), "%s %lld %016llx\n", kTaskMagic,
-                static_cast<long long>(cell.index),
-                static_cast<unsigned long long>(cell.derived_seed));
-  return line;
-}
-
-bool ParseTaskContent(const std::string& content, int64_t* index,
-                      uint64_t* seed) {
-  char magic[16] = {0};
-  long long idx = 0;
-  unsigned long long seed_bits = 0;
-  if (std::sscanf(content.c_str(), "%15s %lld %llx", magic, &idx,
-                  &seed_bits) != 3) {
-    return false;
-  }
-  if (std::strcmp(magic, kTaskMagic) != 0 || idx < 0) return false;
-  *index = idx;
-  *seed = seed_bits;
-  return true;
-}
-
-bool ReadFileToString(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  *out = buffer.str();
-  return in.good() || in.eof();
-}
-
-bool WriteFileAtomic(const std::string& path, const std::string& content) {
-  AtomicFileWriter file(path);
-  if (!file.ok()) return false;
-  file.stream() << content;
-  return file.Commit();
-}
-
-/// Names (not paths) of the regular files in `dir`, sorted for
-/// deterministic claim order. Missing dir = empty.
-std::vector<std::string> ListDirSorted(const std::string& dir) {
-  std::vector<std::string> names;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    if (entry.is_regular_file()) names.push_back(entry.path().filename());
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
+/// The worker's end of its channel.
+constexpr int kChannelFd = 3;
+/// Supervision wake-up: stragglers, respawn backoff and the progress file
+/// are looked at least this often.
+constexpr int kPollIntervalMs = 50;
+/// Failure-driven requeues (worker death, failed commit, lost checkpoint)
+/// one cell may absorb before the sweep aborts. Straggler backups are
+/// capped at the same count per cell but never abort: a cell legitimately
+/// slower than the timeout keeps its first copy running.
+constexpr int kMaxCellAttempts = 4;
+/// How long shutdown waits for idle workers' clean exit (trace and stats
+/// stream flush) before SIGKILLing them.
+constexpr std::chrono::seconds kShutdownGrace(5);
+/// The progress file `ppn_cli top` reads, and its one line.
+constexpr char kProgressFile[] = "progress";
+constexpr char kProgressFormat[] =
+    "queued=%lld running=%lld done=%lld failed=%lld\n";
 
 void MakeDirs(const std::string& path) {
   std::error_code ec;
@@ -170,344 +71,608 @@ std::string CellsDir(const ExperimentSpec& spec,
              : spec.checkpoint_dir;
 }
 
+// ----------------------------------------------------------- channel ----
+
+/// Sends `line` and its '\n'; false when the peer is gone. Each side has
+/// at most one line in flight, so a short line fits the socket buffer and
+/// goes whole. MSG_NOSIGNAL: a dead peer must not SIGPIPE the sender.
+bool SendLine(int fd, const std::string& line) {
+  const std::string data = line + "\n";
+  return TEMP_FAILURE_RETRY(::send(fd, data.data(), data.size(),
+                                   MSG_NOSIGNAL)) ==
+         static_cast<ssize_t>(data.size());
+}
+
+/// Appends one read's worth of bytes to `buffer`; false at EOF or on error.
+bool ReadSome(int fd, std::string* buffer) {
+  char chunk[512];
+  const ssize_t n = TEMP_FAILURE_RETRY(::read(fd, chunk, sizeof(chunk)));
+  if (n <= 0) return false;
+  buffer->append(chunk, static_cast<size_t>(n));
+  return true;
+}
+
+/// Moves the first whole line out of `buffer`, without its '\n'.
+bool PopLine(std::string* buffer, std::string* line) {
+  const size_t end = buffer->find('\n');
+  if (end == std::string::npos) return false;
+  line->assign(*buffer, 0, end);
+  buffer->erase(0, end + 1);
+  return true;
+}
+
+/// The coordinator's line for `cell`. The worker formats the line for its
+/// own cell at that index and compares, so the seed echo is exact.
+std::string TaskLine(const PlannedCell& cell) {
+  char line[48];
+  std::snprintf(line, sizeof(line), "%lld %016llx",
+                static_cast<long long>(cell.index),
+                static_cast<unsigned long long>(cell.derived_seed));
+  return line;
+}
+
 // -------------------------------------------------- fault injection ----
 
-/// Parses a "<slot>:<count>" fault knob; true when it names `slot`.
-bool FaultKnobFor(const char* knob, int slot, int64_t* count) {
+/// The count of a "<slot>:<count>" fault knob when it names `slot`, else -1.
+int64_t FaultKnobFor(const char* knob, int slot) {
   const std::string value = env::StringOr(knob, "");
-  if (value.empty()) return false;
+  if (value.empty()) return -1;
   const size_t colon = value.find(':');
   PPN_CHECK(colon != std::string::npos)
       << knob << " must be <slot>:<cells>, got \"" << value << "\"";
   const int64_t knob_slot = ParseInt64OrDie(value.substr(0, colon), knob);
-  *count = ParseInt64OrDie(value.substr(colon + 1), knob);
-  return knob_slot == slot;
-}
-
-// ------------------------------------------------------ status files ----
-
-struct WorkerStatus {
-  int64_t cells_done = 0;
-  int64_t cells_restored = 0;
-  int64_t cells_stolen = 0;
-  int64_t ckpt_write_failed = 0;
-};
-
-std::string StatusPath(const std::string& fabric_dir, int slot, int gen) {
-  char name[48];
-  std::snprintf(name, sizeof(name), "worker-%d.g%d.status", slot, gen);
-  return (fs::path(fabric_dir) / "obs" / name).string();
-}
-
-void WriteStatus(const std::string& fabric_dir, int slot, int gen,
-                 const WorkerStatus& status) {
-  std::ostringstream out;
-  out << "ppnfabstatus1\n"
-      << "cells_done=" << status.cells_done << "\n"
-      << "cells_restored=" << status.cells_restored << "\n"
-      << "cells_stolen=" << status.cells_stolen << "\n"
-      << "ckpt_write_failed=" << status.ckpt_write_failed << "\n";
-  if (!WriteFileAtomic(StatusPath(fabric_dir, slot, gen), out.str())) {
-    std::fprintf(stderr, "[fabric] worker status write failed\n");
-  }
-}
-
-bool ParseStatus(const std::string& content, WorkerStatus* status) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line) || line != "ppnfabstatus1") return false;
-  while (std::getline(in, line)) {
-    const size_t eq = line.find('=');
-    if (eq == std::string::npos) continue;
-    const std::string key = line.substr(0, eq);
-    const long long value = std::atoll(line.c_str() + eq + 1);
-    if (key == "cells_done") status->cells_done = value;
-    else if (key == "cells_restored") status->cells_restored = value;
-    else if (key == "cells_stolen") status->cells_stolen = value;
-    else if (key == "ckpt_write_failed") status->ckpt_write_failed = value;
-  }
-  return true;
+  const int64_t count = ParseInt64OrDie(value.substr(colon + 1), knob);
+  return knob_slot == slot ? count : -1;
 }
 
 // ---------------------------------------------------------- spawning ----
 
-struct Child {
-  int slot = 0;
-  int gen = 0;
-  pid_t pid = -1;
-  bool alive = false;
-};
-
-/// argv/envp marshalled into exec()-shaped arrays. Built BEFORE fork so
-/// the child only touches async-signal-safe calls.
-struct ExecImage {
-  std::vector<std::string> argv_storage;
-  std::vector<std::string> env_storage;
-  std::vector<char*> argv;
-  std::vector<char*> envp;
-  std::string log_path;
-};
-
-ExecImage BuildExecImage(const FabricOptions& options,
-                         const std::string& fabric_dir, int slot, int gen) {
-  ExecImage image;
-  image.argv_storage = options.worker_argv;
-  image.argv_storage.push_back("--fabric-dir");
-  image.argv_storage.push_back(fabric_dir);
-  image.argv_storage.push_back("--worker-slot");
-  image.argv_storage.push_back(std::to_string(slot));
-  image.argv_storage.push_back("--worker-gen");
-  image.argv_storage.push_back(std::to_string(gen));
-
-  // The child environment is the coordinator's, minus the per-worker
-  // overrides: fault knobs reach only first-generation workers (a
-  // replacement must not re-die on the same injected fault), and obs sink
-  // paths are redirected per worker so children never clobber the
-  // coordinator's own profile/trace files.
-  // PPN_HEALTH stays coordinator-only: a worker tripping a health rule
-  // would exit nonzero and read as a death, burning the restart budget
-  // for an SLO miss; the coordinator judges health on the merged view.
+/// The environment of a worker of generation `gen` whose files start with
+/// `prefix`: the coordinator's, minus the per-worker overrides. Fault
+/// knobs reach only first-generation workers (a replacement must not
+/// re-die on the same injected fault), and obs sink paths are redirected
+/// per worker so children never clobber the coordinator's own
+/// profile/trace files. PPN_HEALTH stays coordinator-only: a worker
+/// tripping a health rule would exit nonzero and read as a death, burning
+/// the restart budget for an SLO miss; the coordinator judges health on
+/// the merged view.
+std::vector<std::string> WorkerEnvironment(const std::string& prefix,
+                                           int gen) {
   std::set<std::string> drop = {"PPN_PROFILE_JSON", "PPN_TRACE_JSON",
                                 "PPN_STATS_JSONL", "PPN_HEALTH"};
   if (gen > 0) {
     drop.insert("PPN_FABRIC_TEST_KILL_AFTER");
     drop.insert("PPN_FABRIC_TEST_HANG_AFTER");
   }
-  for (char** env = environ; *env != nullptr; ++env) {
-    const std::string entry = *env;
-    const size_t eq = entry.find('=');
-    if (eq != std::string::npos && drop.count(entry.substr(0, eq)) > 0) {
-      continue;
-    }
-    image.env_storage.push_back(entry);
+  std::vector<std::string> env;
+  for (char** entry = environ; *entry != nullptr; ++entry) {
+    const std::string text = *entry;
+    if (drop.count(text.substr(0, text.find('='))) == 0) env.push_back(text);
   }
-  char name[64];
   if (obs::Enabled()) {
-    std::snprintf(name, sizeof(name), "worker-%d.g%d.profile.json", slot, gen);
-    image.env_storage.push_back(
-        "PPN_PROFILE_JSON=" +
-        (fs::path(fabric_dir) / "obs" / name).string());
+    env.push_back("PPN_PROFILE_JSON=" + prefix + ".profile.json");
   }
   if (env::HasValue("PPN_TRACE_JSON")) {
-    std::snprintf(name, sizeof(name), "worker-%d.g%d.trace.json", slot, gen);
-    image.env_storage.push_back(
-        "PPN_TRACE_JSON=" + (fs::path(fabric_dir) / "obs" / name).string());
+    env.push_back("PPN_TRACE_JSON=" + prefix + ".trace.json");
   }
   if (env::HasValue("PPN_STATS_JSONL")) {
-    std::snprintf(name, sizeof(name), "worker-%d.g%d.stats.jsonl", slot, gen);
-    image.env_storage.push_back(
-        "PPN_STATS_JSONL=" + (fs::path(fabric_dir) / "obs" / name).string());
+    env.push_back("PPN_STATS_JSONL=" + prefix + ".stats.jsonl");
   }
-
-  for (std::string& arg : image.argv_storage) {
-    image.argv.push_back(arg.data());
-  }
-  image.argv.push_back(nullptr);
-  for (std::string& entry : image.env_storage) {
-    image.envp.push_back(entry.data());
-  }
-  image.envp.push_back(nullptr);
-  std::snprintf(name, sizeof(name), "worker-%d.g%d.log", slot, gen);
-  image.log_path = (fs::path(fabric_dir) / "obs" / name).string();
-  return image;
+  return env;
 }
 
-pid_t SpawnWorker(const FabricOptions& options, const std::string& fabric_dir,
-                  int slot, int gen) {
-  const ExecImage image = BuildExecImage(options, fabric_dir, slot, gen);
+/// Forks and execs worker `slot`.`gen` with `channel` as its fd 3.
+pid_t SpawnWorker(const FabricOptions& options, int slot, int gen,
+                  int channel) {
+  // Every per-worker file is obs/worker-<slot>.g<gen>.<kind>.
+  const std::string prefix =
+      (fs::path(options.fabric_dir) / "obs" /
+       ("worker-" + std::to_string(slot) + ".g" + std::to_string(gen)))
+          .string();
+  const std::string log_path = prefix + ".log";
+  std::vector<std::string> args = options.worker_argv;
+  args.insert(args.end(), {"--fabric-dir", options.fabric_dir,
+                           "--worker-slot", std::to_string(slot),
+                           "--worker-gen", std::to_string(gen)});
+  std::vector<std::string> env = WorkerEnvironment(prefix, gen);
+  // exec()-shaped arrays, built BEFORE fork so the child only touches
+  // async-signal-safe calls.
+  std::vector<char*> argv, envp;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  for (std::string& entry : env) envp.push_back(entry.data());
+  argv.push_back(nullptr);
+  envp.push_back(nullptr);
   const pid_t pid = ::fork();
   PPN_CHECK(pid >= 0) << "fork failed: " << std::strerror(errno);
   if (pid == 0) {
-    // Child: async-signal-safe territory only.
-    const int fd = ::open(image.log_path.c_str(),
-                          O_CREAT | O_WRONLY | O_TRUNC, 0644);
-    if (fd >= 0) {
-      ::dup2(fd, 1);
-      ::dup2(fd, 2);
-      if (fd > 2) ::close(fd);
-    }
-    ::execve(image.argv[0], image.argv.data(), image.envp.data());
-    _exit(127);  // exec failed; the coordinator sees a death.
+    // Child: async-signal-safe territory only. Every channel end is
+    // close-on-exec; this one moves to fd 3 without the flag. stdout and
+    // stderr go to the log (a failed open leaves them as they are), and
+    // nothing past fd 3 (the log's fd included) is inherited.
+    ::fcntl(channel, F_SETFD, 0);
+    ::dup2(channel, kChannelFd);
+    const int log_fd =
+        ::open(log_path.c_str(), O_CREAT | O_WRONLY | O_TRUNC, 0644);
+    ::dup2(log_fd, 1);
+    ::dup2(log_fd, 2);
+    ::close_range(kChannelFd + 1, ~0U, 0);
+    ::execve(argv[0], argv.data(), envp.data());
+    _exit(127);  // exec failed; the coordinator sees the channel close.
   }
-  if (options.on_spawn) options.on_spawn(slot, static_cast<long>(pid));
   return pid;
+}
+
+// ------------------------------------------------------- coordinator ----
+
+/// One worker slot: at most one live process, holding at most one cell.
+struct Slot {
+  int gen = -1;                ///< Generation of the current or last worker.
+  pid_t pid = -1;              ///< Unreaped worker, or -1.
+  int fd = -1;                 ///< Coordinator's channel end; -1 when dead.
+  std::string pending;         ///< Reply bytes short of a whole line.
+  int64_t cell = -1;           ///< In flight, or -1 when idle.
+  Clock::time_point sent_at;   ///< When `cell` was sent or last backed up.
+  int deaths = 0;
+  Clock::time_point respawn_at;  ///< End of the backoff after a death.
+};
+
+/// SIGKILLs (harmless on an exited worker) and reaps `slot`'s process.
+void Reap(Slot* slot) {
+  if (slot->pid <= 0) return;
+  ::kill(slot->pid, SIGKILL);
+  int status = 0;
+  ::waitpid(slot->pid, &status, 0);
+  slot->pid = -1;
+}
+
+/// The supervision state of one sweep. It alone knows which cells are
+/// queued, in flight and accepted; the per-cell checkpoint is the only
+/// result a worker hands back.
+class Coordinator {
+ public:
+  Coordinator(const ExperimentSpec& spec, const FabricOptions& options)
+      : options_(options),
+        plan_(spec),
+        cells_dir_(CellsDir(spec, options.fabric_dir)),
+        timeout_(options.worker_timeout_s >= 0.0
+                     ? options.worker_timeout_s
+                     : env::DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 300.0)),
+        max_restarts_(options.max_restarts >= 0
+                          ? options.max_restarts
+                          : env::Int64Or("PPN_FABRIC_MAX_RESTARTS", 8)),
+        slots_(static_cast<size_t>(options.num_processes)),
+        rows_(plan_.cells().size()),
+        accepted_(rows_.size(), false),
+        failures_(rows_.size(), 0),
+        backups_(rows_.size(), 0) {
+    PPN_CHECK(timeout_.count() > 0.0) << "worker timeout must be > 0";
+    MakeDirs(cells_dir_);
+  }
+
+  /// Accepts the cells a previous run checkpointed, queues the rest, and
+  /// supervises workers until every cell is accepted or the sweep must
+  /// abort (`abort_reason()` says why).
+  void Run() {
+    for (const PlannedCell& cell : plan_.cells()) {
+      if (!TryAccept(cell.index)) queue_.push_back(cell.index);
+    }
+    while (done_ < static_cast<int64_t>(rows_.size()) &&
+           abort_reason_.empty()) {
+      Dispatch();
+      PollChannels();
+      BackUpStragglers();
+      WriteProgress();
+    }
+  }
+
+  /// Closes every channel — each worker's EOF — and reaps every worker.
+  /// An idle worker exits on its own after flushing its trace and stats
+  /// stream, within a bounded grace. A worker still computing (a
+  /// straggler whose cell a backup finished, or any worker of an aborted
+  /// sweep) has nothing left to deliver and is killed at once.
+  void Shutdown() {
+    const Clock::time_point deadline = Clock::now() + kShutdownGrace;
+    for (Slot& slot : slots_) {
+      if (slot.fd >= 0) ::close(slot.fd);
+      slot.fd = -1;
+    }
+    for (Slot& slot : slots_) {
+      int status = 0;
+      while (slot.cell < 0 && slot.pid > 0 && Clock::now() < deadline) {
+        if (::waitpid(slot.pid, &status, WNOHANG) != 0) slot.pid = -1;
+        else std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      Reap(&slot);  // Still computing, or past the grace: down hard.
+      slot.cell = -1;
+    }
+    WriteProgress();
+  }
+
+  const std::string& abort_reason() const { return abort_reason_; }
+  const FabricStats& stats() const { return stats_; }
+  std::vector<CellResult> TakeRows() { return std::move(rows_); }
+
+ private:
+  /// Accepts cell `index` when its checkpoint loads.
+  bool TryAccept(int64_t index) {
+    CellResult result;
+    std::string error;
+    if (!plan_.TryLoadCell(cells_dir_, plan_.cells()[index], &result,
+                           &error)) {
+      return false;
+    }
+    rows_[index] = std::move(result);
+    accepted_[index] = true;
+    ++done_;
+    std::erase(queue_, index);
+    return true;
+  }
+
+  /// Puts cell `index` at the front of the queue unless it is accepted or
+  /// queued already; true when it was queued.
+  bool Requeue(int64_t index) {
+    if (accepted_[index] || std::ranges::count(queue_, index) > 0) return false;
+    queue_.push_front(index);
+    ++stats_.cells_redispatched;
+    return true;
+  }
+
+  /// While cells wait: spawns a worker into every empty slot past its
+  /// backoff, and sends every idle worker its next cell.
+  void Dispatch() {
+    const Clock::time_point now = Clock::now();
+    for (size_t s = 0; s < slots_.size() && !queue_.empty(); ++s) {
+      Slot& slot = slots_[s];
+      if (slot.fd < 0 && now >= slot.respawn_at) Spawn(s);
+      if (slot.fd < 0 || slot.cell >= 0) continue;
+      slot.cell = queue_.front();
+      queue_.pop_front();
+      slot.sent_at = now;
+      // The span carries the cell index so the trace stitcher can draw a
+      // flow arrow from its end to the worker's `exec.cell` span.
+      obs::Span dispatch_span("fabric.dispatch");
+      dispatch_span.AddArg("index", static_cast<double>(slot.cell));
+      if (!SendLine(slot.fd, TaskLine(plan_.cells()[slot.cell]))) {
+        OnDeath(s, "channel closed");
+      }
+    }
+  }
+
+  /// Spawns slot `s`'s next worker. Its first is free; replacements spend
+  /// the restart budget, and once that is spent with no worker left the
+  /// sweep aborts.
+  void Spawn(size_t s) {
+    Slot& slot = slots_[s];
+    if (slot.gen >= 0 && stats_.workers_restarted >= max_restarts_) {
+      if (std::none_of(slots_.begin(), slots_.end(),
+                       [](const Slot& other) { return other.fd >= 0; })) {
+        abort_reason_ = "work remains but the restart budget (" +
+                        std::to_string(max_restarts_) + ") is exhausted";
+      }
+      return;
+    }
+    if (slot.gen >= 0) ++stats_.workers_restarted;
+    int fds[2];
+    PPN_CHECK(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0)
+        << "socketpair failed: " << std::strerror(errno);
+    ++slot.gen;
+    slot.pid = SpawnWorker(options_, static_cast<int>(s), slot.gen, fds[1]);
+    ::close(fds[1]);
+    slot.fd = fds[0];
+    slot.pending.clear();
+    ++stats_.workers_spawned;
+  }
+
+  /// Waits up to one poll interval for replies and handles them. A worker
+  /// whose channel reaches EOF dies after its last whole lines count.
+  void PollChannels() {
+    std::vector<pollfd> fds;  // poll(2) skips the -1 of an empty slot.
+    for (const Slot& slot : slots_) fds.push_back(pollfd{slot.fd, POLLIN, 0});
+    if (::poll(fds.data(), fds.size(), kPollIntervalMs) <= 0) return;
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      if (fds[s].revents == 0) continue;
+      Slot& slot = slots_[s];
+      const bool open = ReadSome(slot.fd, &slot.pending);
+      std::string line;
+      while (slot.fd >= 0 && PopLine(&slot.pending, &line)) OnReply(s, line);
+      if (!open && slot.fd >= 0) OnDeath(s, "channel closed");
+    }
+  }
+
+  /// Handles one reply line: exactly `done <index> <0|1>`, `failed
+  /// <index>` or `mismatch <index>` for the cell the worker holds.
+  /// Anything else is the worker's death.
+  void OnReply(size_t s, const std::string& line) {
+    Slot& slot = slots_[s];
+    const int64_t index = slot.cell;
+    const std::string number = std::to_string(index);
+    const bool done =
+        line == "done " + number + " 0" || line == "done " + number + " 1";
+    const bool failed = line == "failed " + number;
+    if (index < 0 || !(done || failed || line == "mismatch " + number)) {
+      OnDeath(s, "unexpected reply \"" + line + "\"");
+      return;
+    }
+    slot.cell = -1;
+    const std::string cell = "cell T" + number;
+    if (failed) {
+      ++stats_.ckpt_write_failures;
+      Fail(index, cell + " cannot be persisted (checkpoint writes keep "
+                         "failing — disk full?)");
+    } else if (!done) {
+      abort_reason_ = cell + " does not match worker " + std::to_string(s) +
+                      ".g" + std::to_string(slot.gen) +
+                      "'s spec (the coordinator and its workers built "
+                      "different specs)";
+    } else if (accepted_[index] || TryAccept(index)) {
+      // (Already accepted when a backup's twin finished first.)
+      if (line.back() == '1') ++stats_.cells_restored;
+    } else {
+      std::fprintf(stderr,
+                   "[fabric] %s reported done but its checkpoint does not "
+                   "load; requeueing\n",
+                   cell.c_str());
+      Fail(index, cell + " keeps losing its checkpoint");
+    }
+  }
+
+  /// A worker is dead once its channel closes or it breaks the protocol:
+  /// kill and reap it, back its slot off, and requeue its cell.
+  void OnDeath(size_t s, const std::string& why) {
+    Slot& slot = slots_[s];
+    std::fprintf(stderr, "[fabric] worker %zu.g%d (pid %ld) died: %s\n", s,
+                 slot.gen, static_cast<long>(slot.pid), why.c_str());
+    ::close(slot.fd);
+    slot.fd = -1;
+    Reap(&slot);
+    ++stats_.workers_died;
+    ++slot.deaths;
+    const int backoff_ms = std::min(2000, 100 << std::min(5, slot.deaths));
+    slot.respawn_at = Clock::now() + std::chrono::milliseconds(backoff_ms);
+    const int64_t cell = slot.cell;
+    slot.cell = -1;
+    if (cell >= 0) {
+      Fail(cell, "cell T" + std::to_string(cell) +
+                     " exceeded its attempts after worker deaths");
+    }
+  }
+
+  /// Requeues cell `index` after a failed attempt, unless another worker
+  /// still runs it; a cell that failed kMaxCellAttempts times aborts the
+  /// sweep with `reason`.
+  void Fail(int64_t index, const std::string& reason) {
+    if (accepted_[index]) return;
+    ++failed_attempts_;
+    const bool held =
+        std::any_of(slots_.begin(), slots_.end(),
+                    [index](const Slot& slot) { return slot.cell == index; });
+    if (++failures_[index] >= kMaxCellAttempts) {
+      abort_reason_ = reason;
+    } else if (!held) {
+      Requeue(index);
+    }
+  }
+
+  /// Queues a backup copy of every cell in flight longer than the
+  /// timeout; the clock then restarts, and backups are capped per cell.
+  void BackUpStragglers() {
+    const Clock::time_point now = Clock::now();
+    for (size_t s = 0; s < slots_.size(); ++s) {
+      Slot& slot = slots_[s];
+      if (slot.cell < 0 || accepted_[slot.cell] ||
+          now - slot.sent_at < timeout_) {
+        continue;
+      }
+      slot.sent_at = now;
+      if (backups_[slot.cell] < kMaxCellAttempts && Requeue(slot.cell)) {
+        ++backups_[slot.cell];
+        std::fprintf(stderr,
+                     "[fabric] cell T%lld on worker %zu.g%d is late (> "
+                     "%.1fs); queued a backup\n",
+                     static_cast<long long>(slot.cell), s, slot.gen,
+                     timeout_.count());
+      }
+    }
+  }
+
+  /// Rewrites the progress file when a count changed.
+  void WriteProgress() {
+    const long long running = std::count_if(
+        slots_.begin(), slots_.end(),
+        [](const Slot& slot) { return slot.cell >= 0; });
+    char line[128];
+    std::snprintf(line, sizeof(line), kProgressFormat,
+                  static_cast<long long>(queue_.size()), running,
+                  static_cast<long long>(done_),
+                  static_cast<long long>(failed_attempts_));
+    if (line == progress_) return;
+    progress_ = line;
+    AtomicFileWriter file(
+        (fs::path(options_.fabric_dir) / kProgressFile).string());
+    file.stream() << progress_;
+    if (!file.Commit()) {
+      std::fprintf(stderr, "[fabric] cannot write %s\n", file.path().c_str());
+    }
+  }
+
+  const FabricOptions& options_;
+  const CellPlan plan_;  ///< Datasets stay ungenerated.
+  const std::string cells_dir_;
+  const std::chrono::duration<double> timeout_;
+  const int64_t max_restarts_;
+  std::vector<Slot> slots_;
+  std::vector<CellResult> rows_;  ///< Accepted cells, from their checkpoints.
+  std::vector<bool> accepted_;
+  std::vector<int> failures_;   ///< Failed attempts: the abort budget.
+  std::vector<int> backups_;    ///< Straggler backups: capped, never fatal.
+  std::deque<int64_t> queue_;   ///< Unaccepted cells no worker holds.
+  int64_t done_ = 0;
+  int64_t failed_attempts_ = 0;
+  std::string progress_;        ///< The progress file's current line.
+  std::string abort_reason_;
+  FabricStats stats_;
+};
+
+/// Folds every worker profile under `obs_dir` into this process's
+/// registry: counters add and gauges take the max, so one report covers
+/// the whole sweep. A dropped profile is counted, never silent: it would
+/// understate the merged counters.
+void MergeWorkerProfiles(const std::string& obs_dir, FabricStats* stats) {
+  if (!obs::Enabled()) return;
+  for (const std::string& path :
+       obs::FilesWithSuffix(obs_dir, ".profile.json")) {
+    obs::Snapshot profile;
+    std::string error;
+    if (!obs::ReadProfileJson(path, &profile, &error)) {
+      std::fprintf(stderr, "[fabric] skipping unreadable profile %s: %s\n",
+                   path.c_str(), error.c_str());
+      ++stats->profile_merge_failed;
+      continue;
+    }
+    for (const auto& [metric, value] : profile.counters) {
+      obs::GetCounter(metric).Add(value);
+    }
+    for (const auto& [metric, value] : profile.gauges) {
+      obs::GetGauge(metric).UpdateMax(value);
+    }
+  }
+  const std::pair<const char*, int64_t> counters[] = {
+      {"exec.fabric.workers_spawned", stats->workers_spawned},
+      {"exec.fabric.workers_died", stats->workers_died},
+      {"exec.fabric.workers_restarted", stats->workers_restarted},
+      {"exec.fabric.cells_redispatched", stats->cells_redispatched},
+      {"exec.fabric.ckpt_write_failed", stats->ckpt_write_failures},
+      {"exec.fabric.profile_merge_failed", stats->profile_merge_failed},
+  };
+  for (const auto& [name, value] : counters) {
+    obs::GetCounter(name).Add(static_cast<double>(value));
+  }
+}
+
+/// Copies a merged artifact next to the user's own sink path, so it
+/// survives scratch cleanup; returns where it can be found.
+std::string Persist(const std::string& merged, const std::string& persist) {
+  std::error_code ec;
+  fs::copy_file(merged, persist, fs::copy_options::overwrite_existing, ec);
+  return ec ? merged : persist;
+}
+
+/// Stitches the coordinator's and workers' traces and stats streams while
+/// the scratch dir still holds them.
+void StitchTelemetry(const std::string& dir) {
+  const fs::path obs_dir = fs::path(dir) / "obs";
+  if (env::HasValue("PPN_TRACE_JSON")) {
+    obs::WriteTraceJson((obs_dir / "coordinator.trace.json").string());
+    const std::string merged = (obs_dir / "merged.trace.json").string();
+    std::string error;
+    obs::TraceMergeStats merge_stats;
+    if (obs::MergeFabricTraces(dir, merged, &error, &merge_stats)) {
+      std::fprintf(
+          stderr,
+          "[fabric] merged trace: %d processes, %lld events, %lld flow "
+          "pairs -> %s\n",
+          merge_stats.processes, static_cast<long long>(merge_stats.events),
+          static_cast<long long>(merge_stats.flow_pairs),
+          Persist(merged, env::StringOr("PPN_TRACE_JSON", "") + ".merged.json")
+              .c_str());
+    } else {
+      std::fprintf(stderr, "[fabric] trace merge failed: %s\n", error.c_str());
+    }
+  }
+  if (env::HasValue("PPN_STATS_JSONL")) {
+    const std::vector<std::string> streams =
+        obs::FindStatsStreams(obs_dir.string());
+    if (streams.empty()) return;
+    const std::string merged = (obs_dir / "merged.stats.jsonl").string();
+    std::string error;
+    if (obs::MergeStatsStreams(streams, merged, &error)) {
+      std::fprintf(
+          stderr, "[fabric] merged %zu worker stats streams -> %s\n",
+          streams.size(),
+          Persist(merged,
+                  env::StringOr("PPN_STATS_JSONL", "") + ".workers.jsonl")
+              .c_str());
+    } else {
+      std::fprintf(stderr, "[fabric] stats stream merge failed: %s\n",
+                   error.c_str());
+    }
+  }
 }
 
 }  // namespace
 
 bool CountFabricQueue(const std::string& fabric_dir, FabricQueueCounts* out) {
-  const fs::path root(fabric_dir);
-  std::error_code ec;
-  if (!fs::is_directory(root / "queue", ec)) return false;
-  auto count = [](const fs::path& dir) {
-    return static_cast<int64_t>(ListDirSorted(dir.string()).size());
-  };
-  *out = FabricQueueCounts{};
-  for (const fs::directory_entry& shard :
-       fs::directory_iterator(root / "queue", ec)) {
-    out->queued += count(shard.path());
-  }
-  out->running = count(root / "claims");
-  out->done = count(root / "done");
-  out->failed = count(root / "failed");
-  return true;
+  std::FILE* file =
+      std::fopen((fs::path(fabric_dir) / kProgressFile).c_str(), "r");
+  if (file == nullptr) return false;
+  long long n[4] = {0, 0, 0, 0};
+  const bool ok =
+      std::fscanf(file, kProgressFormat, &n[0], &n[1], &n[2], &n[3]) == 4;
+  std::fclose(file);
+  if (ok) *out = FabricQueueCounts{n[0], n[1], n[2], n[3]};
+  return ok;
 }
 
 // =============================================================== worker ==
 
 int FabricWorkerMain(const ExperimentSpec& spec, const std::string& fabric_dir,
                      int worker_slot, int worker_gen) {
-  PPN_CHECK(!fabric_dir.empty()) << "worker needs --fabric-dir";
-  PPN_CHECK_GE(worker_slot, 0);
+  PPN_CHECK(::fcntl(kChannelFd, F_GETFD) != -1)
+      << "a fabric worker reads its cells from fd " << kChannelFd
+      << "; start it through `ppn_cli sweep --processes N`";
   const CellPlan plan(spec);
+  const std::vector<PlannedCell>& cells = plan.cells();
   const std::string cells_dir = CellsDir(spec, fabric_dir);
-  const fs::path claims = fs::path(fabric_dir) / "claims";
-  const fs::path done = fs::path(fabric_dir) / "done";
-  const fs::path failed = fs::path(fabric_dir) / "failed";
-  const fs::path corrupt = fs::path(fabric_dir) / "corrupt";
-  const fs::path queue = fs::path(fabric_dir) / "queue";
+  const int64_t kill_after =
+      FaultKnobFor("PPN_FABRIC_TEST_KILL_AFTER", worker_slot);
+  const int64_t hang_after =
+      FaultKnobFor("PPN_FABRIC_TEST_HANG_AFTER", worker_slot);
 
-  // Shard count comes from the queue layout, not argv: the worker joins
-  // whatever fabric the coordinator laid out.
-  int num_shards = 0;
-  {
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(queue, ec)) {
-      if (entry.is_directory()) ++num_shards;
+  int64_t received = 0, done = 0;
+  std::string buffer, line;
+  auto next_line = [&buffer, &line] {
+    while (!PopLine(&buffer, &line)) {
+      if (!ReadSome(kChannelFd, &buffer)) return false;
     }
-    PPN_CHECK(num_shards > 0) << "no queue shards under " << queue.string();
-  }
-
-  int64_t kill_after = -1;
-  int64_t hang_after = -1;
-  if (!FaultKnobFor("PPN_FABRIC_TEST_KILL_AFTER", worker_slot, &kill_after)) {
-    kill_after = -1;
-  }
-  if (!FaultKnobFor("PPN_FABRIC_TEST_HANG_AFTER", worker_slot, &hang_after)) {
-    hang_after = -1;
-  }
-
-  WorkerStatus status;
-  int64_t claimed_count = 0;
-  while (true) {
-    // Claim: own shard first, then steal round-robin from the others.
-    std::string claim_path;
-    int64_t task_index = -1;
-    int task_attempt = 0;
-    bool stolen = false;
-    for (int offset = 0; offset < num_shards && claim_path.empty(); ++offset) {
-      const int shard = (worker_slot + offset) % num_shards;
-      const std::string shard_dir = ShardDir(fabric_dir, shard);
-      for (const std::string& name : ListDirSorted(shard_dir)) {
-        int64_t index = 0;
-        int attempt = 0;
-        const std::string task_path =
-            (fs::path(shard_dir) / name).string();
-        if (!HasTaskSuffix(name) ||
-            !ParseIndexAttempt(name, &index, &attempt)) {
-          // Not a published task file: quarantine it for the coordinator
-          // rather than looping over it forever. Safe because the
-          // coordinator publishes tasks by rename from a staging dir, so
-          // nothing of its own is ever mid-write in a shard.
-          ::rename(task_path.c_str(),
-                   (corrupt / (name + ".corrupt")).string().c_str());
-          continue;
-        }
-        const std::string target =
-            (claims / ClaimFileName(index, attempt, worker_slot, worker_gen))
-                .string();
-        // Atomic claim: exactly one renamer wins; losers see ENOENT and
-        // move on.
-        if (::rename(task_path.c_str(), target.c_str()) == 0) {
-          // Stamp the claim with the CLAIM time — rename preserves mtime,
-          // so the file would otherwise still carry the task's write
-          // time. Debugging aid only: the coordinator ages claims against
-          // its own first-seen clock, never this timestamp.
-          ::utimensat(AT_FDCWD, target.c_str(), nullptr, 0);
-          claim_path = target;
-          task_index = index;
-          task_attempt = attempt;
-          stolen = offset != 0;
-          break;
-        }
+    return true;
+  };
+  while (next_line()) {
+    if (hang_after >= 0 && ++received >= hang_after) {
+      // Injected straggler: sit on the cell until the coordinator's
+      // backup finishes it and shutdown kills us.
+      while (true) ::pause();
+    }
+    const int64_t index =
+        ParseInt64(line.substr(0, line.find(' '))).value_or(-1);
+    const std::string number = std::to_string(index);
+    std::string reply = "mismatch " + number;
+    // The line for this worker's own cell at the sent index must be the
+    // same: any difference means the two sides built different specs.
+    if (index >= 0 && index < static_cast<int64_t>(cells.size()) &&
+        line == TaskLine(cells[index])) {
+      // A complete checkpoint may already exist (a predecessor died after
+      // committing, or a backup's twin finished first): restoring it is
+      // what makes a replacement cheap.
+      const CellStep step = plan.RunOrRestore(cells_dir, cells[index]);
+      if (step.saved) {
+        ++done;
+        reply = "done " + number + (step.restored ? " 1" : " 0");
+      } else {
+        reply = "failed " + number;
+        std::fprintf(stderr,
+                     "[fabric] worker %d.g%d: cell T%s not saved: %s\n",
+                     worker_slot, worker_gen, number.c_str(),
+                     step.save_error.c_str());
       }
     }
-    if (claim_path.empty()) break;  // Every shard drained: clean exit.
-    ++claimed_count;
-    if (hang_after >= 0 && claimed_count >= hang_after) {
-      // Injected straggler: sit on the claim forever (the coordinator's
-      // timeout path must re-dispatch, and its completion path must kill
-      // us).
-      while (true) ::sleep(1);
-    }
-
-    // Validate the claim against our own plan. A mismatch means either a
-    // corrupted queue file or a coordinator/worker spec divergence; both
-    // are quarantined for the coordinator to recover (bounded), never
-    // silently computed.
-    std::string content;
-    int64_t content_index = -1;
-    uint64_t content_seed = 0;
-    const bool readable = ReadFileToString(claim_path, &content) &&
-                          ParseTaskContent(content, &content_index,
-                                           &content_seed);
-    const bool valid =
-        readable && content_index == task_index &&
-        task_index < static_cast<int64_t>(plan.cells().size()) &&
-        plan.cells()[task_index].derived_seed == content_seed;
-    if (!valid) {
-      std::fprintf(stderr, "[fabric] worker %d: quarantining task T%lld "
-                   "(unreadable or mismatched vs this worker's spec)\n",
-                   worker_slot, static_cast<long long>(task_index));
-      ::rename(claim_path.c_str(),
-               (corrupt / (TaskFileName(task_index, task_attempt) + ".corrupt"))
-                   .string()
-                   .c_str());
-      continue;
-    }
-    const PlannedCell& cell = plan.cells()[task_index];
-
-    // A complete checkpoint may already exist: a predecessor died after
-    // committing but before marking done, or a straggler's duplicate
-    // finished first. Restoring instead of recomputing is what makes
-    // elastic rejoin cheap.
-    const CellStep step = plan.RunOrRestore(cells_dir, cell);
-    if (step.restored) ++status.cells_restored;
-    if (step.saved) {
-      // The checkpoint is durable; publish completion. An existing done
-      // marker (duplicate execution) is replaced with identical content.
-      ::rename(claim_path.c_str(),
-               (done / DoneFileName(task_index)).string().c_str());
-      ++status.cells_done;
-      if (stolen) ++status.cells_stolen;
-    } else {
-      ++status.ckpt_write_failed;
-      std::fprintf(stderr,
-                   "[fabric] worker %d: cell T%lld checkpoint write "
-                   "failed: %s\n",
-                   worker_slot, static_cast<long long>(task_index),
-                   step.save_error.c_str());
-      // The result exists only in this process; hand the cell back so the
-      // coordinator can retry it (bounded) somewhere with working disk.
-      ::rename(claim_path.c_str(),
-               (failed / FailFileName(task_index, task_attempt, worker_slot,
-                                      worker_gen))
-                   .string()
-                   .c_str());
-    }
-    if (kill_after >= 0 && status.cells_done >= kill_after) {
+    if (!SendLine(kChannelFd, reply)) break;  // The coordinator is gone.
+    if (kill_after >= 0 && done >= kill_after) {
       // Injected crash: die the hard way, mid-fleet, like a real OOM kill.
       ::raise(SIGKILL);
     }
   }
-  WriteStatus(fabric_dir, worker_slot, worker_gen, status);
-  std::printf("[fabric] worker %d.g%d: %lld done (%lld restored, %lld "
-              "stolen), %lld ckpt failures\n",
-              worker_slot, worker_gen,
-              static_cast<long long>(status.cells_done),
-              static_cast<long long>(status.cells_restored),
-              static_cast<long long>(status.cells_stolen),
-              static_cast<long long>(status.ckpt_write_failed));
+  std::printf("[fabric] worker %d.g%d: %lld cells done\n", worker_slot,
+              worker_gen, static_cast<long long>(done));
   return 0;
 }
 
@@ -519,539 +684,25 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
   PPN_CHECK_GE(options.num_processes, 1);
   PPN_CHECK(!options.fabric_dir.empty()) << "fabric needs a fabric_dir";
   PPN_CHECK(!options.worker_argv.empty()) << "fabric needs a worker argv";
-  const double timeout_s =
-      options.worker_timeout_s >= 0.0
-          ? options.worker_timeout_s
-          : env::DoubleOr("PPN_FABRIC_WORKER_TIMEOUT_S", 300.0);
-  const int max_restarts =
-      options.max_restarts >= 0
-          ? options.max_restarts
-          : static_cast<int>(env::Int64Or("PPN_FABRIC_MAX_RESTARTS", 8));
-  PPN_CHECK(timeout_s > 0.0) << "worker timeout must be > 0";
-
   obs::Span fabric_span("exec.fabric");
-  FabricStats stats;
-  // The coordinator plans but never computes: EnumerateCells derives every
-  // key and seed without generating a single dataset.
-  const std::vector<PlannedCell> cells = EnumerateCells(spec);
-  const int64_t total = static_cast<int64_t>(cells.size());
   const std::string& dir = options.fabric_dir;
-  const std::string cells_dir = CellsDir(spec, dir);
-  const fs::path claims = fs::path(dir) / "claims";
-  const fs::path done_dir = fs::path(dir) / "done";
-  const fs::path failed_dir = fs::path(dir) / "failed";
-  const fs::path corrupt_dir = fs::path(dir) / "corrupt";
-  const fs::path staging_dir = fs::path(dir) / "staging";
-  for (int s = 0; s < options.num_processes; ++s) MakeDirs(ShardDir(dir, s));
-  MakeDirs(staging_dir.string());
-  MakeDirs(claims.string());
-  MakeDirs(done_dir.string());
-  MakeDirs(failed_dir.string());
-  MakeDirs(corrupt_dir.string());
   MakeDirs((fs::path(dir) / "obs").string());
-  MakeDirs(cells_dir);
   if (!spec.telemetry_dir.empty()) MakeDirs(spec.telemetry_dir);
 
-  /// An index parsed from a claim/corrupt/fail file NAME is untrusted: a
-  /// reused fabric dir can hold entries from a previous, larger spec, and
-  /// indexing attempts/cells with one would be out-of-bounds UB.
-  auto in_range = [total](int64_t index) {
-    return index >= 0 && index < total;
-  };
-
-  // Tasks are PUBLISHED by writing into staging/ and renaming into the
-  // shard: an AtomicFileWriter temp inside the shard itself ("T5.a1.task
-  // .tmp") would be visible to live workers mid-write — claimed or
-  // quarantined out from under the writer, failing the commit and
-  // aborting the sweep with a phantom "exceeded max_cell_attempts".
-  auto publish_task = [&](int64_t index, int attempt) -> bool {
-    // The dispatch span carries the cell index so the trace stitcher can
-    // draw a flow arrow from this span's end to the worker-side
-    // `exec.cell` span that eventually claims the task.
-    obs::Span dispatch_span("fabric.dispatch");
-    dispatch_span.AddArg("index", static_cast<double>(index));
-    dispatch_span.AddArg("attempt", static_cast<double>(attempt));
-    const std::string name = TaskFileName(index, attempt);
-    const std::string staged = (staging_dir / name).string();
-    if (!WriteFileAtomic(staged, TaskContent(cells[static_cast<size_t>(
-                                     index)]))) {
-      return false;
-    }
-    const int shard = static_cast<int>(index % options.num_processes);
-    const std::string dest =
-        (fs::path(ShardDir(dir, shard)) / name).string();
-    return ::rename(staged.c_str(), dest.c_str()) == 0;
-  };
-
-  // Queue: cells round-robin across shards, so each worker starts on an
-  // interleaved slice of the grid and stealing only kicks in for
-  // stragglers. Cells already checkpointed (a resumed sweep) are not
-  // queued at all — the assembly loads them directly.
-  //
-  // Per-cell bookkeeping is split three ways: `dispatches` is the
-  // monotonic task-name counter (every queue file needs a fresh attempt
-  // number), `failures` is the abort budget (worker deaths, corruption,
-  // failed commits, lost checkpoints), and `backups` caps speculative
-  // straggler duplicates WITHOUT counting toward the abort budget — a
-  // healthy cell that merely runs longer than the timeout must never
-  // take the sweep down.
-  std::vector<int> dispatches(static_cast<size_t>(total), 0);
-  std::vector<int> failures(static_cast<size_t>(total), 0);
-  std::vector<int> backups(static_cast<size_t>(total), 0);
-  const CellPlan assembly_plan(spec);  // Datasets stay ungenerated.
-  int64_t queued = 0;
-  for (const PlannedCell& cell : cells) {
-    CellResult probe;
-    std::string probe_error;
-    if (assembly_plan.TryLoadCell(cells_dir, cell, &probe, &probe_error)) {
-      continue;  // Complete from a previous run; nothing to dispatch.
-    }
-    PPN_CHECK(publish_task(cell.index, 0))
-        << "cannot write queue file for cell T" << cell.index;
-    ++queued;
-  }
-  if (options.after_queue_hook) options.after_queue_hook();
-
-  // Requeues a cell after a FAILURE; false (sweep must abort) when the
-  // per-cell failure budget is exhausted. Straggler backups go through
-  // dispatch_backup instead.
-  auto requeue = [&](int64_t index) -> bool {
-    PPN_CHECK(in_range(index));
-    if (++failures[static_cast<size_t>(index)] >=
-        options.max_cell_attempts) {
-      return false;
-    }
-    return publish_task(index, ++dispatches[static_cast<size_t>(index)]);
-  };
-
-  // Dispatches a speculative duplicate for a straggler; false when the
-  // per-cell backup cap is spent (or the write failed). Never fatal: the
-  // slow claim holder may yet finish, and identical bits make whichever
-  // copy commits first the winner.
-  auto dispatch_backup = [&](int64_t index) -> bool {
-    PPN_CHECK(in_range(index));
-    int& used = backups[static_cast<size_t>(index)];
-    if (used >= options.max_cell_attempts) return false;
-    ++used;
-    return publish_task(index, ++dispatches[static_cast<size_t>(index)]);
-  };
-
-  std::vector<Child> children;
-  std::vector<int> slot_gen(static_cast<size_t>(options.num_processes), 0);
-  std::vector<std::chrono::steady_clock::time_point> slot_backoff_until(
-      static_cast<size_t>(options.num_processes),
-      std::chrono::steady_clock::now());
-  std::vector<int> slot_deaths(static_cast<size_t>(options.num_processes), 0);
-  int restarts_used = 0;
-  auto spawn = [&](int slot) {
-    const int gen = slot_gen[static_cast<size_t>(slot)]++;
-    Child child;
-    child.slot = slot;
-    child.gen = gen;
-    child.pid = SpawnWorker(options, dir, slot, gen);
-    child.alive = true;
-    children.push_back(child);
-    ++stats.workers_spawned;
-    if (gen > 0) ++stats.workers_restarted;
-  };
-  if (queued > 0) {
-    for (int s = 0; s < options.num_processes; ++s) spawn(s);
-  }
-
-  // Claims the coordinator already re-dispatched as stragglers: one
-  // duplicate per stuck claim, not one per poll tick.
-  std::set<std::string> redispatched;
-  // When each claim was FIRST OBSERVED by the supervision loop. This is
-  // what staleness ages against: rename(2) preserves mtime, so a claim
-  // file's on-disk timestamp reflects when the TASK was written, and a
-  // cell whose queue wait exceeded the timeout would look stale the
-  // instant it was claimed. Claim names are unique per dispatch
-  // (index, attempt, slot, gen), so first-seen is unambiguous.
-  std::map<std::string, std::chrono::steady_clock::time_point>
-      claim_first_seen;
-  bool complete = queued == 0;
-  std::string abort_reason;
-
-  while (!complete && abort_reason.empty()) {
-    // 1. Reap. A clean exit (status 0) is a drained worker; anything else
-    //    is a death whose claims must go back on the queue.
-    for (Child& child : children) {
-      if (!child.alive) continue;
-      int wait_status = 0;
-      const pid_t reaped = ::waitpid(child.pid, &wait_status, WNOHANG);
-      if (reaped != child.pid) continue;
-      child.alive = false;
-      const bool clean =
-          WIFEXITED(wait_status) && WEXITSTATUS(wait_status) == 0;
-      if (!clean) {
-        ++stats.workers_died;
-        ++slot_deaths[static_cast<size_t>(child.slot)];
-        const double backoff_s = std::min(
-            2.0, 0.1 * static_cast<double>(
-                           1 << std::min(5, slot_deaths[static_cast<size_t>(
-                                                child.slot)])));
-        slot_backoff_until[static_cast<size_t>(child.slot)] =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(backoff_s));
-        std::fprintf(stderr,
-                     "[fabric] worker %d.g%d (pid %ld) died; requeueing "
-                     "its claims\n",
-                     child.slot, child.gen, static_cast<long>(child.pid));
-      }
-      // Requeue everything the worker held, clean exit or not (a clean
-      // exit holds nothing; a death may hold one claim).
-      for (const std::string& name : ListDirSorted(claims.string())) {
-        int64_t index = 0;
-        int attempt = 0, slot = 0, gen = 0;
-        if (!ParseClaimOwner(name, &index, &attempt, &slot, &gen)) continue;
-        if (slot != child.slot || gen != child.gen) continue;
-        std::error_code ec;
-        fs::remove(claims / name, ec);
-        if (!in_range(index)) {
-          ++stats.queue_corrupt;  // Foreign entry (reused fabric dir).
-          continue;
-        }
-        ++stats.cells_redispatched;
-        if (!requeue(index)) {
-          abort_reason = "cell T" + std::to_string(index) +
-                         " exceeded max_cell_attempts after worker deaths";
-        }
-      }
-    }
-
-    // 2. Recover quarantined (corrupt/mismatched) queue files from the
-    //    coordinator's authoritative cell list.
-    for (const std::string& name : ListDirSorted(corrupt_dir.string())) {
-      int64_t index = 0;
-      int attempt = 0;
-      std::error_code ec;
-      fs::remove(corrupt_dir / name, ec);
-      ++stats.queue_corrupt;
-      if (!ParseIndexAttempt(name, &index, &attempt)) continue;
-      if (!in_range(index)) continue;  // Junk from a reused fabric dir.
-      ++stats.cells_redispatched;
-      if (!requeue(index)) {
-        abort_reason = "cell T" + std::to_string(index) +
-                       " repeatedly corrupt/mismatched in the queue "
-                       "(coordinator and worker specs may differ)";
-      }
-    }
-
-    // 3. Failed checkpoint commits: surfaced and retried elsewhere.
-    for (const std::string& name : ListDirSorted(failed_dir.string())) {
-      int64_t index = 0;
-      int attempt = 0, slot = 0, gen = 0;
-      std::error_code ec;
-      fs::remove(failed_dir / name, ec);
-      if (!ParseClaimOwner(name, &index, &attempt, &slot, &gen)) continue;
-      if (!in_range(index)) {
-        ++stats.queue_corrupt;  // Foreign entry (reused fabric dir).
-        continue;
-      }
-      ++stats.ckpt_write_failures;
-      ++stats.cells_redispatched;
-      if (!requeue(index)) {
-        abort_reason = "cell T" + std::to_string(index) +
-                       " cannot be persisted (checkpoint writes keep "
-                       "failing — disk full?)";
-      }
-    }
-
-    // 4. Stragglers: a claim observed unchanged for longer than the
-    //    timeout gets a backup task (speculative duplicate, not a kill —
-    //    identical bits make the duplicate harmless, and the slow worker
-    //    may yet finish first). Backups are capped per cell but NEVER
-    //    abort: only real failures spend the max_cell_attempts budget.
-    {
-      const auto now = std::chrono::steady_clock::now();
-      std::set<std::string> live_claims;
-      for (const std::string& name : ListDirSorted(claims.string())) {
-        int64_t index = 0;
-        int attempt = 0, slot = 0, gen = 0;
-        if (!ParseClaimOwner(name, &index, &attempt, &slot, &gen)) continue;
-        if (!in_range(index)) {
-          // Foreign claim (reused fabric dir): it can never complete
-          // against this spec, so discard it instead of indexing with it.
-          std::error_code ec;
-          fs::remove(claims / name, ec);
-          ++stats.queue_corrupt;
-          continue;
-        }
-        live_claims.insert(name);
-        if (redispatched.count(name) > 0) continue;
-        const auto [seen, first_sighting] = claim_first_seen.emplace(name,
-                                                                     now);
-        if (first_sighting) continue;  // The stale clock starts here.
-        if (std::chrono::duration<double>(now - seen->second).count() <
-            timeout_s) {
-          continue;
-        }
-        redispatched.insert(name);
-        if (!dispatch_backup(index)) {
-          std::fprintf(stderr,
-                       "[fabric] claim %s stale (> %.1fs) but its backup "
-                       "budget is spent; waiting on the claim holder\n",
-                       name.c_str(), timeout_s);
-          continue;
-        }
-        ++stats.cells_redispatched;
-        std::fprintf(stderr,
-                     "[fabric] claim %s stale (> %.1fs); re-dispatching a "
-                     "backup task\n",
-                     name.c_str(), timeout_s);
-      }
-      // Completed (vanished) claims leave the first-seen map so it stays
-      // bounded by the number of in-flight claims.
-      for (auto it = claim_first_seen.begin();
-           it != claim_first_seen.end();) {
-        it = live_claims.count(it->first) > 0 ? std::next(it)
-                                              : claim_first_seen.erase(it);
-      }
-    }
-
-    // 5. Completion: every cell marked done AND loadable. A done marker
-    //    whose checkpoint does not load (torn by a concurrent duplicate,
-    //    eaten by the disk) is dropped and the cell requeued.
-    if (static_cast<int64_t>(ListDirSorted(done_dir.string()).size()) >=
-        queued) {
-      // Cheap gate passed (a marker exists for every dispatched cell);
-      // verify for real — markers are hints, loadable checkpoints are
-      // the truth.
-      int64_t missing = 0;
-      for (const PlannedCell& cell : cells) {
-        if (fs::exists(done_dir / DoneFileName(cell.index)) ||
-            dispatches[static_cast<size_t>(cell.index)] == 0) {
-          CellResult probe;
-          std::string probe_error;
-          if (assembly_plan.TryLoadCell(cells_dir, cell, &probe,
-                                        &probe_error)) {
-            continue;
-          }
-        }
-        if (!fs::exists(done_dir / DoneFileName(cell.index))) {
-          ++missing;  // Still in flight.
-          continue;
-        }
-        std::error_code ec;
-        fs::remove(done_dir / DoneFileName(cell.index), ec);
-        ++missing;
-        ++stats.cells_redispatched;
-        std::fprintf(stderr,
-                     "[fabric] done marker for T%lld had no loadable "
-                     "checkpoint; requeueing\n",
-                     static_cast<long long>(cell.index));
-        if (!requeue(cell.index)) {
-          abort_reason = "cell T" + std::to_string(cell.index) +
-                         " keeps losing its checkpoint";
-        }
-      }
-      complete = missing == 0;
-      if (complete) break;
-    }
-
-    // 6. Elastic capacity: any slot without a live worker respawns (past
-    //    its backoff) while claimable work remains, bounded by the
-    //    restart budget.
-    int64_t tasks_outstanding = 0;
-    for (int s = 0; s < options.num_processes; ++s) {
-      tasks_outstanding +=
-          static_cast<int64_t>(ListDirSorted(ShardDir(dir, s)).size());
-    }
-    if (tasks_outstanding > 0 && abort_reason.empty()) {
-      std::vector<bool> slot_live(static_cast<size_t>(options.num_processes),
-                                  false);
-      int live = 0;
-      for (const Child& child : children) {
-        if (child.alive) {
-          slot_live[static_cast<size_t>(child.slot)] = true;
-          ++live;
-        }
-      }
-      const auto now = std::chrono::steady_clock::now();
-      for (int s = 0; s < options.num_processes; ++s) {
-        if (slot_live[static_cast<size_t>(s)]) continue;
-        if (now < slot_backoff_until[static_cast<size_t>(s)]) continue;
-        if (restarts_used >= max_restarts) {
-          if (live == 0) {
-            abort_reason =
-                "work remains but the restart budget (" +
-                std::to_string(max_restarts) + ") is exhausted";
-          }
-          break;
-        }
-        ++restarts_used;
-        spawn(s);
-        slot_live[static_cast<size_t>(s)] = true;
-        ++live;
-      }
-    }
-
-    std::this_thread::sleep_for(
-        std::chrono::duration<double>(options.poll_interval_s));
-  }
-
-  // Shut the fleet down. A worker that drained the queue is already on
-  // its clean-exit path — writing its status file and flushing its
-  // trace + stats stream — and the coordinator can observe every cell
-  // complete (checkpoints land first) while that flush is still in
-  // flight, especially on a loaded machine. Give live workers a bounded
-  // grace to finish, or the kill below eats their end-of-run telemetry.
-  const auto grace_deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              std::max(0.0, options.shutdown_grace_s)));
-  bool any_alive = true;
-  while (any_alive && std::chrono::steady_clock::now() < grace_deadline) {
-    any_alive = false;
-    for (Child& child : children) {
-      if (!child.alive) continue;
-      int wait_status = 0;
-      if (::waitpid(child.pid, &wait_status, WNOHANG) == child.pid) {
-        child.alive = false;
-      } else {
-        any_alive = true;
-      }
-    }
-    if (any_alive) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-  }
-  // Anything still alive (hung stragglers whose cells were finished by
-  // backups) goes down hard, like any disposable worker.
-  for (Child& child : children) {
-    if (!child.alive) continue;
-    ::kill(child.pid, SIGKILL);
-    int wait_status = 0;
-    ::waitpid(child.pid, &wait_status, 0);
-    child.alive = false;
-  }
-
-  // Merge per-worker telemetry into this process: status files (always
-  // written on clean exits) and, when profiling is on, profile JSONs.
-  for (const std::string& name :
-       ListDirSorted((fs::path(dir) / "obs").string())) {
-    const std::string path = (fs::path(dir) / "obs" / name).string();
-    if (name.size() > 7 && name.rfind(".status") == name.size() - 7) {
-      std::string content;
-      WorkerStatus status;
-      if (ReadFileToString(path, &content) && ParseStatus(content, &status)) {
-        stats.cells_stolen += status.cells_stolen;
-        stats.cells_restored += status.cells_restored;
-        // Worker-side counts: failures whose markers were already
-        // consumed in step 3 are not double-counted — markers are the
-        // authoritative count; status files only catch markers lost to
-        // a mid-rename kill.
-      }
-    } else if (obs::Enabled() && name.ends_with(".profile.json")) {
-      // Counters add and gauges take the max: the shard merge, across
-      // processes, so one report covers the whole sweep. A dropped
-      // profile is counted (`exec.fabric.profile_merge_failed`), never
-      // silent: it would understate the merged counters.
-      obs::Snapshot profile;
-      std::string error;
-      if (!obs::ReadProfileJson(path, &profile, &error)) {
-        std::fprintf(stderr, "[fabric] skipping unreadable profile %s: %s\n",
-                     path.c_str(), error.c_str());
-        ++stats.profile_merge_failed;
-        continue;
-      }
-      for (const auto& [metric, value] : profile.counters) {
-        obs::GetCounter(metric).Add(value);
-      }
-      for (const auto& [metric, value] : profile.gauges) {
-        obs::GetGauge(metric).UpdateMax(value);
-      }
-    }
-  }
-  if (obs::Enabled()) {
-    obs::GetCounter("exec.fabric.workers_spawned")
-        .Add(static_cast<double>(stats.workers_spawned));
-    obs::GetCounter("exec.fabric.workers_died")
-        .Add(static_cast<double>(stats.workers_died));
-    obs::GetCounter("exec.fabric.workers_restarted")
-        .Add(static_cast<double>(stats.workers_restarted));
-    obs::GetCounter("exec.fabric.cells_stolen")
-        .Add(static_cast<double>(stats.cells_stolen));
-    obs::GetCounter("exec.fabric.cells_redispatched")
-        .Add(static_cast<double>(stats.cells_redispatched));
-    obs::GetCounter("exec.fabric.queue_corrupt")
-        .Add(static_cast<double>(stats.queue_corrupt));
-    obs::GetCounter("exec.fabric.ckpt_write_failed")
-        .Add(static_cast<double>(stats.ckpt_write_failures));
-    obs::GetCounter("exec.fabric.profile_merge_failed")
-        .Add(static_cast<double>(stats.profile_merge_failed));
-  }
+  // The coordinator plans but never computes: its CellPlan derives every
+  // key and seed without generating a single dataset.
+  Coordinator coordinator(spec, options);
+  coordinator.Run();
+  coordinator.Shutdown();
+  FabricStats stats = coordinator.stats();
+  MergeWorkerProfiles((fs::path(dir) / "obs").string(), &stats);
   if (stats_out != nullptr) *stats_out = stats;
-  PPN_CHECK(abort_reason.empty())
-      << "fabric sweep failed: " << abort_reason << " (scratch kept at "
-      << dir << "; see obs/worker-*.log)";
+  PPN_CHECK(coordinator.abort_reason().empty())
+      << "fabric sweep failed: " << coordinator.abort_reason()
+      << " (scratch kept at " << dir << "; see obs/worker-*.log)";
 
-  // Stitch the cross-process observability artifacts while the scratch
-  // dir still holds the per-worker files. Merged outputs are also copied
-  // next to the user's own sink paths so they survive scratch cleanup.
-  if (env::HasValue("PPN_TRACE_JSON")) {
-    const std::string coord_trace =
-        (fs::path(dir) / "obs" / "coordinator.trace.json").string();
-    obs::WriteTraceJson(coord_trace);
-    const std::string merged =
-        (fs::path(dir) / "obs" / "merged.trace.json").string();
-    std::string merge_error;
-    obs::TraceMergeStats merge_stats;
-    if (obs::MergeFabricTraces(dir, merged, &merge_error, &merge_stats)) {
-      const std::string persist =
-          env::StringOr("PPN_TRACE_JSON", "") + ".merged.json";
-      std::error_code copy_ec;
-      fs::copy_file(merged, persist, fs::copy_options::overwrite_existing,
-                    copy_ec);
-      std::fprintf(stderr,
-                   "[fabric] merged trace: %d processes, %lld events, "
-                   "%lld flow pairs -> %s\n",
-                   merge_stats.processes,
-                   static_cast<long long>(merge_stats.events),
-                   static_cast<long long>(merge_stats.flow_pairs),
-                   copy_ec ? merged.c_str() : persist.c_str());
-    } else {
-      std::fprintf(stderr, "[fabric] trace merge failed: %s\n",
-                   merge_error.c_str());
-    }
-  }
-  if (env::HasValue("PPN_STATS_JSONL")) {
-    const std::vector<std::string> streams =
-        obs::FindStatsStreams((fs::path(dir) / "obs").string());
-    if (!streams.empty()) {
-      const std::string merged =
-          (fs::path(dir) / "obs" / "merged.stats.jsonl").string();
-      std::string merge_error;
-      if (obs::MergeStatsStreams(streams, merged, &merge_error)) {
-        const std::string persist =
-            env::StringOr("PPN_STATS_JSONL", "") + ".workers.jsonl";
-        std::error_code copy_ec;
-        fs::copy_file(merged, persist, fs::copy_options::overwrite_existing,
-                      copy_ec);
-        std::fprintf(stderr, "[fabric] merged %zu worker stats streams -> %s\n",
-                     streams.size(),
-                     copy_ec ? merged.c_str() : persist.c_str());
-      } else {
-        std::fprintf(stderr, "[fabric] stats stream merge failed: %s\n",
-                     merge_error.c_str());
-      }
-    }
-  }
-
-  // Assemble the merged rows from the cell checkpoints — the only state
-  // that ever crossed a process boundary.
-  std::vector<CellResult> rows;
-  rows.reserve(cells.size());
-  for (const PlannedCell& cell : cells) {
-    CellResult result;
-    std::string error;
-    PPN_CHECK(assembly_plan.TryLoadCell(cells_dir, cell, &result, &error))
-        << "fabric assembly lost cell T" << cell.index << ": " << error;
-    rows.push_back(std::move(result));
-  }
-
+  StitchTelemetry(dir);
+  std::vector<CellResult> rows = coordinator.TakeRows();
   if (!options.keep_fabric_dir) {
     std::error_code ec;
     fs::remove_all(dir, ec);  // Best-effort; scratch only.

@@ -2,84 +2,61 @@
 #define PPN_EXEC_FABRIC_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "exec/experiment.h"
 
 /// \file
-/// The sharded multi-process sweep fabric: a coordinator that fans the
-/// cells of an `ExperimentSpec` out across WORKER PROCESSES (fork/exec of
-/// `ppn_cli sweep-worker`, or any binary speaking the same protocol),
-/// with a spill-to-disk work queue, work-stealing, and elastic worker
-/// restart. This is what scales a sweep past one address space — and the
-/// stepping stone to multi-machine execution (the whole protocol is
-/// files; nothing below assumes a shared memory space, only a shared
-/// filesystem).
+/// The multi-process sweep fabric: a coordinator fans the cells of an
+/// `ExperimentSpec` out across WORKER PROCESSES (fork/exec of `ppn_cli
+/// sweep-worker`, or any binary speaking the same protocol) and restarts
+/// workers that die. This is what scales a sweep past one address space.
+/// DESIGN.md §2.9 names the test that covers each failure below.
 ///
-/// ## Protocol (everything lives under `fabric_dir`)
+/// Channel: every spawn gets a `socketpair(AF_UNIX, SOCK_STREAM)`. The
+/// worker's end is its fd 3 and the only end it inherits, so closing the
+/// coordinator's end is the worker's EOF (it exits 0). The coordinator
+/// sends an idle worker one line per cell and reads one reply line back:
 ///
-///   queue/shard-<s>/T<index>.a<attempt>.task   one claimable cell
-///   staging/                                   task files mid-write; the
-///                                              coordinator publishes by
-///                                              rename so shards only ever
-///                                              hold complete `.task` files
-///   claims/T<index>.a<k>.s<slot>.g<gen>.claim  claimed by worker slot/gen
-///   done/T<index>.done                         cell finished + persisted
-///   failed/T<index>.a<k>.s<slot>.g<gen>.fail   checkpoint commit failed
-///   corrupt/<name>.corrupt                     unreadable/mismatched task
-///   cells/cell-<seed>.ckpt                     the ONLY result state
-///   obs/worker-<slot>.g<gen>.{log,status,profile.json,trace.json,
-///                              stats.jsonl}
-///   obs/{coordinator.trace.json,merged.trace.json,merged.stats.jsonl}
-///                                              written at assembly when
-///                                              tracing/sampling is on
+///   coordinator → worker  `<index> <derived_seed hex>`   run this cell
+///   worker → coordinator  `done <index> <restored 0|1>`  checkpoint saved
+///                         `failed <index>`               commit failed
+///                         `mismatch <index>`             not in its spec
 ///
-/// A task file carries `ppnfab1 <index> <derived_seed hex>`; the worker
-/// validates the seed echo against its own `CellPlan`, so a coordinator
-/// and worker that disagree about the spec can never silently mix
-/// results. A worker CLAIMS a cell by renaming the task file into
-/// `claims/` — rename is atomic within a filesystem, so exactly one
-/// worker wins — runs it, commits the per-cell checkpoint (the PR-4
-/// crash-safe kind), and renames its claim into `done/`. Workers prefer
-/// their own shard and STEAL from other shards once it drains.
+/// The worker checks the task line against its own `CellPlan`, so a
+/// coordinator and worker that disagree about the spec can never silently
+/// mix results. A worker holds at most one cell, and the coordinator alone
+/// knows what is queued, in flight and done.
 ///
-/// Because the only cross-process state is the atomically-committed cell
-/// checkpoint, workers are disposable: a worker SIGKILLed mid-cell leaves
-/// either no checkpoint (the cell is re-dispatched and recomputed — same
-/// key, same seed, same bits) or a complete one (the replacement restores
-/// it). Merged results are therefore bit-identical to a single-process
-/// run, modulo `wall_seconds`.
+/// Files under `fabric_dir`: `cells/cell-<seed>.ckpt` (unless the spec
+/// names its own checkpoint_dir), `progress` (the counts `ppn_cli top`
+/// shows) and `obs/worker-<slot>.g<gen>.{log,profile.json,trace.json,
+/// stats.jsonl}`. The atomically committed cell checkpoint is the only
+/// result that crosses a process boundary, so workers are disposable: a
+/// worker SIGKILLed mid-cell leaves either no checkpoint (the cell is sent
+/// again and recomputed — same key, same seed, same bits) or a complete
+/// one (the next worker restores it). Merged results are therefore
+/// bit-identical to a single-process run, modulo `wall_seconds`.
 ///
-/// ## Failure matrix (coordinator side)
+/// Failures: a worker whose channel closes, or whose reply does not parse
+/// or names a cell it was not sent, is dead; its cell is requeued and its
+/// slot respawns with exponential backoff, within `max_restarts`. A cell
+/// in flight longer than `worker_timeout_s` gets a backup copy on an idle
+/// worker (commits are idempotent, so whoever finishes first wins);
+/// backups are capped per cell and never fatal. A `failed` reply, or a
+/// `done` whose checkpoint does not load, requeues the cell. A cell's
+/// fourth failure (deaths, failed commits, lost checkpoints) aborts the
+/// sweep loudly, and a `mismatch` aborts it at once, naming the cell.
 ///
-///   worker exits nonzero / dies by signal → requeue its claims, respawn
-///     the slot with exponential backoff, bounded by `max_restarts`
-///   claim unchanged for `worker_timeout_s` → straggler: re-dispatch a
-///     duplicate task (checkpoint commits are idempotent — identical
-///     bits — so whoever finishes first wins and the other is harmless).
-///     Staleness ages against the coordinator's FIRST-SEEN clock, not the
-///     claim file's mtime (rename preserves mtime, which reflects queue
-///     wait). Backups are capped per cell but are speculative, not
-///     failures: they never spend the abort budget.
-///   corrupt/mismatched task file           → rewrite from the
-///     coordinator's authoritative cell list, bounded per cell
-///   done marker without a loadable ckpt    → drop the marker, requeue
-///   cell FAILING `max_cell_attempts` times → abort loudly (worker
-///     deaths, corruption, failed commits, lost checkpoints — not
-///     straggler backups)
-///
-/// Observability: `exec.fabric.*` counters (workers spawned / died /
-/// restarted, cells stolen / re-dispatched, corrupt queue files, failed
-/// checkpoint writes, profiles dropped unmerged), per-worker console
-/// logs, and — when obs is on — per-worker profile JSONs whose counters
-/// and gauges are merged into the coordinator's registry so one report
-/// covers the whole sweep. With `PPN_TRACE_JSON` set, the assembly also
-/// stitches the coordinator's and every worker generation's Chrome
-/// traces into one Perfetto timeline (obs/trace_merge.h), copied to
-/// `$PPN_TRACE_JSON.merged.json`; with `PPN_STATS_JSONL` set, per-worker
-/// `ppn.stats.v1` streams are merged to `$PPN_STATS_JSONL.workers.jsonl`.
+/// Observability: `exec.fabric.*` counters, per-worker console logs, and —
+/// when obs is on — per-worker profiles whose counters and gauges are
+/// merged into the coordinator's registry, so one report covers the whole
+/// sweep. With `PPN_TRACE_JSON` set, the coordinator's and every worker
+/// generation's traces are stitched into one Perfetto timeline
+/// (obs/trace_merge.h), copied to `$PPN_TRACE_JSON.merged.json`; with
+/// `PPN_STATS_JSONL` set, the worker streams are merged to
+/// `$PPN_STATS_JSONL.workers.jsonl`.
 
 namespace ppn::exec {
 
@@ -87,13 +64,11 @@ namespace ppn::exec {
 /// `exec.fabric.*` obs counters when profiling is enabled.
 struct FabricStats {
   int64_t workers_spawned = 0;     ///< Including respawns.
-  int64_t workers_died = 0;        ///< Nonzero exit or killed by signal.
+  int64_t workers_died = 0;        ///< Channel lost or protocol broken.
   int64_t workers_restarted = 0;   ///< Replacement spawns.
-  int64_t cells_stolen = 0;        ///< Claimed outside the owner shard.
-  int64_t cells_redispatched = 0;  ///< Requeued after death/timeout/loss.
-  int64_t queue_corrupt = 0;       ///< Corrupt task files recovered.
+  int64_t cells_redispatched = 0;  ///< Requeued after death/loss, or backed up.
   int64_t ckpt_write_failures = 0; ///< Worker-side failed cell commits.
-  int64_t cells_restored = 0;      ///< Loaded from pre-existing ckpts.
+  int64_t cells_restored = 0;      ///< Loaded by workers from existing ckpts.
   int64_t profile_merge_failed = 0;  ///< Worker profiles dropped unmerged.
 };
 
@@ -111,7 +86,7 @@ struct FabricOptions {
   /// `--fabric-dir <dir> --worker-slot <s> --worker-gen <g>`.
   std::vector<std::string> worker_argv;
 
-  /// Claims older than this are considered stragglers and re-dispatched.
+  /// A cell in flight this long since it was sent gets a backup copy.
   /// < 0 reads `PPN_FABRIC_WORKER_TIMEOUT_S` (default 300).
   double worker_timeout_s = -1.0;
 
@@ -120,33 +95,9 @@ struct FabricOptions {
   /// (default 8).
   int max_restarts = -1;
 
-  /// FAILURE-driven requeues (worker death, corrupt task, failed
-  /// checkpoint commit, lost checkpoint) one cell may absorb before the
-  /// sweep aborts. Speculative straggler backups are capped at the same
-  /// count per cell but never abort — a cell legitimately slower than
-  /// `worker_timeout_s` keeps its original claim running.
-  int max_cell_attempts = 4;
-
-  /// Supervision poll interval.
-  double poll_interval_s = 0.05;
-
-  /// How long the shutdown path waits for still-live workers to finish
-  /// their clean exit (status file, trace + stats stream flush) before
-  /// SIGKILLing them. Workers that already exited cost nothing; only a
-  /// genuinely hung worker pays the full grace. 0 restores the old
-  /// kill-immediately behavior (which loses end-of-run telemetry from
-  /// any worker slower to exit than the coordinator's final poll).
-  double shutdown_grace_s = 5.0;
-
   /// Leave `fabric_dir` in place after success (debugging; always left
   /// in place on failure).
   bool keep_fabric_dir = false;
-
-  /// Test hooks. `after_queue_hook` runs after the queue is written but
-  /// before any worker spawns (fault injection); `on_spawn` observes
-  /// every (slot, pid) spawn.
-  std::function<void()> after_queue_hook;
-  std::function<void(int slot, long pid)> on_spawn;
 };
 
 /// Runs the sweep across worker processes and returns rows in cell
@@ -159,23 +110,23 @@ std::vector<CellResult> RunSweepFabric(const ExperimentSpec& spec,
                                        const FabricOptions& options,
                                        FabricStats* stats = nullptr);
 
-/// Entries in the protocol directories of a fabric dir right now (what
-/// `ppn_cli top` shows, live between sample windows).
+/// A fabric's cell counts as of the coordinator's latest supervision tick
+/// (what `ppn_cli top` shows, live between sample windows).
 struct FabricQueueCounts {
-  int64_t queued = 0;   ///< Task files across queue/shard-*/.
-  int64_t running = 0;  ///< claims/
-  int64_t done = 0;     ///< done/
-  int64_t failed = 0;   ///< failed/
+  int64_t queued = 0;   ///< Waiting for an idle worker.
+  int64_t running = 0;  ///< In flight on a worker.
+  int64_t done = 0;     ///< Checkpointed and accepted.
+  int64_t failed = 0;   ///< Attempts lost to deaths, failed or lost commits.
 };
 
-/// Counts `fabric_dir`'s queue, claims, done and failed entries. False
-/// when it has no queue/ directory (it is not a fabric dir).
+/// Reads `fabric_dir`'s progress file. False when it has none (it is not
+/// a fabric dir).
 bool CountFabricQueue(const std::string& fabric_dir, FabricQueueCounts* out);
 
 /// Worker entry point (what `ppn_cli sweep-worker` calls after rebuilding
-/// the spec from its flags): claims cells from shard `worker_slot` (then
-/// steals), computes or restores each, commits its checkpoint, and marks
-/// it done. Returns 0 on a clean drain. Honors the fault-injection knobs
+/// the spec from its flags): reads cells from its channel on fd 3,
+/// computes or restores each, commits its checkpoint, and replies. Returns
+/// 0 at the channel's EOF. Honors the fault-injection knobs
 /// `PPN_FABRIC_TEST_KILL_AFTER` / `PPN_FABRIC_TEST_HANG_AFTER`
 /// ("<slot>:<cells>") for the fabric test suite.
 int FabricWorkerMain(const ExperimentSpec& spec, const std::string& fabric_dir,

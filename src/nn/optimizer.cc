@@ -7,15 +7,31 @@
 
 namespace ppn::nn {
 
-Optimizer::Optimizer(std::vector<ag::Var> parameters)
-    : parameters_(std::move(parameters)) {
+Adam::Adam(std::vector<ag::Var> parameters, float learning_rate, float beta1,
+           float beta2, float epsilon, float weight_decay)
+    : parameters_(std::move(parameters)),
+      learning_rate_(learning_rate),
+      beta1_(beta1),
+      beta2_(beta2),
+      epsilon_(epsilon),
+      weight_decay_(weight_decay) {
   for (const ag::Var& p : parameters_) {
     PPN_CHECK(p != nullptr);
     PPN_CHECK(p->requires_grad()) << "optimizer given a non-trainable leaf";
   }
+  PPN_CHECK_GE(weight_decay, 0.0f);
+  PPN_CHECK_GT(learning_rate, 0.0f);
+  PPN_CHECK(beta1 >= 0.0f && beta1 < 1.0f);
+  PPN_CHECK(beta2 >= 0.0f && beta2 < 1.0f);
+  first_moment_.resize(parameters_.size());
+  second_moment_.resize(parameters_.size());
+  for (size_t i = 0; i < parameters_.size(); ++i) {
+    first_moment_[i].assign(parameters_[i]->numel(), 0.0f);
+    second_moment_[i].assign(parameters_[i]->numel(), 0.0f);
+  }
 }
 
-double Optimizer::ClipGradNorm(double max_norm) {
+double Adam::ClipGradNorm(double max_norm) {
   PPN_CHECK_GT(max_norm, 0.0);
   double total_sq = 0.0;
   for (const ag::Var& p : parameters_) {
@@ -36,52 +52,6 @@ double Optimizer::ClipGradNorm(double max_norm) {
     }
   }
   return norm;
-}
-
-Sgd::Sgd(std::vector<ag::Var> parameters, float learning_rate, float momentum)
-    : Optimizer(std::move(parameters)),
-      learning_rate_(learning_rate),
-      momentum_(momentum) {
-  PPN_CHECK_GT(learning_rate, 0.0f);
-  PPN_CHECK_GE(momentum, 0.0f);
-  velocity_.resize(parameters_.size());
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    velocity_[i].assign(parameters_[i]->numel(), 0.0f);
-  }
-}
-
-void Sgd::Step() {
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    ag::Var& p = parameters_[i];
-    if (!p->has_grad()) continue;
-    const float* g = p->grad().Data();
-    float* value = p->mutable_value()->MutableData();
-    float* v = velocity_[i].data();
-    for (int64_t j = 0; j < p->numel(); ++j) {
-      v[j] = momentum_ * v[j] + g[j];
-      value[j] -= learning_rate_ * v[j];
-    }
-  }
-}
-
-Adam::Adam(std::vector<ag::Var> parameters, float learning_rate, float beta1,
-           float beta2, float epsilon, float weight_decay)
-    : Optimizer(std::move(parameters)),
-      learning_rate_(learning_rate),
-      beta1_(beta1),
-      beta2_(beta2),
-      epsilon_(epsilon),
-      weight_decay_(weight_decay) {
-  PPN_CHECK_GE(weight_decay, 0.0f);
-  PPN_CHECK_GT(learning_rate, 0.0f);
-  PPN_CHECK(beta1 >= 0.0f && beta1 < 1.0f);
-  PPN_CHECK(beta2 >= 0.0f && beta2 < 1.0f);
-  first_moment_.resize(parameters_.size());
-  second_moment_.resize(parameters_.size());
-  for (size_t i = 0; i < parameters_.size(); ++i) {
-    first_moment_[i].assign(parameters_[i]->numel(), 0.0f);
-    second_moment_[i].assign(parameters_[i]->numel(), 0.0f);
-  }
 }
 
 void Adam::SaveState(ckpt::BinWriter* writer) const {

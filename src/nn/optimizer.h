@@ -8,24 +8,27 @@
 #include "ckpt/binio.h"
 
 /// \file
-/// First-order optimizers. An optimizer holds handles to the parameters it
-/// updates; `Step()` applies one update from the gradients currently
-/// accumulated in those parameters and does NOT clear them (call
-/// `Module::ZeroGrad` before each backward pass).
+/// The optimizer. `Adam` holds handles to the parameters it updates;
+/// `Step()` applies one update from the gradients currently accumulated in
+/// those parameters and does NOT clear them (call `Module::ZeroGrad`
+/// before each backward pass).
 
 namespace ppn::nn {
 
-/// Interface shared by all optimizers.
-class Optimizer {
+/// Adam (Kingma & Ba 2015) with bias correction — the optimizer the paper
+/// uses (learning rate 0.001). `weight_decay` applies decoupled L2 decay
+/// (AdamW; 0 disables it).
+class Adam {
  public:
-  explicit Optimizer(std::vector<ag::Var> parameters);
-  virtual ~Optimizer() = default;
+  Adam(std::vector<ag::Var> parameters, float learning_rate,
+       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
+       float weight_decay = 0.0f);
 
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
 
   /// Applies one update step from the accumulated gradients.
-  virtual void Step() = 0;
+  void Step();
 
   /// Parameters managed by this optimizer.
   const std::vector<ag::Var>& parameters() const { return parameters_; }
@@ -33,35 +36,6 @@ class Optimizer {
   /// Rescales gradients so the global L2 norm is at most `max_norm`.
   /// Returns the pre-clip norm.
   double ClipGradNorm(double max_norm);
-
- protected:
-  std::vector<ag::Var> parameters_;
-};
-
-/// Vanilla stochastic gradient descent (optionally with momentum).
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<ag::Var> parameters, float learning_rate,
-      float momentum = 0.0f);
-
-  void Step() override;
-
- private:
-  float learning_rate_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-/// Adam (Kingma & Ba 2015) with bias correction — the optimizer the paper
-/// uses (learning rate 0.001). `weight_decay` applies decoupled L2 decay
-/// (AdamW; 0 disables it).
-class Adam : public Optimizer {
- public:
-  Adam(std::vector<ag::Var> parameters, float learning_rate,
-       float beta1 = 0.9f, float beta2 = 0.999f, float epsilon = 1e-8f,
-       float weight_decay = 0.0f);
-
-  void Step() override;
 
   /// Steps taken so far.
   int64_t step_count() const { return step_count_; }
@@ -76,6 +50,7 @@ class Adam : public Optimizer {
   bool LoadState(ckpt::BinReader* reader, std::string* error);
 
  private:
+  std::vector<ag::Var> parameters_;
   float learning_rate_;
   float beta1_;
   float beta2_;

@@ -63,23 +63,24 @@ bool ReadRunLog(const std::string& path, ParsedRunLog* out,
     }
     if (!saw_header) {
       out->schema = value.StringOr("schema", "");
-      if (out->schema != "ppn.runlog.v1") {
+      if (out->schema != kRunLogSchema) {
         return Fail(error, path + ": unsupported schema \"" + out->schema +
-                               "\" (want ppn.runlog.v1)");
+                               "\" (want " + kRunLogSchema + ")");
       }
-      out->meta.run_id = value.StringOr("run", "");
-      out->meta.strategy = value.StringOr("strategy", "");
-      out->meta.dataset = value.StringOr("dataset", "");
-      out->meta.gamma = value.NumberOr("gamma", 0.0);
-      out->meta.lambda = value.NumberOr("lambda", 0.0);
-      out->meta.cost_rate = value.NumberOr("cost_rate", 0.0);
-      out->meta.seed = static_cast<int64_t>(value.NumberOr("seed", 0.0));
-      out->meta.steps = static_cast<int64_t>(value.NumberOr("steps", 0.0));
+      for (const auto& [key, field] : kRunLogTextKeys) {
+        out->meta.*field = value.StringOr(key, "");
+      }
+      for (const auto& [key, field] : kRunLogRealKeys) {
+        out->meta.*field = value.NumberOr(key, 0.0);
+      }
+      for (const auto& [key, field] : kRunLogIntKeys) {
+        out->meta.*field = value.IntOr(key, 0);
+      }
       saw_header = true;
       continue;
     }
     RunLogRecord record;
-    record.step = static_cast<int64_t>(value.NumberOr(kRunLogStepKey, 0.0));
+    record.step = value.IntOr(kRunLogStepKey, 0);
     for (const auto& [key, field] : kRunLogFields) {
       record.*field = value.NumberOr(key, 0.0);
     }

@@ -10,15 +10,16 @@ namespace ppn::obs {
 namespace {
 
 std::string FormatHeader(const RunLogMeta& meta) {
-  std::string line = "{\"schema\": \"ppn.runlog.v1\"";
-  line += ", \"run\": " + JsonString(meta.run_id);
-  line += ", \"strategy\": " + JsonString(meta.strategy);
-  line += ", \"dataset\": " + JsonString(meta.dataset);
-  line += ", \"gamma\": " + JsonNumber(meta.gamma);
-  line += ", \"lambda\": " + JsonNumber(meta.lambda);
-  line += ", \"cost_rate\": " + JsonNumber(meta.cost_rate);
-  line += ", \"seed\": " + std::to_string(meta.seed);
-  line += ", \"steps\": " + std::to_string(meta.steps);
+  std::string line = "{\"schema\": " + JsonString(kRunLogSchema);
+  for (const auto& [key, field] : kRunLogTextKeys) {
+    line += ", " + JsonString(key) + ": " + JsonString(meta.*field);
+  }
+  for (const auto& [key, field] : kRunLogRealKeys) {
+    line += ", " + JsonString(key) + ": " + JsonNumber(meta.*field);
+  }
+  for (const auto& [key, field] : kRunLogIntKeys) {
+    line += ", " + JsonString(key) + ": " + std::to_string(meta.*field);
+  }
   line += "}\n";
   return line;
 }

@@ -57,6 +57,19 @@ struct RunLogRecord {
   double step_seconds = 0.0;       ///< Wall time of this step.
 };
 
+/// Key/value metadata stamped into the header line (strategy, dataset,
+/// γ/λ/cost-rate, seed, planned steps).
+struct RunLogMeta {
+  std::string run_id;
+  std::string strategy;
+  std::string dataset;
+  double gamma = 0.0;
+  double lambda = 0.0;
+  double cost_rate = 0.0;
+  int64_t seed = 0;
+  int64_t steps = 0;
+};
+
 /// A record's keys in file order: "step" (an integer), then each double
 /// field. The one definition `RunLog::Append` writes and `ReadRunLog`
 /// (obs/report.h) reads.
@@ -73,17 +86,27 @@ inline constexpr std::pair<const char*, double RunLogRecord::*>
         {"step_seconds", &RunLogRecord::step_seconds},
 };
 
-/// Key/value metadata stamped into the header line (strategy, dataset,
-/// γ/λ/cost-rate, seed, planned steps).
-struct RunLogMeta {
-  std::string run_id;
-  std::string strategy;
-  std::string dataset;
-  double gamma = 0.0;
-  double lambda = 0.0;
-  double cost_rate = 0.0;
-  int64_t seed = 0;
-  int64_t steps = 0;
+/// The header's schema tag and its keys after "schema", in file order:
+/// the text keys, then the doubles, then the integers (read exactly, not
+/// through a double). The one definition `RunLog::Open` writes and
+/// `ReadRunLog` reads.
+inline constexpr char kRunLogSchema[] = "ppn.runlog.v1";
+inline constexpr std::pair<const char*, std::string RunLogMeta::*>
+    kRunLogTextKeys[] = {
+        {"run", &RunLogMeta::run_id},
+        {"strategy", &RunLogMeta::strategy},
+        {"dataset", &RunLogMeta::dataset},
+};
+inline constexpr std::pair<const char*, double RunLogMeta::*>
+    kRunLogRealKeys[] = {
+        {"gamma", &RunLogMeta::gamma},
+        {"lambda", &RunLogMeta::lambda},
+        {"cost_rate", &RunLogMeta::cost_rate},
+};
+inline constexpr std::pair<const char*, int64_t RunLogMeta::*>
+    kRunLogIntKeys[] = {
+        {"seed", &RunLogMeta::seed},
+        {"steps", &RunLogMeta::steps},
 };
 
 class RunLog {

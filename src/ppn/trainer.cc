@@ -17,8 +17,6 @@ void TrainerConfig::Validate() const {
   PPN_CHECK_GT(learning_rate, 0.0f);
   PPN_CHECK_GE(weight_decay, 0.0f);
   PPN_CHECK_GT(grad_clip, 0.0);
-  PPN_CHECK(geometric_p >= 0.0 && geometric_p < 1.0)
-      << "geometric_p out of [0, 1): " << geometric_p;
   PPN_CHECK(adversarial_epsilon >= 0.0 && adversarial_epsilon < 1.0)
       << "adversarial_epsilon out of [0, 1): " << adversarial_epsilon;
   reward.Validate();
@@ -83,17 +81,8 @@ double PolicyGradientTrainer::TrainStep() {
   const int64_t max_start = last_period_ - batch;  // Inclusive.
   PPN_CHECK_GE(max_start, min_start);
 
-  // Sample the batch start, optionally geometrically biased toward the end
-  // of the training range (EIIE's online stochastic batch scheme).
-  int64_t t0;
-  if (config_.geometric_p > 0.0) {
-    const double u = rng_.Uniform();
-    const int64_t offset = static_cast<int64_t>(
-        std::log(u > 1e-12 ? u : 1e-12) / std::log1p(-config_.geometric_p));
-    t0 = max_start - std::min(offset, max_start - min_start);
-  } else {
-    t0 = min_start + rng_.UniformInt(max_start - min_start + 1);
-  }
+  // Sample the batch start uniformly over the training range.
+  const int64_t t0 = min_start + rng_.UniformInt(max_start - min_start + 1);
 
   // Assemble batch inputs.
   Tensor windows = BatchWindows(t0);

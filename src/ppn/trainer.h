@@ -29,9 +29,6 @@ struct TrainerConfig {
   float learning_rate = 1e-3f; ///< Adam learning rate (paper: 0.001).
   float weight_decay = 0.0f;   ///< Decoupled L2 decay (AdamW style).
   double grad_clip = 5.0;      ///< Global-norm gradient clip.
-  /// Geometric bias toward recent batch starts (0 = uniform sampling;
-  /// p > 0 samples start t0 with weight (1-p)^(latest - t0), as in EIIE).
-  double geometric_p = 0.0;
   /// Training-time return-perturbation adversary (scenario-engine
   /// stretch): when > 0, every batch entry's RISK relatives are multiplied
   /// by exp(ε·z), z ~ N(0,1) from the trainer's RNG, so the policy
@@ -44,7 +41,7 @@ struct TrainerConfig {
   uint64_t seed = 1;
 
   /// Checks batch_size/steps > 0, learning_rate > 0, weight_decay ≥ 0,
-  /// grad_clip > 0, geometric_p ∈ [0, 1), adversarial_epsilon ∈ [0, 1),
+  /// grad_clip > 0, adversarial_epsilon ∈ [0, 1),
   /// and `reward` (see RewardConfig::Validate). Aborts on violation;
   /// called at trainer construction.
   void Validate() const;

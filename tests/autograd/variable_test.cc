@@ -76,7 +76,7 @@ TEST(VariableTest, ReshapeChildGradientSurvivesParentUpdates) {
       Tensor({2, 3}, {3.0f, -3.0f, 7.0f, -7.0f, 11.0f, -11.0f}), 0.0f));
   EXPECT_TRUE(y->grad().AllClose(want, 0.0f));
 
-  nn::Sgd optimizer({x}, /*learning_rate=*/0.1f);
+  nn::Adam optimizer({x}, /*learning_rate=*/0.1f);
   EXPECT_GT(optimizer.ClipGradNorm(1.0), 1.0);
   EXPECT_LT(std::fabs(x->grad()[0]), 1.0f);
   EXPECT_TRUE(y->grad().AllClose(want, 0.0f));

@@ -60,6 +60,26 @@ TEST(JsonTest, RoundTripsSeventeenDigitDoubles) {
   EXPECT_EQ(value.AsNumber(), original);
 }
 
+TEST(JsonTest, IntOrReadsIntegerTokensExactly) {
+  JsonValue value;
+  ASSERT_TRUE(ParseJson(R"({"odd": 9007199254740993, "neg": -5505767809153612232,
+      "min": -9223372036854775808, "over": 9223372036854775808,
+      "real": 1.5, "exp": 1e3, "text": "7"})",
+                        &value));
+  EXPECT_EQ(value.IntOr("odd", 0), 9007199254740993);  // 2^53 + 1.
+  EXPECT_EQ(value.IntOr("neg", 0), -5505767809153612232);
+  EXPECT_EQ(value.IntOr("min", 0), std::numeric_limits<int64_t>::min());
+  // Anything but an integer token that fits yields the fallback.
+  EXPECT_EQ(value.IntOr("over", -1), -1);
+  EXPECT_EQ(value.IntOr("real", -1), -1);
+  EXPECT_EQ(value.IntOr("exp", -1), -1);
+  EXPECT_EQ(value.IntOr("text", -1), -1);
+  EXPECT_EQ(value.IntOr("missing", -1), -1);
+  // The double view of an integer token is the one strtod gives.
+  EXPECT_EQ(value.NumberOr("odd", 0.0), 9007199254740992.0);
+  EXPECT_EQ(value.NumberOr("over", 0.0), 9223372036854775808.0);
+}
+
 TEST(JsonTest, RejectsMalformedInput) {
   JsonValue value;
   std::string error;

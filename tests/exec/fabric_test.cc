@@ -1,13 +1,12 @@
 // The multi-process sweep fabric: merged results must be bit-identical to
 // the in-process runner at any process count — including when a worker is
-// SIGKILLed mid-sweep and a replacement rejoins, when a queue file is
-// corrupted on disk, and when a hung worker's cell is re-dispatched to a
-// backup. Workers are real processes: each test fork/execs the ppn_cli
-// binary (PPN_CLI_BIN, injected by CMake) as `sweep-worker`.
+// SIGKILLed mid-sweep and a replacement rejoins, and when a hung worker's
+// cell is re-dispatched to a backup. Workers are real processes: each test
+// fork/execs the ppn_cli binary (PPN_CLI_BIN, injected by CMake) as
+// `sweep-worker`, or a shell script that breaks the channel protocol.
 
 #include "exec/fabric.h"
 
-#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -145,9 +144,9 @@ TEST(FabricTest, SigkilledWorkerIsRespawnedAndResultsAreIdentical) {
   EXPECT_GE(stats.workers_restarted, 1);
 }
 
-TEST(FabricTest, KilledWorkersCellsAreStolenByTheSurvivor) {
-  // Two slots, slot 0 dies early: slot 1 steals the dead worker's shard
-  // (or the respawned slot 0 resumes it) — either way, identical bits.
+TEST(FabricTest, KilledWorkersCellGoesToTheSurvivor) {
+  // Two slots, slot 0 dies early: its cell is requeued and slot 1 (or the
+  // respawned slot 0) runs it — either way, identical bits.
   const ScopedEnv kill("PPN_FABRIC_TEST_KILL_AFTER", "0:1");
   const ExperimentSpec spec = SmallSpec();
   FabricOptions options = BaseOptions("kill_steal");
@@ -158,103 +157,15 @@ TEST(FabricTest, KilledWorkersCellsAreStolenByTheSurvivor) {
   EXPECT_GE(stats.workers_died, 1);
 }
 
-TEST(FabricTest, CorruptQueueFileIsRecoveredFromTheCellList) {
-  // Scribble over one task file after the queue is written: the claiming
-  // worker must quarantine it (never compute a garbled cell) and the
-  // coordinator must rewrite it from its authoritative cell list.
-  const ExperimentSpec spec = SmallSpec();
-  FabricOptions options = BaseOptions("corrupt");
-  options.num_processes = 2;
-  options.after_queue_hook = [&options] {
-    const std::string shard0 = options.fabric_dir + "/queue/shard-0";
-    bool scribbled = false;
-    for (const auto& entry : std::filesystem::directory_iterator(shard0)) {
-      std::ofstream out(entry.path(), std::ios::trunc);
-      out << "not a task file at all\n";
-      scribbled = true;
-      break;
-    }
-    ASSERT_TRUE(scribbled) << "no task file found to corrupt";
-  };
-  FabricStats stats;
-  const std::vector<CellResult> rows = RunSweepFabric(spec, options, &stats);
-  ExpectIdenticalRows(InProcessRows(spec), rows);
-  EXPECT_GE(stats.queue_corrupt, 1);
-}
-
-TEST(FabricTest, PreAgedQueueFilesDoNotTriggerSpuriousBackups) {
-  // rename(2) preserves mtime, so a claim file's on-disk timestamp is
-  // really the task's write time. Age every queued task an hour into the
-  // past: if staleness were judged from mtime, every cell would look like
-  // a straggler the instant it was claimed. The coordinator must age
-  // claims against its own first-seen clock and dispatch no backups.
-  const ExperimentSpec spec = SmallSpec();
-  FabricOptions options = BaseOptions("pre_aged");
-  options.num_processes = 2;
-  options.worker_timeout_s = 5.0;  // Far above any real cell's runtime.
-  options.after_queue_hook = [&options] {
-    const auto past = std::filesystem::file_time_type::clock::now() -
-                      std::chrono::hours(1);
-    for (int shard = 0; shard < 2; ++shard) {
-      const std::string dir =
-          options.fabric_dir + "/queue/shard-" + std::to_string(shard);
-      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-        std::filesystem::last_write_time(entry.path(), past);
-      }
-    }
-  };
-  FabricStats stats;
-  const std::vector<CellResult> rows = RunSweepFabric(spec, options, &stats);
-  ExpectIdenticalRows(InProcessRows(spec), rows);
-  EXPECT_EQ(stats.cells_redispatched, 0);
-}
-
-TEST(FabricTest, ForeignEntriesFromAReusedFabricDirAreDiscarded) {
-  // A reused fabric dir can hold claim/fail/task/corrupt entries from a
-  // previous, larger spec. Indices parsed from those names must be
-  // bounds-checked and the entries discarded — never used to index the
-  // coordinator's per-cell state, and never computed by a worker.
-  const ExperimentSpec spec = SmallSpec();
-  FabricOptions options = BaseOptions("foreign");
-  options.num_processes = 2;
-  options.after_queue_hook = [&options] {
-    auto drop = [&options](const std::string& rel,
-                           const std::string& content) {
-      std::ofstream out(options.fabric_dir + "/" + rel, std::ios::binary);
-      out << content;
-      ASSERT_TRUE(out.good()) << rel;
-    };
-    drop("claims/T999.a0.s7.g9.claim", "ppnfab1 999 00000000deadbeef\n");
-    drop("failed/T500.a0.s7.g9.fail", "ppnfab1 500 00000000deadbeef\n");
-    drop("corrupt/T888.a0.task.corrupt", "scribble\n");
-    drop("queue/shard-0/T777.a0.task", "ppnfab1 777 00000000deadbeef\n");
-    // An in-flight-looking temp must never be claimed AS its base task;
-    // workers quarantine it, and the coordinator recovers cell 3 from
-    // its authoritative list.
-    drop("queue/shard-0/T3.a0.task.tmp", "ppnfab1 3 00000000deadbeef\n");
-  };
-  FabricStats stats;
-  const std::vector<CellResult> rows = RunSweepFabric(spec, options, &stats);
-  ExpectIdenticalRows(InProcessRows(spec), rows);
-  // The pre-dropped claim, fail marker, and corrupt entry are processed
-  // on the coordinator's first supervision pass, so they are always in
-  // the discard count; the shard junk is quarantined by workers on a
-  // schedule of its own and only sometimes lands before completion.
-  EXPECT_GE(stats.queue_corrupt, 3);
-}
-
 TEST(FabricTest, HungWorkerCellIsRedispatchedToABackup) {
-  // Slot 0 hangs forever on its first claim. The claim goes stale, the
-  // coordinator re-dispatches a backup task, slot 1 computes it, and the
-  // straggler is killed at shutdown without poisoning anything.
+  // Slot 0 hangs forever on its first cell. The cell goes late, the
+  // coordinator queues a backup, slot 1 computes it, and the straggler is
+  // killed at shutdown without poisoning anything.
   const ScopedEnv hang("PPN_FABRIC_TEST_HANG_AFTER", "0:1");
   const ExperimentSpec spec = SmallSpec();
   FabricOptions options = BaseOptions("hang");
   options.num_processes = 2;
   options.worker_timeout_s = 0.3;
-  // The hung worker never exits on its own; don't burn the full
-  // shutdown grace waiting for it.
-  options.shutdown_grace_s = 0.2;
   FabricStats stats;
   const std::vector<CellResult> rows = RunSweepFabric(spec, options, &stats);
   ExpectIdenticalRows(InProcessRows(spec), rows);
@@ -306,6 +217,81 @@ TEST(FabricTest, MergesWorkerProfilesAndPublishesFabricCounters) {
   EXPECT_GE(delta("exec.cells.completed"), 12.0);
   EXPECT_EQ(delta("exec.fabric.workers_spawned"), 2.0);
   EXPECT_EQ(delta("exec.fabric.workers_died"), 0.0);
+}
+
+// ------------------------------------------------------- the channel --
+// Each case below ends in one fixed abort: the coordinator must survive
+// the broken worker, count it dead, and respawn the slot until the
+// restart budget runs out (or stop at once on a spec mismatch).
+
+/// Options whose "workers" are `script` run by /bin/sh, one slot, one
+/// restart.
+FabricOptions FakeWorkerOptions(const std::string& dir_name,
+                                const std::string& script) {
+  FabricOptions options = BaseOptions(dir_name);
+  options.num_processes = 1;
+  options.max_restarts = 1;
+  options.worker_argv = {"/bin/sh", "-c", script};
+  return options;
+}
+
+TEST(FabricChannelDeathTest, WorkerThatClosesItsEndIsDeadAndRespawned) {
+  // The worker drops fd 3 and lives on: the channel's EOF is its death.
+  const FabricOptions options =
+      FakeWorkerOptions("closed_end", "exec 3<&-; sleep 5");
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "worker 0\\.g0 .*died.*worker 0\\.g1 .*died.*"
+               "restart budget \\(1\\) is exhausted");
+}
+
+TEST(FabricChannelDeathTest, SendToAClosedEndIsADeathNotASigpipe) {
+  // The worker answers its cell, then drops fd 3 and lives on, so the
+  // coordinator's next send (the requeued cell) meets a closed end. It
+  // must fail, not SIGPIPE the coordinator.
+  FabricOptions options = FakeWorkerOptions(
+      "closed_after_reply",
+      "read line <&3; echo \"failed ${line%% *}\" >&3; exec 3<&-; sleep 5");
+  options.max_restarts = 0;
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "worker 0\\.g0 .*died: channel closed.*"
+               "restart budget \\(0\\) is exhausted");
+}
+
+TEST(FabricChannelDeathTest, GarbageReplyCountsAsADeath) {
+  const FabricOptions options = FakeWorkerOptions(
+      "garbage", "read line <&3; echo garbage >&3; sleep 5");
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "worker 0\\.g0 .*unexpected reply \"garbage\".*"
+               "worker 0\\.g1 .*died.*restart budget \\(1\\) is exhausted");
+}
+
+TEST(FabricChannelDeathTest, RepeatedlyFailedCommitAbortsNamingTheCell) {
+  // Every cell comes back `failed`: cell T0 is requeued until its fourth
+  // failure ends the sweep.
+  const FabricOptions options = FakeWorkerOptions(
+      "failed",
+      "while read line <&3; do echo \"failed ${line%% *}\" >&3; done");
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "cell T0 cannot be persisted");
+}
+
+TEST(FabricChannelDeathTest, DoneWithoutACheckpointIsRequeuedUntilAbort) {
+  // `done` is a claim, not a result: no checkpoint loads behind it.
+  const FabricOptions options = FakeWorkerOptions(
+      "lost",
+      "while read line <&3; do echo \"done ${line%% *} 0\" >&3; done");
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "cell T0 keeps losing its checkpoint");
+}
+
+TEST(FabricChannelDeathTest, WorkerWithAnotherSpecAbortsAtTheFirstMismatch) {
+  // Real workers rebuilt from --seeds 1,8: cell T0 (seed 1) agrees, T1
+  // (seed 7 here, 8 there) is the first that does not.
+  FabricOptions options = BaseOptions("mismatch");
+  options.num_processes = 1;
+  options.worker_argv.back() = "1,8";
+  EXPECT_DEATH(RunSweepFabric(SmallSpec(), options),
+               "cell T1 does not match worker 0\\.g0's spec");
 }
 
 // ------------------------------------------------------------------ e2e --

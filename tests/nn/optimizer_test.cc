@@ -29,14 +29,6 @@ double MinimizeQuadratic(int steps, Args&&... args) {
   return err;
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  EXPECT_LT(MinimizeQuadratic<Sgd>(200, 0.1f), 1e-3);
-}
-
-TEST(SgdTest, MomentumConverges) {
-  EXPECT_LT(MinimizeQuadratic<Sgd>(200, 0.05f, 0.9f), 1e-3);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   EXPECT_LT(MinimizeQuadratic<Adam>(500, 0.1f), 1e-2);
 }
@@ -60,14 +52,14 @@ TEST(AdamTest, NoGradMeansNoChange) {
 
 TEST(OptimizerTest, RejectsNonTrainableLeaf) {
   ag::Var c = ag::Constant(Tensor({1}));
-  EXPECT_DEATH(Sgd({c}, 0.1f), "non-trainable");
+  EXPECT_DEATH(Adam({c}, 0.1f), "non-trainable");
 }
 
 TEST(ClipGradNormTest, ScalesDownLargeGradients) {
   ag::Var x = ag::Parameter(Tensor({2}));
   x->AccumulateGrad(Tensor({2}, {3.0f, 4.0f}));  // Norm 5.
-  Sgd sgd({x}, 0.1f);
-  const double norm = sgd.ClipGradNorm(1.0);
+  Adam adam({x}, 0.1f);
+  const double norm = adam.ClipGradNorm(1.0);
   EXPECT_NEAR(norm, 5.0, 1e-6);
   EXPECT_NEAR(x->grad()[0], 0.6f, 1e-6);
   EXPECT_NEAR(x->grad()[1], 0.8f, 1e-6);
@@ -76,8 +68,8 @@ TEST(ClipGradNormTest, ScalesDownLargeGradients) {
 TEST(ClipGradNormTest, LeavesSmallGradientsAlone) {
   ag::Var x = ag::Parameter(Tensor({2}));
   x->AccumulateGrad(Tensor({2}, {0.3f, 0.4f}));
-  Sgd sgd({x}, 0.1f);
-  sgd.ClipGradNorm(1.0);
+  Adam adam({x}, 0.1f);
+  adam.ClipGradNorm(1.0);
   EXPECT_NEAR(x->grad()[0], 0.3f, 1e-7);
 }
 

@@ -222,6 +222,51 @@ TEST(RunLogTest, EveryTableFieldRoundTripsBitForBit) {
   std::remove(path.c_str());
 }
 
+// The header shares one key table too: a distinct value in every key,
+// including a 64-bit seed whose low bits a double would drop, comes back
+// exactly, each from its own key.
+TEST(RunLogTest, EveryHeaderKeyRoundTripsExactly) {
+  ScopedObsEnable enable;
+  SKIP_IF_COMPILED_OUT();
+  const std::string path = FreshPath("runlog_header.runlog.jsonl");
+  RunLogMeta meta;
+  meta.run_id = "cell-7";
+  meta.strategy = "PPN-I";
+  meta.dataset = "Crypto-B";
+  meta.gamma = 1.0 / 3.0;
+  meta.lambda = 2.5e-4;
+  meta.cost_rate = 0.0075;
+  meta.seed = -5505767809153612232;
+  meta.steps = 123456789012;
+  auto log = RunLog::Open(path, meta);
+  ASSERT_NE(log, nullptr);
+  ASSERT_TRUE(log->Close());
+
+  ParsedRunLog parsed;
+  std::string error;
+  ASSERT_TRUE(ReadRunLog(path, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.schema, kRunLogSchema);
+  const std::string text = ReadFile(path);
+  auto has_key = [&text](const char* key) {
+    return text.find("\"" + std::string(key) + "\": ") != std::string::npos;
+  };
+  for (const auto& [key, field] : kRunLogTextKeys) {
+    EXPECT_EQ(parsed.meta.*field, meta.*field) << key;
+    EXPECT_TRUE(has_key(key)) << key;
+  }
+  for (const auto& [key, field] : kRunLogRealKeys) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.meta.*field),
+              std::bit_cast<uint64_t>(meta.*field))
+        << key;
+    EXPECT_TRUE(has_key(key)) << key;
+  }
+  for (const auto& [key, field] : kRunLogIntKeys) {
+    EXPECT_EQ(parsed.meta.*field, meta.*field) << key;
+    EXPECT_TRUE(has_key(key)) << key;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(RunLogTest, TrainerStreamsOneExactRecordPerStep) {
   ScopedObsEnable enable;
   SKIP_IF_COMPILED_OUT();

@@ -75,14 +75,6 @@ TEST(TrainerConfigDeathTest, NonPositiveGradClipAborts) {
   EXPECT_DEATH(config.Validate(), "");
 }
 
-TEST(TrainerConfigDeathTest, GeometricPOutOfRangeAborts) {
-  TrainerConfig config;
-  config.geometric_p = 1.0;  // Weight (1-p)^k degenerates at p = 1.
-  EXPECT_DEATH(config.Validate(), "");
-  config.geometric_p = -0.1;
-  EXPECT_DEATH(config.Validate(), "");
-}
-
 TEST(TrainerConfigDeathTest, InvalidNestedRewardAborts) {
   // Validate recurses into the reward config.
   TrainerConfig config;

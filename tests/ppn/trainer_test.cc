@@ -208,19 +208,6 @@ TEST(TrainerTest, TrainingImprovesRewardOnEasyMarket) {
   EXPECT_GT(late_sum / 10.0, early_sum / 10.0);
 }
 
-TEST(TrainerTest, GeometricSamplingStaysInRange) {
-  market::MarketDataset dataset = SmallDataset();
-  Rng init(1);
-  Rng dropout(2);
-  auto policy = MakePolicy(SmallPolicyConfig(4), &init, &dropout);
-  TrainerConfig tc = SmallTrainerConfig();
-  tc.geometric_p = 0.05;
-  PolicyGradientTrainer trainer(policy.get(), dataset, tc);
-  for (int step = 0; step < 20; ++step) {
-    EXPECT_TRUE(std::isfinite(trainer.TrainStep()));
-  }
-}
-
 TEST(TrainerTest, StrategyAdapterBacktestsAfterTraining) {
   market::MarketDataset dataset = SmallDataset();
   Rng init(1);

@@ -43,8 +43,9 @@
 // bit-identical at any worker count. `--processes N` switches to the
 // multi-process fabric (src/exec/fabric.h): the coordinator re-execs this
 // binary as the hidden `sweep-worker` subcommand, one process per slot,
-// with work-stealing and elastic restart — still bit-identical, including
-// across worker crashes (see PPN_FABRIC_* in `help-env`).
+// sends each idle worker its next cell over a private socket and respawns
+// workers that die — still bit-identical, including across worker crashes
+// (see PPN_FABRIC_* in `help-env`).
 //
 // Checkpointing: `train --checkpoint-dir` snapshots the full training
 // state (parameters, Adam moments, RNG streams, PVM, step counters) every
@@ -67,12 +68,13 @@
 // Observability plane (see obs/sampler.h, obs/trace_merge.h,
 // obs/health.h): PPN_STATS_JSONL=<file> streams periodic ppn.stats.v1
 // samples every PPN_SAMPLE_MS from ANY command; `top --dir <target>`
-// tails those streams (plus a fabric dir's queue/done counts) as an
-// in-place refreshing table. A traced multi-process sweep
-// (`sweep --processes N` with PPN_TRACE_JSON) stitches coordinator and
-// worker timelines into one Perfetto JSON automatically — or on demand
-// via `report --merge-trace <fabric_dir>`. PPN_HEALTH=<rules> turns SLO
-// violations into a red end-of-run summary and a nonzero exit.
+// tails those streams (plus a fabric dir's progress file: queued,
+// running, done and failed cells) as an in-place refreshing table. A
+// traced multi-process sweep (`sweep --processes N` with PPN_TRACE_JSON)
+// stitches coordinator and worker timelines into one Perfetto JSON
+// automatically — or on demand via `report --merge-trace <fabric_dir>`.
+// PPN_HEALTH=<rules> turns SLO violations into a red end-of-run summary
+// and a nonzero exit.
 
 #include <unistd.h>
 
@@ -335,20 +337,30 @@ int CmdTrain(const Flags& flags) {
   return 0;
 }
 
-int CmdBacktest(const Flags& flags) {
-  const market::MarketDataset dataset = ResolveDataset(flags);
-  const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
+/// Builds the `config` policy and loads `--weights` into it; null, after
+/// saying why, when the file does not fit. `dropout` must outlive it.
+std::unique_ptr<core::PolicyModule> LoadPolicy(const Flags& flags,
+                                               const core::PolicyConfig& config,
+                                               Rng* dropout) {
   Rng init(1);
-  Rng dropout(2);
-  auto policy = core::MakePolicy(policy_config, &init, &dropout);
+  auto policy = core::MakePolicy(config, &init, dropout);
   const std::string weights = FlagOr(flags, "weights", "policy.weights");
   if (!policy->LoadParameters(weights)) {
     std::fprintf(stderr,
                  "failed loading weights '%s' (train first, and use the "
                  "same --variant/--window)\n",
                  weights.c_str());
-    return 1;
+    return nullptr;
   }
+  return policy;
+}
+
+int CmdBacktest(const Flags& flags) {
+  const market::MarketDataset dataset = ResolveDataset(flags);
+  const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
+  Rng dropout(2);
+  const auto policy = LoadPolicy(flags, policy_config, &dropout);
+  if (policy == nullptr) return 1;
   core::PolicyStrategy strategy(policy.get(),
                                 core::VariantName(policy_config.variant));
   PrintMetrics(core::VariantName(policy_config.variant),
@@ -372,17 +384,9 @@ double ExactPercentile(const std::vector<double>& sorted, double q) {
 int CmdServe(const Flags& flags) {
   const market::MarketDataset dataset = ResolveDataset(flags);
   const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
-  Rng init(1);
   Rng dropout(2);
-  auto policy = core::MakePolicy(policy_config, &init, &dropout);
-  const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->LoadParameters(weights)) {
-    std::fprintf(stderr,
-                 "failed loading weights '%s' (train first, and use the "
-                 "same --variant/--window)\n",
-                 weights.c_str());
-    return 1;
-  }
+  const auto policy = LoadPolicy(flags, policy_config, &dropout);
+  if (policy == nullptr) return 1;
 
   serve::ServerConfig config;
   config.max_batch = static_cast<int64_t>(NumFlagOr(flags, "batch", 256));
@@ -508,6 +512,52 @@ std::vector<std::string> SplitCsvList(const std::string& text) {
   return parts;
 }
 
+/// One spec per strategy name, with `--gamma`, `--lambda` and `--steps`
+/// applied.
+std::vector<strategies::StrategySpec> StrategySpecsFor(
+    const Flags& flags, const std::vector<std::string>& names) {
+  std::vector<strategies::StrategySpec> specs;
+  for (const std::string& name : names) {
+    strategies::StrategySpec strategy{.name = name};
+    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
+    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
+    strategy.base_steps =
+        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
+    specs.push_back(strategy);
+  }
+  return specs;
+}
+
+/// Replaces `*seeds` with `--seeds` when given; false (exit 2) on a
+/// negative entry.
+bool SeedsFromFlags(const Flags& flags, std::vector<uint64_t>* seeds) {
+  if (flags.count("seeds") == 0) return true;
+  seeds->clear();
+  for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
+    const int64_t value = ParseInt64OrDie(seed, "--seeds");
+    if (value < 0) {
+      std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
+                   seed.c_str());
+      return false;
+    }
+    seeds->push_back(static_cast<uint64_t>(value));
+  }
+  return true;
+}
+
+/// Writes `rows` to `--json` when given; the exit code.
+int WriteJsonFlag(const Flags& flags,
+                  const std::vector<exec::CellResult>& rows) {
+  if (flags.count("json") == 0) return 0;
+  const std::string path = flags.at("json");
+  if (!exec::WriteResultsJson(path, rows)) {
+    std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
+    return 1;
+  }
+  std::printf("results written to %s\n", path.c_str());
+  return 0;
+}
+
 /// Builds the sweep `ExperimentSpec` from the shared sweep flags
 /// (--datasets/--strategies/--costs/--seeds/--gamma/--lambda/--steps/
 /// --checkpoint-dir/--telemetry-dir). Used by `sweep` (coordinator or
@@ -543,32 +593,14 @@ int BuildSweepSpec(const Flags& flags, exec::ExperimentSpec* spec) {
       return 2;
     }
   }
-  for (const std::string& name : names) {
-    strategies::StrategySpec strategy{.name = name};
-    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
-    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
-    strategy.base_steps =
-        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
-    spec->strategies.push_back(strategy);
-  }
+  spec->strategies = StrategySpecsFor(flags, names);
   if (flags.count("costs") > 0) {
     spec->cost_rates.clear();
     for (const std::string& rate : SplitCsvList(flags.at("costs"))) {
       spec->cost_rates.push_back(ParseDoubleOrDie(rate, "--costs"));
     }
   }
-  if (flags.count("seeds") > 0) {
-    spec->seeds.clear();
-    for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
-      const int64_t value = ParseInt64OrDie(seed, "--seeds");
-      if (value < 0) {
-        std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
-                     seed.c_str());
-        return 2;
-      }
-      spec->seeds.push_back(static_cast<uint64_t>(value));
-    }
-  }
+  if (!SeedsFromFlags(flags, &spec->seeds)) return 2;
 
   spec->checkpoint_dir = FlagOr(flags, "checkpoint-dir", "");
   spec->telemetry_dir = FlagOr(flags, "telemetry-dir", "");
@@ -649,12 +681,11 @@ int CmdSweep(const Flags& flags) {
     rows = exec::RunSweepFabric(spec, options, &stats);
     ckpt_write_failures = stats.ckpt_write_failures;
     std::printf("fabric: %lld workers spawned (%lld died, %lld restarted), "
-                "%lld cells stolen, %lld re-dispatched, %lld restored, "
+                "%lld re-dispatched, %lld restored, "
                 "%lld profile merges failed\n\n",
                 static_cast<long long>(stats.workers_spawned),
                 static_cast<long long>(stats.workers_died),
                 static_cast<long long>(stats.workers_restarted),
-                static_cast<long long>(stats.cells_stolen),
                 static_cast<long long>(stats.cells_redispatched),
                 static_cast<long long>(stats.cells_restored),
                 static_cast<long long>(stats.profile_merge_failed));
@@ -703,15 +734,7 @@ int CmdSweep(const Flags& flags) {
     std::printf("--- %s ---\n%s\n", dataset_name.c_str(),
                 printer.ToString().c_str());
   }
-  if (flags.count("json") > 0) {
-    const std::string path = flags.at("json");
-    if (!exec::WriteResultsJson(path, rows)) {
-      std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", path.c_str());
-  }
-  return 0;
+  return WriteJsonFlag(flags, rows);
 }
 
 int CmdStress(const Flags& flags) {
@@ -770,32 +793,14 @@ int CmdStress(const Flags& flags) {
   // Three classic baselines plus the paper's policy by default: enough to
   // see whether the learned strategy degrades gracefully where the
   // cost-blind baselines crater.
-  for (const std::string& name :
-       SplitCsvList(FlagOr(flags, "strategies", "UBAH,CRP,OLMAR,PPN"))) {
-    strategies::StrategySpec strategy{.name = name};
-    strategy.gamma = NumFlagOr(flags, "gamma", strategy.gamma);
-    strategy.lambda = NumFlagOr(flags, "lambda", strategy.lambda);
-    strategy.base_steps =
-        static_cast<int64_t>(NumFlagOr(flags, "steps", strategy.base_steps));
-    spec.strategies.push_back(strategy);
-  }
+  spec.strategies = StrategySpecsFor(
+      flags, SplitCsvList(FlagOr(flags, "strategies", "UBAH,CRP,OLMAR,PPN")));
   if (spec.strategies.empty()) {
     std::fprintf(stderr, "--strategies is empty\n");
     return 2;
   }
   spec.cost_rates = {NumFlagOr(flags, "cost", 0.0025)};
-  if (flags.count("seeds") > 0) {
-    spec.seeds.clear();
-    for (const std::string& seed : SplitCsvList(flags.at("seeds"))) {
-      const int64_t value = ParseInt64OrDie(seed, "--seeds");
-      if (value < 0) {
-        std::fprintf(stderr, "ppn: --seeds entries must be >= 0, got %s\n",
-                     seed.c_str());
-        return 2;
-      }
-      spec.seeds.push_back(static_cast<uint64_t>(value));
-    }
-  }
+  if (!SeedsFromFlags(flags, &spec.seeds)) return 2;
 
   const int workers = static_cast<int>(NumFlagOr(flags, "workers", -1.0));
   const exec::ExperimentRunner runner(
@@ -849,15 +854,7 @@ int CmdStress(const Flags& flags) {
   std::printf("--- robustness (APV%s) ---\n%s\n",
               many_seeds ? ", seed mean" : "", matrix.ToString().c_str());
 
-  if (flags.count("json") > 0) {
-    const std::string path = flags.at("json");
-    if (!exec::WriteResultsJson(path, rows)) {
-      std::fprintf(stderr, "failed writing '%s'\n", path.c_str());
-      return 1;
-    }
-    std::printf("results written to %s\n", path.c_str());
-  }
-  return 0;
+  return WriteJsonFlag(flags, rows);
 }
 
 int CmdReport(const Flags& flags) {
@@ -936,7 +933,7 @@ std::vector<std::string> CollectStatsStreams(const std::string& target) {
 }
 
 /// One refresh of the live monitor: parses every stream and renders a
-/// per-process table plus (for fabric dirs) the queue/claim/done counts.
+/// per-process table plus (for fabric dirs) the coordinator's cell counts.
 std::string RenderTopFrame(const std::string& target) {
   std::string out;
   const std::vector<std::string> streams = CollectStatsStreams(target);
@@ -1002,8 +999,8 @@ std::string RenderTopFrame(const std::string& target) {
     out += table.ToString();
   }
 
-  // A fabric scratch dir also tells us queue depth and completion
-  // directly from the file protocol — live even between sample windows.
+  // A fabric scratch dir also holds the coordinator's progress file, live
+  // even between sample windows.
   exec::FabricQueueCounts fabric;
   if (exec::CountFabricQueue(target, &fabric)) {
     char line[160];
