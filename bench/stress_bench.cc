@@ -2,9 +2,9 @@
 // application, CSV replay loading, and a backtest over a stressed panel
 // with a tradeability mask plus a per-period cost-multiplier schedule.
 //
-// run_benches.sh archives the JSON report as bench_results/stress_bench.json
-// and (under PPN_BENCH_GATE=1) diffs medians against the previous archive,
-// exactly like micro_kernels and serve_bench.
+// A probe, not a gate: nothing archives or compares its numbers. Compare
+// two builds by running both back to back on one host; perfbench
+// (BENCHMARK.json) is where a speedup is judged.
 
 #include <filesystem>
 #include <string>

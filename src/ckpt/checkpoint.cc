@@ -162,12 +162,11 @@ bool CheckpointReader::Finish(std::string* error) {
 
 // --------------------------------------------------------- Checkpointer --
 
-Checkpointer::Checkpointer(Options options) : options_(std::move(options)) {
-  PPN_CHECK(!options_.dir.empty()) << "checkpoint dir must be set";
-  PPN_CHECK_GE(options_.retain, 1);
+Checkpointer::Checkpointer(std::string dir) : dir_(std::move(dir)) {
+  PPN_CHECK(!dir_.empty()) << "checkpoint dir must be set";
   std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
-  PPN_CHECK(!ec) << "cannot create checkpoint dir" << options_.dir << ":"
+  std::filesystem::create_directories(dir_, ec);
+  PPN_CHECK(!ec) << "cannot create checkpoint dir" << dir_ << ":"
                  << ec.message();
 }
 
@@ -177,14 +176,14 @@ std::string Checkpointer::SnapshotPath(int64_t step) const {
   if (digits.size() < kStepDigits) {
     digits.insert(0, kStepDigits - digits.size(), '0');
   }
-  return options_.dir + "/" + kSnapshotPrefix + digits + kSnapshotSuffix;
+  return dir_ + "/" + kSnapshotPrefix + digits + kSnapshotSuffix;
 }
 
 std::vector<int64_t> Checkpointer::ListSnapshots() const {
   std::vector<int64_t> steps;
   std::error_code ec;
   for (const auto& entry :
-       std::filesystem::directory_iterator(options_.dir, ec)) {
+       std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
     if (name.size() <= std::strlen(kSnapshotPrefix) +
                            std::strlen(kSnapshotSuffix) ||
@@ -213,8 +212,8 @@ bool Checkpointer::WriteSnapshot(
   // Prune beyond the retention window, oldest first. Best effort: a
   // leftover snapshot is harmless, a failed prune must not fail the write.
   std::vector<int64_t> steps = ListSnapshots();
-  if (static_cast<int64_t>(steps.size()) > options_.retain) {
-    for (size_t i = 0; i + options_.retain < steps.size(); ++i) {
+  if (static_cast<int64_t>(steps.size()) > kRetain) {
+    for (size_t i = 0; i + kRetain < steps.size(); ++i) {
       std::remove(SnapshotPath(steps[i]).c_str());
     }
   }
@@ -227,7 +226,7 @@ bool Checkpointer::RestoreLatest(
   PPN_CHECK(step != nullptr);
   const std::vector<int64_t> steps = ListSnapshots();
   if (steps.empty()) {
-    return Fail(error, "no snapshots in " + options_.dir);
+    return Fail(error, "no snapshots in " + dir_);
   }
   for (auto it = steps.rbegin(); it != steps.rend(); ++it) {
     CheckpointReader reader;
@@ -242,7 +241,7 @@ bool Checkpointer::RestoreLatest(
                  static_cast<long long>(*it), attempt_error.c_str());
   }
   return Fail(error,
-              "no intact snapshot could be restored from " + options_.dir);
+              "no intact snapshot could be restored from " + dir_);
 }
 
 }  // namespace ppn::ckpt

@@ -27,8 +27,8 @@
 /// loads.
 ///
 /// `Checkpointer` manages a directory of rotating snapshots
-/// (`step-<n>.ckpt`), retaining the newest K and restoring from the
-/// newest intact one. Observability (when enabled): `ckpt.write.seconds`
+/// (`step-<n>.ckpt`), retaining the newest `kRetain` and restoring from
+/// the newest intact one. Observability (when enabled): `ckpt.write.seconds`
 /// / `ckpt.restore.seconds` histograms, `ckpt.write.bytes` /
 /// `ckpt.restore.bytes` / `ckpt.writes` / `ckpt.restores` counters, and
 /// `ckpt.corrupt` counting rejected files.
@@ -100,15 +100,11 @@ class CheckpointReader {
 /// Checkpointer per training run (concurrent runs use distinct dirs).
 class Checkpointer {
  public:
-  struct Options {
-    std::string dir;
-    /// Snapshots to keep; older ones are pruned after each write.
-    int64_t retain = 3;
-  };
+  /// Snapshots kept; older ones are pruned after each write.
+  static constexpr int64_t kRetain = 3;
 
-  /// Creates the directory if needed. Aborts on an empty dir or
-  /// retain < 1.
-  explicit Checkpointer(Options options);
+  /// Creates `dir` if needed. Aborts on an empty dir.
+  explicit Checkpointer(std::string dir);
 
   /// `dir/step-<n zero-padded>.ckpt`.
   std::string SnapshotPath(int64_t step) const;
@@ -119,7 +115,7 @@ class Checkpointer {
 
   /// Writes the snapshot for `step`: `fill` serializes sections into the
   /// writer, then the file is committed atomically and snapshots beyond
-  /// `retain` are pruned (oldest first). False with *error on IO failure
+  /// `kRetain` are pruned (oldest first). False with *error on IO failure
   /// (any partially written temp file is removed; existing snapshots are
   /// untouched).
   bool WriteSnapshot(int64_t step,
@@ -136,10 +132,8 @@ class Checkpointer {
       const std::function<bool(CheckpointReader*, std::string*)>& load,
       int64_t* step, std::string* error);
 
-  const Options& options() const { return options_; }
-
  private:
-  Options options_;
+  std::string dir_;
 };
 
 }  // namespace ppn::ckpt

@@ -10,8 +10,7 @@ namespace ppn::env {
 
 namespace {
 
-// The single source of truth for every environment knob the binaries read.
-// run_benches.sh / CI knobs consumed only by shell scripts are listed too,
+// The single source of truth for every environment knob the binaries read,
 // so `ppn_cli help-env` documents the whole surface.
 const VarInfo kRegistry[] = {
     {"PPN_WORKERS", "int", "hardware threads",
@@ -37,7 +36,8 @@ const VarInfo kRegistry[] = {
      "serve.decide.latency.seconds.p99<5ms) checked per sample window "
      "and at exit; any violation makes the run exit nonzero"},
     {"PPN_RESULTS_JSON", "path", "unset",
-     "Benchmark harness: append bench context results to this JSON"},
+     "Directory where each table bench writes its per-cell results, as "
+     "<dir>/<title slug>.cells.json"},
     {"PPN_NO_POOL", "flag", "off",
      "Disable the thread-local tensor buffer pool (any value but \"0\")"},
     {"PPN_SIMD", "enum", "auto",
@@ -56,10 +56,6 @@ const VarInfo kRegistry[] = {
     {"PPN_FABRIC_TEST_HANG_AFTER", "slot:cells", "unset",
      "Fabric fault injection (tests): worker <slot> hangs forever on the "
      "<cells>-th cell it is sent; stripped from respawned workers"},
-    {"PPN_BENCH_GATE", "flag", "off",
-     "run_benches.sh: diff gated benches against the archived baseline"},
-    {"PPN_BENCH_REPS", "int", "3",
-     "run_benches.sh: benchmark repetitions for gated benches"},
 };
 
 const VarInfo* Find(const char* name) {

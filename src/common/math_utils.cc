@@ -41,19 +41,6 @@ bool IsOnSimplex(const std::vector<double>& v, double tolerance) {
   return std::fabs(total - 1.0) <= tolerance;
 }
 
-double L1Norm(const std::vector<double>& v) {
-  double total = 0.0;
-  for (const double x : v) total += std::fabs(x);
-  return total;
-}
-
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b) {
-  PPN_CHECK_EQ(a.size(), b.size());
-  double total = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) total += std::fabs(a[i] - b[i]);
-  return total;
-}
-
 double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   PPN_CHECK_EQ(a.size(), b.size());
   double total = 0.0;
@@ -75,19 +62,6 @@ double Variance(const std::vector<double>& v) {
 }
 
 double StdDev(const std::vector<double>& v) { return std::sqrt(Variance(v)); }
-
-std::vector<double> Softmax(const std::vector<double>& logits) {
-  PPN_CHECK(!logits.empty());
-  const double max_logit = *std::max_element(logits.begin(), logits.end());
-  std::vector<double> probs(logits.size());
-  double total = 0.0;
-  for (size_t i = 0; i < logits.size(); ++i) {
-    probs[i] = std::exp(logits[i] - max_logit);
-    total += probs[i];
-  }
-  for (double& p : probs) p /= total;
-  return probs;
-}
 
 double Clamp(double x, double lo, double hi) {
   PPN_CHECK_LE(lo, hi);

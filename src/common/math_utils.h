@@ -5,8 +5,8 @@
 #include <vector>
 
 /// \file
-/// Small numeric helpers shared across the library: simplex geometry,
-/// norms, and descriptive statistics on `std::vector<double>` series.
+/// Small numeric helpers shared across the library: simplex geometry, dot
+/// products, and descriptive statistics on `std::vector<double>` series.
 
 namespace ppn {
 
@@ -17,12 +17,6 @@ std::vector<double> ProjectToSimplex(const std::vector<double>& v);
 /// Returns true iff `v` has no negative entry (within `tolerance`) and its
 /// entries sum to 1 within `tolerance`.
 bool IsOnSimplex(const std::vector<double>& v, double tolerance = 1e-6);
-
-/// L1 norm, sum_i |v_i|.
-double L1Norm(const std::vector<double>& v);
-
-/// L1 distance, sum_i |a_i - b_i|. Requires equal sizes.
-double L1Distance(const std::vector<double>& a, const std::vector<double>& b);
 
 /// Dot product. Requires equal sizes.
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
@@ -35,9 +29,6 @@ double Variance(const std::vector<double>& v);
 
 /// Population standard deviation.
 double StdDev(const std::vector<double>& v);
-
-/// Softmax of a vector (numerically stable).
-std::vector<double> Softmax(const std::vector<double>& logits);
 
 /// Clamps x into [lo, hi].
 double Clamp(double x, double lo, double hi);

@@ -20,6 +20,7 @@
 #include "common/atomic_file.h"
 #include "common/check.h"
 #include "common/env.h"
+#include "common/parallel.h"
 #include "common/parse.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
@@ -135,11 +136,15 @@ int64_t FaultKnobFor(const char* knob, int slot) {
 /// profile/trace files. PPN_HEALTH stays coordinator-only: a worker
 /// tripping a health rule would exit nonzero and read as a death, burning
 /// the restart budget for an SLO miss; the coordinator judges health on
-/// the merged view.
+/// the merged view. Each of the `num_processes` workers gets an OpenMP
+/// team of its share of the cores: the teams of separate processes spin
+/// against each other, and full teams in every worker made a 4-process
+/// sweep on 4 cores some 30x slower than teams of one.
 std::vector<std::string> WorkerEnvironment(const std::string& prefix,
-                                           int gen) {
+                                           int gen, int num_processes) {
   std::set<std::string> drop = {"PPN_PROFILE_JSON", "PPN_TRACE_JSON",
-                                "PPN_STATS_JSONL", "PPN_HEALTH"};
+                                "PPN_STATS_JSONL", "PPN_HEALTH",
+                                "OMP_NUM_THREADS"};
   if (gen > 0) {
     drop.insert("PPN_FABRIC_TEST_KILL_AFTER");
     drop.insert("PPN_FABRIC_TEST_HANG_AFTER");
@@ -158,6 +163,8 @@ std::vector<std::string> WorkerEnvironment(const std::string& prefix,
   if (env::HasValue("PPN_STATS_JSONL")) {
     env.push_back("PPN_STATS_JSONL=" + prefix + ".stats.jsonl");
   }
+  env.push_back("OMP_NUM_THREADS=" +
+                std::to_string(std::max(1, HardwareThreads() / num_processes)));
   return env;
 }
 
@@ -174,7 +181,8 @@ pid_t SpawnWorker(const FabricOptions& options, int slot, int gen,
   args.insert(args.end(), {"--fabric-dir", options.fabric_dir,
                            "--worker-slot", std::to_string(slot),
                            "--worker-gen", std::to_string(gen)});
-  std::vector<std::string> env = WorkerEnvironment(prefix, gen);
+  std::vector<std::string> env =
+      WorkerEnvironment(prefix, gen, options.num_processes);
   // exec()-shaped arrays, built BEFORE fork so the child only touches
   // async-signal-safe calls.
   std::vector<char*> argv, envp;

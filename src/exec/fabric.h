@@ -74,6 +74,8 @@ struct FabricStats {
 
 struct FabricOptions {
   /// Worker processes to keep alive while work remains. Must be >= 1.
+  /// Each runs an OpenMP team of max(1, hardware threads / num_processes)
+  /// threads (its `OMP_NUM_THREADS`).
   int num_processes = 2;
 
   /// Scratch + handoff directory (created if needed). Unless

@@ -1,9 +1,5 @@
 #include "nn/module.h"
 
-#include <cstdlib>
-#include <fstream>
-
-#include "common/atomic_file.h"
 #include "common/check.h"
 
 namespace ppn::nn {
@@ -94,55 +90,6 @@ bool Module::LoadState(ckpt::BinReader* reader, std::string* error) {
     if (!reader->ReadF32Array(var->mutable_value()->MutableData(), numel)) {
       *error = "module state: short read in payload of '" + name + "'";
       return false;
-    }
-  }
-  return true;
-}
-
-namespace {
-
-/// Strict float token parse that, unlike `operator>>`, accepts the
-/// non-finite tokens (`nan`, `inf`, `-inf`) `operator<<` emits — the old
-/// extraction-based loader failed part-way through any file holding a
-/// non-finite weight that saved "successfully".
-bool ParseFloatToken(const std::string& token, float* out) {
-  if (token.empty()) return false;
-  char* end = nullptr;
-  *out = std::strtof(token.c_str(), &end);
-  return end == token.c_str() + token.size();
-}
-
-}  // namespace
-
-bool Module::SaveParameters(const std::string& path) const {
-  AtomicFileWriter file(path);
-  std::ofstream& out = file.stream();
-  if (!out) return false;
-  out.precision(9);
-  for (const auto& [name, var] : NamedParameters()) {
-    out << name << " " << var->numel() << "\n";
-    const float* data = var->value().Data();
-    for (int64_t i = 0; i < var->numel(); ++i) {
-      if (i > 0) out << " ";
-      out << data[i];
-    }
-    out << "\n";
-  }
-  return file.Commit();
-}
-
-bool Module::LoadParameters(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return false;
-  for (const auto& [name, var] : NamedParameters()) {
-    std::string file_name;
-    int64_t numel = 0;
-    if (!(in >> file_name >> numel)) return false;
-    if (file_name != name || numel != var->numel()) return false;
-    float* data = var->mutable_value()->MutableData();
-    std::string token;
-    for (int64_t i = 0; i < numel; ++i) {
-      if (!(in >> token) || !ParseFloatToken(token, &data[i])) return false;
     }
   }
   return true;

@@ -77,10 +77,6 @@ Tensor Tensor::Full(std::vector<int64_t> shape, float value) {
   return t;
 }
 
-Tensor Tensor::FromVector(const std::vector<float>& values) {
-  return Tensor({static_cast<int64_t>(values.size())}, values);
-}
-
 int64_t Tensor::dim(int axis) const {
   const int n = ndim();
   if (axis < 0) axis += n;

@@ -50,9 +50,6 @@ class Tensor {
   /// Factory: tensor filled with `value`.
   static Tensor Full(std::vector<int64_t> shape, float value);
 
-  /// Factory: 1-D tensor from values.
-  static Tensor FromVector(const std::vector<float>& values);
-
   /// Number of dimensions.
   int ndim() const { return static_cast<int>(shape_.size()); }
 

@@ -72,6 +72,18 @@ TEST(CheckpointTest, UncommittedWriterLeavesTargetUntouched) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
+TEST(CheckpointTest, CommitToAMissingDirectoryFailsCleanly) {
+  const std::string dir = FreshDir("nodir") + "/absent";
+  const std::string path = dir + "/x.ckpt";
+  CheckpointWriter writer(path);
+  writer.BeginSection("data");
+  writer.writer().WriteI64(1);
+  std::string error;
+  EXPECT_FALSE(writer.Commit(&error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_FALSE(std::filesystem::exists(dir));
+}
+
 TEST(CheckpointTest, FlippedByteFailsCrc) {
   const std::string path = FreshDir("flip") + "/x.ckpt";
   WriteSimpleCheckpoint(path, 42);
@@ -163,7 +175,7 @@ TEST(CheckpointTest, FinishRejectsTrailingBytes) {
 }
 
 TEST(CheckpointerTest, RetainsNewestK) {
-  Checkpointer checkpointer({FreshDir("retain"), /*retain=*/2});
+  Checkpointer checkpointer(FreshDir("retain"));
   std::string error;
   for (int64_t step = 1; step <= 5; ++step) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -175,11 +187,15 @@ TEST(CheckpointerTest, RetainsNewestK) {
         &error))
         << error;
   }
-  EXPECT_EQ(checkpointer.ListSnapshots(), (std::vector<int64_t>{4, 5}));
+  std::vector<int64_t> newest;
+  for (int64_t step = 6 - Checkpointer::kRetain; step <= 5; ++step) {
+    newest.push_back(step);
+  }
+  EXPECT_EQ(checkpointer.ListSnapshots(), newest);
 }
 
 TEST(CheckpointerTest, RestoreLatestPicksNewest) {
-  Checkpointer checkpointer({FreshDir("latest"), 3});
+  Checkpointer checkpointer(FreshDir("latest"));
   std::string error;
   for (int64_t step : {10, 20, 30}) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -206,7 +222,7 @@ TEST(CheckpointerTest, RestoreLatestPicksNewest) {
 }
 
 TEST(CheckpointerTest, FallsBackToOlderIntactSnapshot) {
-  Checkpointer checkpointer({FreshDir("fallback"), 3});
+  Checkpointer checkpointer(FreshDir("fallback"));
   std::string error;
   for (int64_t step : {1, 2}) {
     ASSERT_TRUE(checkpointer.WriteSnapshot(
@@ -237,7 +253,7 @@ TEST(CheckpointerTest, FallsBackToOlderIntactSnapshot) {
 }
 
 TEST(CheckpointerTest, EmptyDirReportsNoSnapshots) {
-  Checkpointer checkpointer({FreshDir("empty"), 3});
+  Checkpointer checkpointer(FreshDir("empty"));
   int64_t step = 0;
   std::string error;
   EXPECT_FALSE(checkpointer.RestoreLatest(
@@ -249,7 +265,7 @@ TEST(CheckpointerTest, ForeignFilesInDirIgnored) {
   const std::string dir = FreshDir("foreign");
   { std::ofstream(dir + "/notes.txt") << "not a checkpoint"; }
   { std::ofstream(dir + "/step-abc.ckpt") << "bad digits"; }
-  Checkpointer checkpointer({dir, 3});
+  Checkpointer checkpointer(dir);
   EXPECT_TRUE(checkpointer.ListSnapshots().empty());
 }
 

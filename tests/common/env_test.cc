@@ -43,8 +43,7 @@ TEST(EnvRegistryTest, ListsEveryKnownKnob) {
   for (const char* required :
        {"PPN_WORKERS", "PPN_SCALE", "PPN_OBS", "PPN_PROFILE_JSON",
         "PPN_TRACE_JSON", "PPN_RUNLOG_DIR", "PPN_RESULTS_JSON", "PPN_NO_POOL",
-        "PPN_BENCH_GATE", "PPN_BENCH_REPS", "PPN_STATS_JSONL",
-        "PPN_SAMPLE_MS", "PPN_HEALTH"}) {
+        "PPN_STATS_JSONL", "PPN_SAMPLE_MS", "PPN_HEALTH"}) {
     bool found = false;
     for (const VarInfo& info : registry) {
       if (std::string(info.name) == required) {
@@ -86,13 +85,13 @@ TEST(EnvAccessorTest, FlagSemantics) {
 }
 
 TEST(EnvAccessorTest, Int64FallsBackOnlyWhenUnset) {
-  ScopedEnvVar var("PPN_BENCH_REPS");
+  ScopedEnvVar var("PPN_FABRIC_MAX_RESTARTS");
   var.Unset();
-  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), 123);
+  EXPECT_EQ(Int64Or("PPN_FABRIC_MAX_RESTARTS", 123), 123);
   var.Set("4096");
-  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), 4096);
+  EXPECT_EQ(Int64Or("PPN_FABRIC_MAX_RESTARTS", 123), 4096);
   var.Set("-7");
-  EXPECT_EQ(Int64Or("PPN_BENCH_REPS", 123), -7);
+  EXPECT_EQ(Int64Or("PPN_FABRIC_MAX_RESTARTS", 123), -7);
 }
 
 TEST(EnvAccessorTest, DoubleFallsBackOnlyWhenUnset) {
@@ -114,11 +113,13 @@ TEST(EnvAccessorTest, StringOrUsesFallbackForEmpty) {
 }
 
 TEST(EnvDeathTest, MalformedIntAbortsNamingTheVariable) {
-  ScopedEnvVar var("PPN_BENCH_REPS");
+  ScopedEnvVar var("PPN_FABRIC_MAX_RESTARTS");
   var.Set("not-a-number");
-  EXPECT_DEATH(Int64Or("PPN_BENCH_REPS", 1), "PPN_BENCH_REPS");
+  EXPECT_DEATH(Int64Or("PPN_FABRIC_MAX_RESTARTS", 1),
+               "PPN_FABRIC_MAX_RESTARTS");
   var.Set("");  // Set-but-empty is malformed, not "use the fallback".
-  EXPECT_DEATH(Int64Or("PPN_BENCH_REPS", 1), "PPN_BENCH_REPS");
+  EXPECT_DEATH(Int64Or("PPN_FABRIC_MAX_RESTARTS", 1),
+               "PPN_FABRIC_MAX_RESTARTS");
 }
 
 TEST(EnvDeathTest, MalformedDoubleAborts) {

@@ -1,7 +1,5 @@
 #include "common/math_utils.h"
 
-#include <cmath>
-
 #include <gtest/gtest.h>
 
 #include "common/random.h"
@@ -69,11 +67,6 @@ TEST(IsOnSimplexTest, DetectsWrongSum) {
   EXPECT_TRUE(IsOnSimplex({0.5, 0.5}));
 }
 
-TEST(NormsTest, L1NormAndDistance) {
-  EXPECT_DOUBLE_EQ(L1Norm({1.0, -2.0, 3.0}), 6.0);
-  EXPECT_DOUBLE_EQ(L1Distance({1.0, 2.0}, {3.0, 0.0}), 4.0);
-}
-
 TEST(NormsTest, DotProduct) {
   EXPECT_DOUBLE_EQ(Dot({1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}), 32.0);
 }
@@ -83,19 +76,6 @@ TEST(StatsTest, MeanVarianceStdDev) {
   EXPECT_DOUBLE_EQ(Mean(v), 5.0);
   EXPECT_DOUBLE_EQ(Variance(v), 4.0);
   EXPECT_DOUBLE_EQ(StdDev(v), 2.0);
-}
-
-TEST(SoftmaxTest, SumsToOneAndOrdersPreserved) {
-  const std::vector<double> p = Softmax({1.0, 2.0, 3.0});
-  EXPECT_NEAR(p[0] + p[1] + p[2], 1.0, 1e-12);
-  EXPECT_LT(p[0], p[1]);
-  EXPECT_LT(p[1], p[2]);
-}
-
-TEST(SoftmaxTest, StableForLargeLogits) {
-  const std::vector<double> p = Softmax({1000.0, 1000.0});
-  EXPECT_NEAR(p[0], 0.5, 1e-9);
-  EXPECT_FALSE(std::isnan(p[1]));
 }
 
 TEST(ClampTest, Clamps) {

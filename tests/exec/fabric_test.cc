@@ -3,10 +3,12 @@
 // SIGKILLed mid-sweep and a replacement rejoins, and when a hung worker's
 // cell is re-dispatched to a backup. Workers are real processes: each test
 // fork/execs the ppn_cli binary (PPN_CLI_BIN, injected by CMake) as
-// `sweep-worker`, or a shell script that breaks the channel protocol.
+// `sweep-worker`, a shell script that wraps it, or one that breaks the
+// channel protocol.
 
 #include "exec/fabric.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/json.h"
+#include "common/parallel.h"
 #include "exec/experiment.h"
 #include "obs/stats.h"
 
@@ -126,6 +129,36 @@ TEST(FabricTest, TwoProcessesMatchInProcessRunner) {
   EXPECT_EQ(stats.ckpt_write_failures, 0);
   // Scratch is cleaned up after a fully successful run.
   EXPECT_FALSE(std::filesystem::exists(options.fabric_dir));
+}
+
+TEST(FabricTest, EachWorkerRunsAnOpenMpTeamOfItsShareOfTheCores) {
+  // Each worker records its OMP_NUM_THREADS, then execs the real worker;
+  // the coordinator's own value (7) must not reach it. `sh -c` puts the
+  // fabric's flags in $0, $1, ..., so the slot is $3.
+  const ExperimentSpec spec = SmallSpec();
+  const ScopedEnv coordinator_team("OMP_NUM_THREADS", "7");
+  for (const int processes : {1, HardwareThreads()}) {
+    const std::string record =
+        FreshDir("omp_teams_" + std::to_string(processes));
+    std::filesystem::create_directories(record);
+    std::string script =
+        "echo \"$OMP_NUM_THREADS\" > " + record + "/$3; exec";
+    for (const std::string& arg : SmallSpecArgv()) script += " " + arg;
+    FabricOptions options = BaseOptions("omp_" + std::to_string(processes));
+    options.num_processes = processes;
+    options.worker_argv = {"/bin/sh", "-c", script + " \"$0\" \"$@\""};
+    ExpectIdenticalRows(InProcessRows(spec), RunSweepFabric(spec, options));
+    int workers = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(record)) {
+      std::ifstream in(entry.path());
+      int team = 0;
+      in >> team;
+      EXPECT_EQ(team, std::max(1, HardwareThreads() / processes))
+          << processes << " processes, slot " << entry.path().filename();
+      ++workers;
+    }
+    EXPECT_GE(workers, 1) << processes << " processes";
+  }
 }
 
 TEST(FabricTest, SigkilledWorkerIsRespawnedAndResultsAreIdentical) {

@@ -1,8 +1,16 @@
+#include <sys/wait.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "backtest/backtester.h"
+#include "ckpt/binio.h"
 #include "common/math_utils.h"
 #include "market/presets.h"
 #include "ppn/strategy_adapter.h"
@@ -107,14 +115,18 @@ TEST(EndToEndTest, SavedPolicyReproducesDecisions) {
   tc.steps = 10;
   core::PolicyGradientTrainer trainer(policy.get(), dataset, tc);
   trainer.Train();
-  const std::string path = ::testing::TempDir() + "/ppn_weights.txt";
-  ASSERT_TRUE(policy->SaveParameters(path));
+  std::ostringstream out;
+  ckpt::BinWriter writer(&out);
+  policy->SaveState(&writer);
+  const std::string bytes = out.str();
 
   Rng init2(999);
   Rng dropout2(998);
   auto restored = core::MakePolicy(
       SmokePolicyConfig(core::PolicyVariant::kPpn, m), &init2, &dropout2);
-  ASSERT_TRUE(restored->LoadParameters(path));
+  ckpt::BinReader reader(bytes.data(), bytes.size());
+  std::string error;
+  ASSERT_TRUE(restored->LoadState(&reader, &error)) << error;
 
   core::PolicyStrategy s1(policy.get(), "orig");
   core::PolicyStrategy s2(restored.get(), "restored");
@@ -128,6 +140,53 @@ TEST(EndToEndTest, SavedPolicyReproducesDecisions) {
       EXPECT_NEAR(r1.actions[t][i], r2.actions[t][i], 1e-6);
     }
   }
+}
+
+/// Runs `ppn_cli <args>` at smoke scale with its output appended to `log`;
+/// returns the exit code.
+int RunCli(const std::string& args, const std::string& log) {
+  const int status = std::system(("PPN_SCALE=smoke " PPN_CLI_BIN " " + args +
+                                  " >> " + log + " 2>&1")
+                                     .c_str());
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(WeightsFileCliTest, TrainedWeightsLoadAndUnfitFilesAreNamed) {
+  const std::string dir = ::testing::TempDir() + "/weights_cli";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string weights = dir + "/policy.weights";
+  const std::string log = dir + "/cli.log";
+  ASSERT_EQ(RunCli("train --steps 6 --weights " + weights, log), 0)
+      << ReadFile(log);
+  EXPECT_EQ(RunCli("backtest --weights " + weights, log), 0) << ReadFile(log);
+  EXPECT_EQ(RunCli("serve --weights " + weights +
+                       " --users 8 --ticks 3 --batch 4",
+                   log),
+            0)
+      << ReadFile(log);
+
+  const std::string named = "failed loading weights '" + weights + "'";
+  const std::string variant_log = dir + "/variant.log";
+  EXPECT_EQ(RunCli("serve --variant PPN-I --weights " + weights, variant_log),
+            1);
+  EXPECT_NE(ReadFile(variant_log).find(named), std::string::npos)
+      << ReadFile(variant_log);
+
+  std::filesystem::resize_file(weights,
+                               std::filesystem::file_size(weights) - 1);
+  const std::string truncated_log = dir + "/truncated.log";
+  EXPECT_EQ(RunCli("backtest --weights " + weights, truncated_log), 1);
+  EXPECT_NE(ReadFile(truncated_log).find(named), std::string::npos)
+      << ReadFile(truncated_log);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include <bit>
 #include <cmath>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ckpt/binio.h"
 #include "market/generator.h"
 #include "nn/conv.h"
 #include "nn/init.h"
@@ -79,9 +81,13 @@ TEST(ModuleTest, SaveLoadRoundTrip) {
   Rng rng(7);
   Linear a(3, 2, &rng);
   Linear b(3, 2, &rng);  // Different init.
-  const std::string path = ::testing::TempDir() + "/linear_params.txt";
-  ASSERT_TRUE(a.SaveParameters(path));
-  ASSERT_TRUE(b.LoadParameters(path));
+  std::ostringstream out;
+  ckpt::BinWriter writer(&out);
+  a.SaveState(&writer);
+  const std::string bytes = out.str();
+  ckpt::BinReader reader(bytes.data(), bytes.size());
+  std::string error;
+  ASSERT_TRUE(b.LoadState(&reader, &error)) << error;
   EXPECT_TRUE(b.weight()->value().AllClose(a.weight()->value()));
   EXPECT_TRUE(b.bias()->value().AllClose(a.bias()->value()));
 }
@@ -90,9 +96,13 @@ TEST(ModuleTest, LoadRejectsWrongShape) {
   Rng rng(7);
   Linear a(3, 2, &rng);
   Linear b(2, 2, &rng);
-  const std::string path = ::testing::TempDir() + "/linear_params2.txt";
-  ASSERT_TRUE(a.SaveParameters(path));
-  EXPECT_FALSE(b.LoadParameters(path));
+  std::ostringstream out;
+  ckpt::BinWriter writer(&out);
+  a.SaveState(&writer);
+  const std::string bytes = out.str();
+  ckpt::BinReader reader(bytes.data(), bytes.size());
+  std::string error;
+  EXPECT_FALSE(b.LoadState(&reader, &error));
 }
 
 TEST(ModuleTest, CopyParametersFrom) {

@@ -22,13 +22,6 @@ TEST(TensorTest, FullFactory) {
   for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(t[i], 7.0f);
 }
 
-TEST(TensorTest, FromVector) {
-  Tensor t = Tensor::FromVector({1.0f, 2.0f, 3.0f});
-  EXPECT_EQ(t.ndim(), 1);
-  EXPECT_EQ(t.dim(0), 3);
-  EXPECT_EQ(t[1], 2.0f);
-}
-
 TEST(TensorTest, ShapeValueMismatchAborts) {
   EXPECT_DEATH(Tensor({2, 2}, {1.0f, 2.0f}), "PPN_CHECK");
 }

@@ -53,7 +53,10 @@
 // `--resume 1` restores the newest intact snapshot and continues to a
 // final policy bit-identical to an uninterrupted run. `sweep
 // --checkpoint-dir` checkpoints each finished cell; rerunning the same
-// sweep after a kill recomputes only the unfinished cells.
+// sweep after a kill recomputes only the unfinished cells. A `--weights`
+// file is a checkpoint too: `train` commits the final policy as its one
+// section, and `backtest`/`serve` reject a file that fails its CRC or does
+// not fit the policy built from their own --variant/--window.
 //
 // Telemetry: `sweep --telemetry-dir <dir>` enables obs and streams one
 // per-step JSONL run log per trained cell into <dir> (schema
@@ -209,6 +212,10 @@ int CmdGenerate(const Flags& flags) {
   return 0;
 }
 
+/// The one section of a `--weights` file, a checkpoint (ckpt/checkpoint.h)
+/// that holds the policy's `Module::SaveState`.
+constexpr char kWeightsSection[] = "policy";
+
 int CmdTrain(const Flags& flags) {
   const market::MarketDataset dataset = ResolveDataset(flags);
   const core::PolicyConfig policy_config = PolicyConfigFor(flags, dataset);
@@ -248,8 +255,7 @@ int CmdTrain(const Flags& flags) {
       std::fprintf(stderr, "--checkpoint-every must be > 0\n");
       return 2;
     }
-    checkpointer = std::make_unique<ckpt::Checkpointer>(
-        ckpt::Checkpointer::Options{checkpoint_dir, /*retain=*/3});
+    checkpointer = std::make_unique<ckpt::Checkpointer>(checkpoint_dir);
   }
   if (resume) {
     int64_t restored_step = 0;
@@ -323,8 +329,13 @@ int CmdTrain(const Flags& flags) {
                  run_log->path().c_str());
   }
   const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->SaveParameters(weights)) {
-    std::fprintf(stderr, "failed writing weights '%s'\n", weights.c_str());
+  ckpt::CheckpointWriter file(weights);
+  file.BeginSection(kWeightsSection);
+  policy->SaveState(&file.writer());
+  std::string error;
+  if (!file.Commit(&error)) {
+    std::fprintf(stderr, "failed writing weights '%s': %s\n", weights.c_str(),
+                 error.c_str());
     return 1;
   }
   std::printf("weights saved to %s\n", weights.c_str());
@@ -345,11 +356,15 @@ std::unique_ptr<core::PolicyModule> LoadPolicy(const Flags& flags,
   Rng init(1);
   auto policy = core::MakePolicy(config, &init, dropout);
   const std::string weights = FlagOr(flags, "weights", "policy.weights");
-  if (!policy->LoadParameters(weights)) {
+  ckpt::CheckpointReader file;
+  std::string error;
+  if (!file.Open(weights, &error) ||
+      !file.EnterSection(kWeightsSection, &error) ||
+      !policy->LoadState(&file.reader(), &error) || !file.Finish(&error)) {
     std::fprintf(stderr,
                  "failed loading weights '%s' (train first, and use the "
-                 "same --variant/--window)\n",
-                 weights.c_str());
+                 "same --variant/--window): %s\n",
+                 weights.c_str(), error.c_str());
     return nullptr;
   }
   return policy;
